@@ -6,15 +6,25 @@ partition, with exact rational breakpoints; when the kappa profile itself is
 exact the Gram data is computed in Gaussian-rational arithmetic and rounded
 once at the end.
 
-d_{n,r}^2 = min_b || 1 - sum_{k<=n} b_k rho_k ||^2 = 1 - g* G^{-1} g, and by
-the determinant lemma equally det(G - g g*)/det(G), which yields the whole
-profile n = 1..n_max from two unpivoted pivot streams.
+d_{n,r}^2 = min_b || 1 - sum_{k<=n} b_k rho_k ||^2 = 1 - g* G^{-1} g. One
+unpivoted LDL^H of G that carries z = L^{-1} g along gives the whole profile
+n = 1..n_max as d_n^2 = 1 - sum_{i<=n} |z_i|^2 / p_i, which by the Schur
+complement is the determinant ratio det(G_n - g g*)/det(G_n). The
+factorization (``linalg.ldl_profile``) runs in fixed-point integers and
+applies the same pivot audit as ``gram_system``: negligible pivots are
+dropped, and an indeterminate one rebuilds the Gram data at doubled
+precision. The pivoted ``projection`` solve stays as the independent check.
+
+Since rho_a and rho_b live on (0, 1/max(a, b)], substituting y = d x gives
+<rho_{da}, rho_{db}> = <rho_a, rho_b>/d and <1, rho_k> = <1, rho_1>/k, so
+only coprime pairs are integrated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence
 
 from mpmath import mp, mpf
@@ -22,7 +32,7 @@ from mpmath import mp, mpf
 from .dpcore import DirichletPolynomial, KappaProfile, dp_eval, kappa_partial_sums
 from .errors import NSingular, PrecisionExhausted
 from .exact import GaussianRational, as_fraction, fraction_to_mpf, to_mp
-from .linalg import LDLFactors, ldl_factor, ldl_pivot_stream
+from .linalg import LDLFactors, ldl_factor, ldl_profile
 from .precision import resolve_bits, working
 
 _ESCALATION_LIMIT = 3
@@ -114,21 +124,33 @@ class GramSystem:
 
 
 def _build_gram(P: DirichletPolynomial, r, n: int, bits: int):
-    """(G, g) at the given precision; exact intermediates when available."""
+    """(G, g) at the given precision; exact intermediates when available.
+
+    Only coprime pairs are integrated; <rho_{da}, rho_{db}> = <rho_a, rho_b>/d
+    fills the rest by one division, exact on the Gaussian-rational path.
+    """
     prof = kappa_partial_sums(P, r, bits=bits)
     with working(bits):
         G = [[mpf(0)] * n for _ in range(n)]
+        coprime = {}
         for j in range(1, n + 1):
             for k in range(j, n + 1):
-                v = _pair_inner(prof, j, k)       # <rho_j, rho_k>
+                d = gcd(j, k)
+                if d == 1:
+                    v = coprime[j, k] = _pair_inner(prof, j, k)   # <rho_j, rho_k>
+                elif prof.exact:
+                    v = coprime[j // d, k // d] * Fraction(1, d)
+                else:
+                    v = coprime[j // d, k // d] / d
                 if isinstance(v, GaussianRational):
                     v = to_mp(v)
                 # G[row j][col k] = <rho_k, rho_j> = conj of the above
                 G[j - 1][k - 1] = mp.conj(v)
                 G[k - 1][j - 1] = v
+        base = _indicator_inner_profile(prof, 1)  # <rho_1, 1>
         g = []
         for k in range(1, n + 1):
-            v = _indicator_inner_profile(prof, k)
+            v = base * Fraction(1, k) if prof.exact else base / k
             if isinstance(v, GaussianRational):
                 v = to_mp(v)
             g.append(mp.conj(v))                  # <1, rho_k>
@@ -211,29 +233,27 @@ def _clamp01(x):
     return x
 
 
-def _profile_from_streams(G, g, n_max: int):
-    """d^2 for n = 1..n_max out of the pivot streams of G and B = G - g g*.
+def _audited_profile(P: DirichletPolynomial, r, n: int, bits: int,
+                     G=None, g=None):
+    """(G, g, LDLProfile, bits used) for the first n generators.
 
-    Returns (values, pivots) where pivots is G's unpivoted leading-minor
-    ratio stream, exposed so callers can report conditioning per n.
+    Factors G with ``ldl_profile`` at ``bits``. A pivot in the indeterminate
+    band rebuilds the Gram data at doubled precision, at most
+    _ESCALATION_LIMIT times. A given (G, g), e.g. from the cache, replaces
+    the first build.
     """
-    n = len(g)
-    B = [[G[i][j] - g[i] * mp.conj(g[j]) for j in range(n)] for i in range(n)]
-    p = ldl_pivot_stream(G)
-    q = ldl_pivot_stream(B)
-    out = []
-    acc = mpf(1)
-    frozen = False
-    for i in range(n_max):
-        if not frozen:
-            if i >= len(p) or p[i] <= 0:
-                raise NSingular(i, p[i] if i < len(p) else mpf(0))
-            if i >= len(q) or q[i] <= 0:
-                frozen = True
-            else:
-                acc = acc * (q[i] / p[i])
-        out.append(mpf(0) if frozen else _clamp01(acc))
-    return out, p
+    cur = bits
+    for _ in range(_ESCALATION_LIMIT + 1):
+        if G is None:
+            G, g = _build_gram(P, r, n, cur)
+        with working(cur):
+            prof = ldl_profile(G, g)
+        if prof.band is None:
+            return G, g, prof, cur
+        G = None
+        cur *= 2
+    raise PrecisionExhausted(
+        f"profile pivots stayed in the indeterminate band up to {cur // 2} bits")
 
 
 def distance_squared(P: DirichletPolynomial, r, n: int, method: str = "det-ratio",
@@ -253,26 +273,22 @@ def distance_squared(P: DirichletPolynomial, r, n: int, method: str = "det-ratio
             d2 = _clamp01(mp.re(mpf(1) - inner))
         return DistanceResult(n=n, r=r_q, d_squared=d2, method=method,
                               coeffs=x, precision_bits=gs.precision_bits)
-    with working(bits):
-        G, g = _build_gram(P, r, n, bits)
-        d2 = _profile_from_streams(G, g, n)[0][-1]
-    return DistanceResult(n=n, r=r_q, d_squared=d2, method=method,
-                          coeffs=None, precision_bits=bits)
+    _, _, prof, used = _audited_profile(P, r, n, bits)
+    return DistanceResult(n=n, r=r_q, d_squared=prof.d_squared[-1], method=method,
+                          coeffs=None, precision_bits=used)
 
 
 def distance_profile(P: DirichletPolynomial, r, n_max: int,
                      bits: Optional[int] = None) -> list:
-    """d^2 for every n = 1..n_max from one Gram build and two pivot streams."""
+    """d^2 for every n = 1..n_max from one Gram build and one factorization."""
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
     bits = resolve_bits(bits)
     r_q = as_fraction(r)
-    with working(bits):
-        G, g = _build_gram(P, r, n_max, bits)
-        vals, _ = _profile_from_streams(G, g, n_max)
+    _, _, prof, used = _audited_profile(P, r, n_max, bits)
     return [DistanceResult(n=i + 1, r=r_q, d_squared=v, method="det-ratio",
-                           coeffs=None, precision_bits=bits)
-            for i, v in enumerate(vals)]
+                           coeffs=None, precision_bits=used)
+            for i, v in enumerate(prof.d_squared)]
 
 
 def approximant_distance(P: DirichletPolynomial, r, b: Sequence,

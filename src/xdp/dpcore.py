@@ -280,7 +280,8 @@ def kappa_eval(profile: KappaProfile, x):
 
 @dataclass(frozen=True)
 class StripBounds:
-    """All zeros satisfy -alpha <= Re(s) <= beta; no_zeros means none exist at all."""
+    """All zeros satisfy alpha <= Re(s) <= beta (alpha is the signed left
+    edge); no_zeros means none exist at all, and then both edges are None."""
 
     alpha: Optional[mpf]
     beta: Optional[mpf]

@@ -16,11 +16,10 @@ from mpmath import mp, mpf
 
 from .cache import load_gram, store_gram
 from .config import ExperimentConfig
-from .distance import DistanceResult, _build_gram, _profile_from_streams
+from .distance import DistanceResult, _audited_profile
 from .dpcore import DirichletPolynomial, StripBounds, strip_bounds
 from .errors import NSingular
 from .exact import fraction_to_mpf
-from .linalg import ldl_pivot_stream
 from .lubinsky import min_norm
 from .numio import mp_to_str
 from .precision import working
@@ -39,42 +38,38 @@ class SweepRow:
     min_pivot: mpf
 
 
-def _gram_for_sweep(cfg: ExperimentConfig, P: DirichletPolynomial, n_max: int):
-    """(G, g, bits), via the cache when one is configured."""
+def run_distance_sweep(cfg: ExperimentConfig) -> list:
+    """One SweepRow per scheduled n; writes cfg.output when set.
+
+    A cached Gram system is factored at its stored precision. If the pivot
+    audit escalates, the rebuilt system is stored with the precision it used.
+    """
+    P = cfg.polynomial()
+    n_max = cfg.n_schedule[-1]
     bits = cfg.precision_bits
+    G = g = None
     if cfg.cache_dir is not None:
         hit = load_gram(cfg.cache_dir, P, cfg.r, bits, n_min=n_max)
         if hit is not None:
             G = [row[:n_max] for row in hit.G[:n_max]]
-            return G, hit.g[:n_max], hit.precision_bits
-    G, g = _build_gram(P, cfg.r, n_max, bits)
-    if cfg.cache_dir is not None:
-        store_gram(cfg.cache_dir, P, cfg.r, bits, n_max, G, g, bits)
-    return G, g, bits
-
-
-def run_distance_sweep(cfg: ExperimentConfig) -> list:
-    """One SweepRow per scheduled n; writes cfg.output when set."""
-    P = cfg.polynomial()
-    n_max = cfg.n_schedule[-1]
-    G, g, bits = _gram_for_sweep(cfg, P, n_max)
-    with working(bits):
-        values, pivots = _profile_from_streams(G, g, n_max)
+            g, bits = hit.g[:n_max], hit.precision_bits
+    cached = G is not None
+    G, g, prof, used = _audited_profile(P, cfg.r, n_max, bits, G, g)
+    if cfg.cache_dir is not None and (not cached or used != bits):
+        store_gram(cfg.cache_dir, P, cfg.r, cfg.precision_bits, n_max, G, g, used)
+    with working(used):
         running = []
-        low = None
-        for i in range(n_max):
-            if i < len(pivots):
-                low = pivots[i] if low is None else min(low, pivots[i])
-            running.append(low)
+        for p in prof.pivots:
+            running.append(p if not running else min(running[-1], p))
         rows = []
         for n in cfg.n_schedule:
-            d2 = values[n - 1]
+            d2 = prof.d_squared[n - 1]
             rows.append(SweepRow(n=n, d_squared=d2,
                                  d_squared_times_log_n=d2 * mp.log(n),
-                                 precision_bits=bits,
+                                 precision_bits=used,
                                  min_pivot=running[n - 1]))
     if cfg.output is not None:
-        _write_sweep(cfg, rows, bits)
+        _write_sweep(cfg, rows, used)
     return rows
 
 
@@ -264,10 +259,15 @@ def constant_c_json(C: ConstantC, bits: int) -> dict:
     }
 
 
+def _edge_json(edge, bits: int):
+    # a polynomial without zeros (m = 1) has no strip edges: JSON null
+    return None if edge is None else mp_to_str(edge, bits)
+
+
 def report_to_json(rep: CriterionReport, bits: int) -> dict:
     return {
-        "strip": {"alpha": mp_to_str(rep.strip.alpha, bits),
-                  "beta": mp_to_str(rep.strip.beta, bits),
+        "strip": {"alpha": _edge_json(rep.strip.alpha, bits),
+                  "beta": _edge_json(rep.strip.beta, bits),
                   "no_zeros": rep.strip.no_zeros},
         "zeros": {"count": rep.zeros_found.total_count,
                   "zeros": [{"re": mp_to_str(mp.re(z), bits),

@@ -1,14 +1,19 @@
-"""Dense Hermitian LDL^H factorization on mpmath scalars.
+"""Dense Hermitian LDL^H factorizations on mpmath scalars.
 
 Runs at the ambient mpmath precision; callers wrap invocations in
 ``precision.working``. Matrices are lists of row lists holding mpf/mpc.
+``ldl_factor``/``ldl_solve`` work on mpf objects with optional pivoting;
+``ldl_profile`` is the unpivoted fixed-point factorization that yields the
+whole d^2 profile.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
+from typing import Optional
 
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from .errors import NSingular
 
@@ -91,34 +96,127 @@ def ldl_solve(f: LDLFactors, b):
     return out
 
 
-def ldl_pivot_stream(A):
-    """Unpivoted pivots d_j = det(A_j)/det(A_{j-1}) over leading minors.
+# =========================================================================
+# d^2 profile: one unpivoted LDL^H in fixed point
+# =========================================================================
 
-    Stops after the first pivot <= 0 (the trailing minor ratios are then
-    meaningless for the PSD matrices this is used on). The stopping pivot is
-    included in the returned list.
+_GUARD_BITS = 64
+
+
+@dataclass(frozen=True)
+class LDLProfile:
+    """One unpivoted LDL^H of G with z = L^{-1} g carried along.
+
+    d_squared[i] = 1 - sum_{k<=i} |z_k|^2 / pivots[k] is d^2 for the first
+    i + 1 generators, clamped to [0, 1]. pivots[i] = det(G_{i+1})/det(G_i)
+    is the leading-minor ratio. A pivot below 2^{-p/2} * max_pivot is dropped
+    (its generator adds nothing) and counted in ``dropped``. ``band`` is the
+    index of the first pivot in the indeterminate band
+    [2^{-p/2}, 2^{-p/4}) * max_pivot, where the factorization stops; it is
+    None when every pivot was decided. max_pivot is the largest diagonal
+    entry, the first pivot a pivoted factorization would take.
     """
-    n = _check_square(A)
-    M = [list(row) for row in A]
-    piv = []
-    for j in range(n):
-        dj = _real(M[j][j])
-        piv.append(dj)
-        if dj <= 0:
-            break
-        if j + 1 == n:
-            break
-        col = [M[i][j] / dj for i in range(j + 1, n)]
-        for ii, i in enumerate(range(j + 1, n)):
-            row = M[i]
-            c = col[ii] * dj
-            for kk, k in enumerate(range(j + 1, n)):
-                row[k] = row[k] - c * mp.conj(col[kk])
-    return piv
+
+    d_squared: list
+    pivots: list
+    dropped: int
+    band: Optional[int]
 
 
-def det_from_pivots(pivots):
-    out = mpf(1)
-    for p in pivots:
-        out = out * p
-    return out
+def _fixed(t, shift: int) -> int:
+    """round(x * 2^shift) for the finite mpf tuple t of x, by a mantissa shift."""
+    sign, man, exp, _ = t
+    if not man:
+        if exp:
+            raise ValueError("matrix entries must be finite")
+        return 0
+    e = exp + shift
+    v = man << e if e >= 0 else (man + (1 << (-e - 1))) >> -e
+    return -v if sign else v
+
+
+def _fixed_pair(x, shift: int):
+    if isinstance(x, mpc):
+        re, im = x._mpc_
+        return _fixed(re, shift), _fixed(im, shift)
+    return _fixed(x._mpf_, shift), 0
+
+
+def ldl_profile(G, g) -> LDLProfile:
+    """d^2 = 1 - g* G_n^{-1} g for every leading order n of the Hermitian PSD G.
+
+    By the Schur complement this is det(G_n - g g*)/det(G_n). The loop runs
+    on (re, im) pairs of Python ints scaled by 2^(p + 64), p the ambient
+    precision, after G is scaled by an even power of two near its largest
+    diagonal entry and g by half that power, which leaves d^2 unchanged.
+    Entries convert by a mantissa shift, exactly down to 2^-64 of that
+    entry, and results round back to mpf once. Rows are built Crout-style,
+    so every inner product is a C-level dot product of two int lists.
+    """
+    n = _check_square(G)
+    if len(g) != n:
+        raise ValueError(f"rhs length {len(g)} does not match order {n}")
+    prec = mp.prec
+    frac = prec + _GUARD_BITS
+    top = max(_real(G[i][i]) for i in range(n))
+    if not top > 0:
+        raise NSingular(0, top)
+    _, _, exp, bc = top._mpf_
+    scale = exp + bc - ((exp + bc) & 1)
+    shift_G, shift_g = frac - scale, frac - scale // 2
+    top_fixed = _fixed(top._mpf_, shift_G)
+    drop_at = top_fixed >> (prec // 2)
+    band_at = top_fixed >> (prec // 4)
+
+    Lr, Li = [], []                 # Lr[j], Li[j]: row j of L left of the diagonal
+    piv = []                        # fixed-point pivots, 0 where dropped
+    zr, zi = [], []
+    acc = 1 << frac
+    values, pivots = [], []
+    dropped = 0
+    band = None
+    for i in range(n):
+        row = G[i]
+        cr, ci, lr, li = [], [], [], []     # C[i][k] = L[i][k] d_k, and L[i][k]
+        for j in range(i):
+            ar, ai = _fixed_pair(row[j], shift_G)
+            Lrj, Lij = Lr[j], Li[j]
+            re = ar - ((sum(map(mul, cr, Lrj)) + sum(map(mul, ci, Lij))) >> frac)
+            im = ai - ((sum(map(mul, ci, Lrj)) - sum(map(mul, cr, Lij))) >> frac)
+            d = piv[j]
+            if d:
+                cr.append(re)
+                ci.append(im)
+                lr.append((re << frac) // d)
+                li.append((im << frac) // d)
+            else:
+                cr.append(0)
+                ci.append(0)
+                lr.append(0)
+                li.append(0)
+        p = _fixed_pair(row[i], shift_G)[0] \
+            - ((sum(map(mul, cr, lr)) + sum(map(mul, ci, li))) >> frac)
+        gr, gi = _fixed_pair(g[i], shift_g)
+        zr_i = gr - ((sum(map(mul, lr, zr)) - sum(map(mul, li, zi))) >> frac)
+        zi_i = gi - ((sum(map(mul, lr, zi)) + sum(map(mul, li, zr))) >> frac)
+        pivots.append(mpf((p, scale - frac)))
+        if p < drop_at:
+            dropped += 1
+            p = 0
+        elif p < band_at:
+            band = i
+            break
+        else:
+            acc -= (zr_i * zr_i + zi_i * zi_i) // p
+        Lr.append(lr)
+        Li.append(li)
+        piv.append(p)
+        zr.append(zr_i)
+        zi.append(zi_i)
+        if acc <= 0:
+            values.append(mpf(0))
+        elif acc >> frac:
+            values.append(mpf(1))
+        else:
+            values.append(mpf((acc, -frac)))
+    return LDLProfile(d_squared=values, pivots=pivots, dropped=dropped, band=band)

@@ -13,6 +13,7 @@ value 1^T H^{-1} 1 lower-bounds the approximation distances computed in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -233,11 +234,21 @@ def min_norm(n: int, t: Sequence, bits: Optional[int] = None,
 
 
 # K_n(0, 0) = sum_{k<=n} f(k) with f(x) = (sqrt(x) - sqrt(x-1))^2: terms up to
-# _EM_START are added one by one, the rest comes from Euler-Maclaurin on the
-# Laurent series of f. _EM_MAX_TERMS correction terms reach about 2000 bits.
+# the start a are added one by one, the rest comes from Euler-Maclaurin on the
+# Laurent series of f. Correction term p is about (2p-1)!/(2 pi a)^{2p}, so
+# _EM_MAX_TERMS terms from a = _EM_START reach about 2160 bits, and each
+# doubling of a adds 400 bits. Up to _EM_FIXED_BITS the start stays at
+# _EM_START; beyond, it grows by 2^{(bits - _EM_FIXED_BITS)/400}.
 _EM_START = 1000
+_EM_FIXED_BITS = 2048
 _EM_GUARD = 32
 _EM_MAX_TERMS = 200
+
+
+def _em_start(bits: int) -> int:
+    if bits <= _EM_FIXED_BITS:
+        return _EM_START
+    return math.ceil(_EM_START * 2 ** ((bits - _EM_FIXED_BITS) / 400))
 
 
 def _laurent_sum(x, r: int, tol):
@@ -263,8 +274,8 @@ def _laurent_sum(x, r: int, tol):
         j += 1
 
 
-def _em_tail(head, n: int, bits: int):
-    """sum_{_EM_START < k <= n} f(k) by Euler-Maclaurin; head = K_{_EM_START}(0, 0).
+def _em_tail(head, start: int, n: int, bits: int):
+    """sum_{start < k <= n} f(k) by Euler-Maclaurin; head = K_start(0, 0).
 
     Every c_j > 0, so f is completely monotone on x > 1 and its even
     derivatives are positive. The remainder after p correction terms then
@@ -274,7 +285,7 @@ def _em_tail(head, n: int, bits: int):
     with working(bits + _EM_GUARD):
         tol = mpf(2) ** -(bits + 16)
         stop = mpf(2) ** -(bits + 8)
-        a, b = mpf(_EM_START), mpf(n)
+        a, b = mpf(start), mpf(n)
 
         def f(x):
             return 1 / (mp.sqrt(x) + mp.sqrt(x - 1)) ** 2
@@ -304,13 +315,13 @@ def kernel_asymptotics_report(u, n_grid: Sequence[int],
     """K_n(u, u) and K_n(u, u)/((1/4) log n) along an increasing n grid.
 
     At u = 0 the terms f(k) = (sqrt(k) - sqrt(k-1))^2 are summed directly
-    up to k = _EM_START (1000), and the rest by Euler-Maclaurin with the
-    integral and odd derivatives of f taken from its Laurent series at
-    infinity. f is completely monotone, so the first omitted correction term
-    bounds the remainder; the sum stops once that term is below
-    2^-(bits+8) times the value, and raises RemainderNotProven if no term
-    within the cap gets there (beyond about 2000 bits). Otherwise the
-    terms |psi_k(u)|^2 are summed directly up to the largest n.
+    up to k = 1000 (later beyond 2048 bits, see _em_start), and the rest by
+    Euler-Maclaurin with the integral and odd derivatives of f taken from
+    its Laurent series at infinity. f is completely monotone, so the first
+    omitted correction term bounds the remainder; the sum stops once that
+    term is below 2^-(bits+8) times the value, and raises RemainderNotProven
+    if no term within the cap gets there. Otherwise the terms |psi_k(u)|^2
+    are summed directly up to the largest n.
     """
     grid = [int(n) for n in n_grid]
     if not grid or any(n < 2 for n in grid) or any(a >= b for a, b in zip(grid, grid[1:])):
@@ -326,8 +337,9 @@ def kernel_asymptotics_report(u, n_grid: Sequence[int],
         u_mp = to_mp(u)
         acc = mpf(0)
         if u_mp == 0:
+            start = _em_start(bits)
             prev = mpf(0)
-            for k in range(1, min(grid[-1], _EM_START) + 1):
+            for k in range(1, min(grid[-1], start) + 1):
                 s = mp.sqrt(k)
                 d = 1 / (s + prev)
                 acc = acc + d * d
@@ -335,8 +347,8 @@ def kernel_asymptotics_report(u, n_grid: Sequence[int],
                 if k in targets:
                     add_row(k, acc)
             for n in grid:
-                if n > _EM_START:
-                    add_row(n, acc + _em_tail(acc, n, bits))
+                if n > start:
+                    add_row(n, acc + _em_tail(acc, start, n, bits))
         else:
             w = mpc(mpf(1) / 2, -u_mp)
             prev = mpf(0)

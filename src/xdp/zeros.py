@@ -493,7 +493,7 @@ def constant_C(P: DirichletPolynomial, r, T, line_tol, bits: Optional[int] = Non
         return ConstantC(r=r_q, partial=mpf(0), T=T, tail_bound=mpf(0),
                          line_tolerance=line_tol_mp, ordinates=())
     sb = strip_bounds(P, bits=min(bits, 192))
-    x0 = as_fraction(-sb.alpha) - Fraction(1, 2)
+    x0 = as_fraction(sb.alpha) - Fraction(1, 2)
     x1 = as_fraction(sb.beta) + Fraction(1, 2)
     h = Fraction(float(0.5 * 2 * math.pi / (1.5 * math.log(P.m)))).limit_denominator(10 ** 6)
     T_f = as_fraction(T)

@@ -116,6 +116,23 @@ def test_report_and_decay_fit(tmp_path):
     assert fit["slope"] == "-inf"
 
 
+def test_report_constant_polynomial(capsys):
+    # m = 1 has no zeros and no strip edges: they are written as null
+    assert main(["report", "--poly", "1:1", "--r", "0", "--schedule", "1,2",
+                 "--rect=-1,1,-2,2", "--height", "5", "--precision", "128"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["strip"] == {"alpha": None, "beta": None, "no_zeros": True}
+    assert payload["verdict"] == "consistent-zero-free"
+
+
+def test_lubinsky_beyond_2048_bits(tmp_path):
+    out = tmp_path / "l.csv"
+    assert main(["lubinsky", "--u", "0", "--n-grid", "2000",
+                 "--precision", "2600", "--out", str(out)]) == 0
+    rows = list(csv.reader(out.open()))
+    assert [row[0] for row in rows[1:]] == ["2000"]
+
+
 def test_validate_subset_and_bad_suite(capsys, tmp_path):
     assert main(["validate", "--suite", "nonsense"]) == 1
     assert main(["validate", "--suite", "acceptance", "--criteria", "2"]) == 0

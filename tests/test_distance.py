@@ -12,10 +12,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
+from xdp import distance
 from xdp.dpcore import DirichletPolynomial, dp_eval, kappa_eval, kappa_partial_sums
 from xdp.distance import (
+    _build_gram,
+    _indicator_inner_profile,
+    _pair_inner,
     approximant_distance,
     distance_profile,
     distance_squared,
@@ -24,7 +28,9 @@ from xdp.distance import (
     mellin_identity_residual,
     rho_inner,
 )
-from xdp.exact import to_mp
+from xdp.errors import PrecisionExhausted
+from xdp.exact import GaussianRational, to_mp
+from xdp.linalg import ldl_profile
 from xdp.precision import working
 
 P_ONE = DirichletPolynomial.parse("1:1")
@@ -153,6 +159,91 @@ def test_methods_agree_and_profile_monotone():
                 assert abs(res.d_squared - alt.d_squared) / denom < mpf(2) ** -128
             for a, b in zip(prof, prof[1:]):
                 assert b.d_squared <= a.d_squared + mpf(2) ** -200
+
+
+def test_profile_matches_projection_complex():
+    prof = distance_profile(P_MIX, 0, 8, bits=256)
+    with working(256):
+        for res in prof:
+            alt = distance_squared(P_MIX, 0, res.n, method="projection", bits=256)
+            denom = max(res.d_squared, alt.d_squared)
+            assert denom > 0
+            assert abs(res.d_squared - alt.d_squared) / denom < mpf(2) ** -128
+
+
+def test_profile_mpc_twin_identical():
+    # the cache returns every entry as mpc; zero imaginary parts change nothing
+    G, g = _build_gram(P_BASE, 0, 16, 256)
+    with working(256):
+        twin = ldl_profile([[mpc(x, 0) for x in row] for row in G],
+                           [mpc(x, 0) for x in g])
+        plain = ldl_profile(G, g)
+    assert twin.d_squared == plain.d_squared
+    assert twin.pivots == plain.pivots
+
+
+def test_build_gram_exact_matches_per_pair_build():
+    n = 24
+    for P in (P_BASE, P_MIX):
+        prof = kappa_partial_sums(P, Fraction(1, 2), bits=192)
+        assert prof.exact
+        G, g = _build_gram(P, Fraction(1, 2), n, 192)
+        with working(192):
+            for j in range(1, n + 1):
+                for k in range(j, n + 1):
+                    v = _pair_inner(prof, j, k)
+                    assert isinstance(v, GaussianRational)
+                    assert G[k - 1][j - 1] == to_mp(v)
+                    assert G[j - 1][k - 1] == mp.conj(to_mp(v))
+                w = _indicator_inner_profile(prof, j)
+                assert g[j - 1] == mp.conj(to_mp(w))
+
+
+def _band_gram(bits):
+    # pivot 2^{-3 bits / 8} sits in [2^{-bits/2}, 2^{-bits/4}) at every precision
+    with working(bits):
+        z = mpf(0)
+        return ([[mpf(1), z], [z, mpf(2) ** -(3 * bits // 8)]],
+                [mpf(1) / 2, mpf(2) ** -(3 * bits // 16)])
+
+
+def test_profile_escalates_then_exhausts(monkeypatch):
+    calls = []
+
+    def real_build(P, r, n, bits):
+        calls.append(bits)
+        return _build_gram(P, r, n, bits)
+
+    def band_build(P, r, n, bits):
+        calls.append(bits)
+        return _band_gram(bits)
+
+    # an indeterminate cached system is rebuilt at doubled precision
+    monkeypatch.setattr(distance, "_build_gram", real_build)
+    _, _, prof, used = distance._audited_profile(P_BASE, 0, 2, 128, *_band_gram(128))
+    assert used == 256 and calls == [256]
+    assert prof.d_squared == [res.d_squared for res in distance_profile(P_BASE, 0, 2, bits=256)]
+    # three doublings, then PrecisionExhausted
+    calls.clear()
+    monkeypatch.setattr(distance, "_build_gram", band_build)
+    with pytest.raises(PrecisionExhausted):
+        distance_profile(P_BASE, 0, 2, bits=128)
+    assert calls == [128, 256, 512, 1024]
+    with pytest.raises(PrecisionExhausted):
+        distance_squared(P_BASE, 0, 2, bits=128)
+
+
+def test_profile_reports_escalated_precision(monkeypatch):
+    # 2^-48 is indeterminate at 128 bits and decided at 256
+    def fake(P, r, n, bits):
+        with working(bits):
+            z = mpf(0)
+            return [[mpf(1), z], [z, mpf(2) ** -48]], [mpf(1) / 2, mpf(2) ** -25]
+    monkeypatch.setattr(distance, "_build_gram", fake)
+    prof = distance_profile(P_BASE, 0, 2, bits=128)
+    assert [res.precision_bits for res in prof] == [256, 256]
+    assert [res.d_squared for res in prof] == [mpf(3) / 4, mpf(1) / 2]
+    assert distance_squared(P_BASE, 0, 2, bits=128).precision_bits == 256
 
 
 def test_approximant_distance_pinned():

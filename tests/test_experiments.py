@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
+from xdp import distance
 from xdp.config import ExperimentConfig
 from xdp.experiments import (CriterionReport, run_criterion_report,
                              run_decay_fit, run_distance_sweep)
@@ -71,6 +72,29 @@ def test_sweep_cache_slice_matches_fresh(tmp_path):
         assert a.n == b.n
         assert a.d_squared == b.d_squared
         assert a.min_pivot == b.min_pivot
+
+
+def test_sweep_reports_escalated_precision(tmp_path, monkeypatch):
+    # a pivot of 2^-48 is indeterminate at 128 bits and decided at 256
+    def fake(P, r, n, bits):
+        with working(bits):
+            z = mpf(0)
+            return [[mpf(1), z], [z, mpf(2) ** -48]], [mpf(1) / 2, mpf(2) ** -25]
+    monkeypatch.setattr(distance, "_build_gram", fake)
+    out = tmp_path / "sweep.csv"
+    cache = tmp_path / "cache"
+    cfg = _cfg(r=0, n_schedule=(1, 2), output=str(out), cache_dir=str(cache))
+    rows = run_distance_sweep(cfg)
+    assert [row.precision_bits for row in rows] == [256, 256]
+    with working(256):
+        assert rows[1].d_squared == mpf(1) / 2
+        assert rows[1].min_pivot == mpf(2) ** -48
+    stored = [json.loads(p.read_text()) for p in cache.glob("*.json")]
+    assert [s["precision_bits"] for s in stored] == [256]
+    cold = out.read_bytes()
+    assert list(csv.reader(out.open()))[1][3] == "256"
+    run_distance_sweep(cfg)                       # warm: factors the stored system
+    assert out.read_bytes() == cold
 
 
 def test_sweep_json_output(tmp_path):

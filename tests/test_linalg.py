@@ -1,7 +1,9 @@
-"""Pivoted/unpivoted LDL^H on mpmath matrices, solves, determinants.
+"""Pivoted/unpivoted LDL^H on mpmath matrices, solves, determinants, and the
+fixed-point profile factorization.
 
 Oracle values: exact Hilbert-matrix determinant, hand-computed 2x2 Hermitian
-factorizations, and reconstruction residuals checked against the inputs.
+factorizations, reconstruction residuals checked against the inputs, and
+leading-minor ratios of hand-built matrices.
 """
 
 import random
@@ -11,13 +13,20 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 from xdp.errors import NSingular
-from xdp.linalg import det_from_pivots, ldl_factor, ldl_pivot_stream, ldl_solve
+from xdp.linalg import ldl_factor, ldl_profile, ldl_solve
 from xdp.precision import working
 
 
 def hilbert(n):
     with working(256):
         return [[mpf(1) / (i + j + 1) for j in range(n)] for i in range(n)]
+
+
+def product(values):
+    out = mpf(1)
+    for v in values:
+        out = out * v
+    return out
 
 
 def mat_apply(A, x):
@@ -45,7 +54,7 @@ def test_hand_hermitian_2x2():
         assert abs(f.d[0] - 2) < mpf(2) ** -250
         assert abs(f.d[1] - mpf(3) / 2) < mpf(2) ** -250
         assert abs(f.L[1][0] - mpc(0, -0.5)) < mpf(2) ** -250
-        assert abs(det_from_pivots(f.d) - 3) < mpf(2) ** -248
+        assert abs(product(f.d) - 3) < mpf(2) ** -248
         # A^{-1} [1, 0]^T = [2/3, i/3]
         x = ldl_solve(f, [mpf(1), mpf(0)])
         assert abs(x[0] - mpf(2) / 3) < mpf(2) ** -248
@@ -56,10 +65,10 @@ def test_hilbert_determinant():
     with working(256):
         f = ldl_factor(hilbert(4), pivot=False)
         exact = mpf(1) / 6048000
-        assert abs(det_from_pivots(f.d) - exact) / exact < mpf(2) ** -230
+        assert abs(product(f.d) - exact) / exact < mpf(2) ** -230
         # pivoted factorization reorders but keeps the determinant
         g = ldl_factor(hilbert(4), pivot=True)
-        assert abs(det_from_pivots(g.d) - exact) / exact < mpf(2) ** -230
+        assert abs(product(g.d) - exact) / exact < mpf(2) ** -230
 
 
 def test_pivoting_picks_max_diagonal():
@@ -99,21 +108,90 @@ def test_random_hermitian_roundtrip():
             assert abs(back[i] - rhs[i]) < scale * mpf(2) ** -230
 
 
-def test_pivot_stream_leading_minor_ratios():
+def test_profile_pivots_leading_minor_ratios():
     with working(128):
         A = [[mpf(2), mpf(1)], [mpf(1), mpf(3)]]
-        s = ldl_pivot_stream(A)
+        s = ldl_profile(A, [mpf(0), mpf(0)]).pivots
         assert abs(s[0] - 2) < mpf(2) ** -120
         assert abs(s[1] - mpf(5) / 2) < mpf(2) ** -120
-        # rank-1 matrix: second pivot exactly zero, stream stops there
-        s = ldl_pivot_stream([[mpf(1), mpf(1)], [mpf(1), mpf(1)]])
-        assert len(s) == 2
-        assert s[0] == 1
-        assert s[1] == 0
+        # rank-1 matrix: second pivot exactly zero, and that generator is dropped
+        f = ldl_profile([[mpf(1), mpf(1)], [mpf(1), mpf(1)]], [mpf(1), mpf(1)])
+        assert len(f.pivots) == 2
+        assert f.pivots[0] == 1
+        assert f.pivots[1] == 0
+        assert f.dropped == 1 and f.band is None
+        assert f.d_squared == [0, 0]
         # Hilbert pivots are the classical minor ratios: det H_3 / det H_2
-        s = ldl_pivot_stream(hilbert(3))
+        s = ldl_profile(hilbert(3), [mpf(0)] * 3).pivots
         d3, d2 = mpf(1) / 2160, mpf(1) / 12
         assert abs(s[2] - d3 / d2) < mpf(2) ** -110
+
+
+def test_profile_matches_solve_and_determinant_ratio():
+    # d^2_n = 1 - g* A_n^{-1} g = det(A_n - g g*)/det(A_n), leading orders n
+    rng = random.Random(5)
+    n = 6
+    with working(256):
+        B = [[mpc(mpf(rng.randint(-8, 8)) / 5, mpf(rng.randint(-8, 8)) / 5)
+              for _ in range(n)] for _ in range(n)]
+        A = [[sum((mp.conj(B[k][i]) * B[k][j] for k in range(n)), mpf(0))
+              for j in range(n)] for i in range(n)]
+        for i in range(n):
+            A[i][i] = A[i][i] + 4
+        g = [mpc(mpf(rng.randint(-4, 4)) / 7, mpf(rng.randint(-4, 4)) / 7)
+             for _ in range(n)]
+        f = ldl_profile(A, g)
+        assert f.dropped == 0 and f.band is None
+        for m in range(1, n + 1):
+            sub = [row[:m] for row in A[:m]]
+            x = ldl_solve(ldl_factor(sub, pivot=True), g[:m])
+            want = 1 - mp.re(mp.fsum(mp.conj(gv) * xv for gv, xv in zip(g, x)))
+            assert abs(f.d_squared[m - 1] - want) < mpf(2) ** -240
+            low = [[sub[i][j] - g[i] * mp.conj(g[j]) for j in range(m)]
+                   for i in range(m)]
+            ratio = product(ldl_factor(low, pivot=False).d) / product(ldl_factor(sub, pivot=False).d)
+            assert abs(f.d_squared[m - 1] - ratio) < mpf(2) ** -230
+            assert abs(f.pivots[m - 1] - ldl_factor(sub, pivot=False).d[m - 1]) < mpf(2) ** -240
+
+
+def test_profile_drops_and_flags_band_pivots():
+    # at 128 bits: drop below 2^-64 * max pivot, indeterminate in [2^-64, 2^-32)
+    with working(128):
+        one, tiny, mid = mpf(1), mpf(2) ** -100, mpf(2) ** -40
+        z = mpf(0)
+        f = ldl_profile([[one, z], [z, tiny]], [mpf(1) / 2, mpf(2) ** -50])
+        assert f.dropped == 1 and f.band is None
+        assert f.pivots[1] == tiny
+        assert f.d_squared[0] == f.d_squared[1] == mpf(3) / 4  # dropped: adds nothing
+        f = ldl_profile([[one, z, z], [z, mid, z], [z, z, tiny]],
+                        [mpf(1) / 2, mpf(2) ** -21, mpf(2) ** -51])
+        assert f.band == 1
+        assert len(f.d_squared) == 1 and len(f.pivots) == 2
+    with working(256):
+        # the same 2^-40 pivot is decided at 256 bits
+        f = ldl_profile([[one, z], [z, mid]], [mpf(1) / 2, mpf(2) ** -21])
+        assert f.band is None and f.dropped == 0
+        assert f.d_squared[1] == mpf(1) / 2
+
+
+def test_profile_scale_invariant():
+    # G -> 4^e G, g -> 2^e g leaves d^2 unchanged, bit for bit
+    with working(128):
+        A = hilbert(5)
+        g = [mpf(1) / (k + 2) for k in range(5)]
+        base = ldl_profile(A, g).d_squared
+        for e in (-300, 7, 300):
+            scaled = ldl_profile([[x * mpf(4) ** e for x in row] for row in A],
+                                 [x * mpf(2) ** e for x in g]).d_squared
+            assert scaled == base
+
+
+def test_profile_validation():
+    with working(128):
+        with pytest.raises(ValueError):
+            ldl_profile([[mpf(1)]], [mpf(1), mpf(0)])
+        with pytest.raises(NSingular):
+            ldl_profile([[mpf(0)]], [mpf(0)])
 
 
 def test_singular_solve_raises():

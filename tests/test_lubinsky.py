@@ -209,6 +209,20 @@ def test_kernel_asymptotics_report_across_em_start(bits):
             assert abs(row.value - finer) < tol, row.n
 
 
+def test_kernel_asymptotics_report_beyond_2048_bits():
+    # 200 correction terms from k = 1000 stop near 2160 bits; past 2048 bits
+    # the direct sum runs further, so 2600 bits is still proven
+    bits = 2600
+    assert lubinsky._em_start(2048) == _EM_START
+    grid = [2000, 6000]
+    assert grid[0] < lubinsky._em_start(bits) < grid[1]
+    rows = kernel_asymptotics_report(0, grid, bits=bits)
+    for row in rows:
+        want = kernel(row.n, 0, 0, bits=bits)
+        with working(bits):
+            assert abs(row.value - want) < mpf(2) ** -(bits - 16) * row.value, row.n
+
+
 @pytest.mark.parametrize("bits", [128, 256])
 def test_laurent_series_of_the_diagonal_term(bits):
     # sum_j c_j x^{-j} against (sqrt(x) - sqrt(x-1))^2 in closed form

@@ -160,6 +160,17 @@ def test_constant_c_small_height():
         assert abs(c.partial + c.tail_bound / 2 - truth) <= c.tail_bound
 
 
+def test_constant_c_strip_left_of_the_axis():
+    # 1 - 2^{-s}/4 vanishes at s = -2 + 2 pi i k / log 2: the strip edges are
+    # alpha = beta = -2, so the scan must run left of Re = 0
+    P = DirichletPolynomial.parse("1:1,2:-1/4")
+    c = constant_C(P, -2, 25, mpf("1e-9"), bits=192)
+    assert len(c.ordinates) == 5      # k = -2..2, all on Re = -2
+    for k, t in zip(range(-2, 3), c.ordinates):
+        assert abs(t - lattice_t(k)) < mpf("1e-9")
+    assert constant_C(P, 0, 25, mpf("1e-9"), bits=192).ordinates == ()
+
+
 def test_constant_c_ordinates_sorted_disjoint():
     c = constant_C(P_BASE, 0, 40, mpf("1e-9"), bits=192)
     ts = list(c.ordinates)
