@@ -31,4 +31,29 @@ from .zeros import (ConstantC, Rectangle, ZeroSet, constant_C, find_zeros,
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "AcceptanceResult", "run_acceptance",
+    "cache_gc", "load_gram", "store_gram",
+    "DEFAULT_SCHEDULE", "ExperimentConfig", "config_from_json",
+    "geometric_schedule", "load_config", "parse_rect", "parse_schedule",
+    "DistanceResult", "GramSystem", "approximant_distance", "distance_profile",
+    "distance_squared", "gram_system", "indicator_inner",
+    "mellin_identity_residual", "rho_inner",
+    "DirichletPolynomial", "InverseCoeffs", "KappaProfile", "StripBounds",
+    "dp_derivative_eval", "dp_eval", "inverse_coeffs",
+    "inverse_partial_sum_error", "kappa_eval", "kappa_partial_sums",
+    "strip_bounds",
+    "ContourTooClose", "DuplicateOrdinates", "EvaluationPole", "NonConvergent",
+    "NSingular", "PrecisionExhausted", "QuadratureNotConverged", "XdpError",
+    "GaussianRational", "as_fraction",
+    "CriterionReport", "DecayFit", "SweepRow", "run_criterion_report",
+    "run_decay_fit", "run_distance_sweep",
+    "LDLFactors", "LDLProfile", "ldl_factor", "ldl_profile", "ldl_solve",
+    "KernelAsymptoticsRow", "KernelMatrix", "MinNormSolution", "kernel",
+    "kernel_asymptotics_report", "kernel_matrix", "min_norm", "psi_eval",
+    "psi_inner", "psi_inner_max_deviation",
+    "DEFAULT_PRECISION_BITS", "MIN_PRECISION_BITS", "get_default_precision",
+    "set_default_precision",
+    "ConstantC", "Rectangle", "ZeroSet", "constant_C", "find_zeros",
+    "winding_count", "zeros_on_line",
+]

@@ -19,7 +19,7 @@ from .distance import (distance_profile, distance_squared,
                        mellin_identity_residual)
 from .dpcore import DirichletPolynomial
 from .exact import GaussianRational
-from .experiments import run_decay_fit, run_distance_sweep
+from .experiments import run_decay_fit
 from .lubinsky import kernel_asymptotics_report, min_norm, psi_inner_max_deviation
 from .numio import mp_to_str
 from .precision import working
@@ -180,9 +180,9 @@ def criterion_9() -> AcceptanceResult:
     with tempfile.TemporaryDirectory() as tmp:
         cfg = ExperimentConfig(poly="1:1,2:-1", r=Fraction(1, 2),
                                precision_bits=BITS, cache_dir=tmp)
-        rows = run_distance_sweep(cfg)
-        strict = all(b.d_squared < a.d_squared for a, b in zip(rows, rows[1:]))
         fit = run_decay_fit(cfg)
+    rows = fit.rows
+    strict = all(b.d_squared < a.d_squared for a, b in zip(rows, rows[1:]))
     ok = strict and fit.slope <= -0.2
     return _result(9, "decay-rate", t0, ok,
                    f"strictly decreasing: {strict}, slope {fit.slope:.4f} "

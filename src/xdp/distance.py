@@ -36,6 +36,7 @@ from .linalg import LDLFactors, ldl_factor, ldl_profile
 from .precision import resolve_bits, working
 
 _ESCALATION_LIMIT = 3
+_PAIR_GUARD_BITS = 16
 
 
 # =========================================================================
@@ -60,13 +61,16 @@ def _pair_inner(prof: KappaProfile, j: int, k: int):
             b = min(int(1 / (k * mid)), m)
             total = total + S[a - 1] * S[b - 1].conjugate() * (hi - lo)
         return total
-    total = S[m - 1] * mp.conj(S[m - 1]) * fraction_to_mpf(bot)
-    for lo, hi in zip(pts, pts[1:]):
-        mid = (lo + hi) / 2
-        a = min(int(1 / (j * mid)), m)
-        b = min(int(1 / (k * mid)), m)
-        total = total + S[a - 1] * mp.conj(S[b - 1]) * fraction_to_mpf(hi - lo)
-    return total
+    # the step products have mixed signs: sum them with guard bits and round
+    # once, so the entry is correctly rounded at the caller's precision
+    with mp.extraprec(_PAIR_GUARD_BITS):
+        total = S[m - 1] * mp.conj(S[m - 1]) * fraction_to_mpf(bot)
+        for lo, hi in zip(pts, pts[1:]):
+            mid = (lo + hi) / 2
+            a = min(int(1 / (j * mid)), m)
+            b = min(int(1 / (k * mid)), m)
+            total = total + S[a - 1] * mp.conj(S[b - 1]) * fraction_to_mpf(hi - lo)
+    return +total
 
 
 def _indicator_inner_profile(prof: KappaProfile, k: int):

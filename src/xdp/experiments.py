@@ -103,16 +103,18 @@ class DecayFit:
     slope: float
     residual: float
     n_used: tuple
+    rows: tuple          # the sweep's SweepRows the fit was taken from
 
 
 def run_decay_fit(cfg: ExperimentConfig) -> DecayFit:
     """Least-squares slope of log d^2 against log n over the schedule's
     upper half; all-zero (or any exactly-zero) tail reports slope -inf."""
-    rows = run_distance_sweep(replace(cfg, output=None))
+    rows = tuple(run_distance_sweep(replace(cfg, output=None)))
     half = cfg.n_schedule[len(cfg.n_schedule) // 2:]
     chosen = [row for row in rows if row.n in half]
     if any(row.d_squared <= 0 for row in chosen):
-        fit = DecayFit(slope=float("-inf"), residual=0.0, n_used=tuple(half))
+        fit = DecayFit(slope=float("-inf"), residual=0.0, n_used=tuple(half),
+                       rows=rows)
     else:
         xs = [math.log(row.n) for row in chosen]
         ys = [math.log(float(row.d_squared)) for row in chosen]
@@ -126,7 +128,7 @@ def run_decay_fit(cfg: ExperimentConfig) -> DecayFit:
         inter = my - slope * mx
         rss = sum((y - (inter + slope * x)) ** 2 for x, y in zip(xs, ys))
         fit = DecayFit(slope=slope, residual=math.sqrt(rss / nn),
-                       n_used=tuple(half))
+                       n_used=tuple(half), rows=rows)
     if cfg.output is not None:
         payload = {"slope": "-inf" if fit.slope == float("-inf") else fit.slope,
                    "residual": fit.residual,

@@ -27,11 +27,6 @@ from .precision import resolve_bits, working
 _DUPLICATE_GUARD = "1e-9"
 
 
-def _pw(k: int, w):
-    # 0^w with Re(w) > 0 is 0; avoid asking mpmath about it
-    return mpf(0) if k == 0 else mp.power(k, w)
-
-
 def psi_eval(n: int, t, bits: Optional[int] = None):
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -46,23 +41,40 @@ def psi_eval(n: int, t, bits: Optional[int] = None):
         return mp.power(n, w) - mp.power(n - 1, w)
 
 
-def monomial_weighted_inner(x, bits: Optional[int] = None):
-    """Integral of x^{it} against the weight: min(x, 1/x)^{1/2}."""
-    bits = resolve_bits(bits)
-    with working(bits):
-        x_mp = to_mp(x)
-        if not x_mp > 0:
-            raise ValueError(f"need x > 0, got {x}")
-        ratio = x_mp if x_mp <= 1 else 1 / x_mp
-        return mp.sqrt(ratio)
+def _psi_columns(n: int, ts):
+    """[psi_k(t) for t in ts] for k = 1..n, at the caller's precision.
+
+    psi_k(0) is the real 1/(sqrt(k) + sqrt(k-1)), free of the cancellation in
+    sqrt(k) - sqrt(k-1); other ordinates difference consecutive powers k^w,
+    w = 1/2 - it. Every kernel sum reads this one stream.
+    """
+    ws = [None if t == 0 else mpc(mpf(1) / 2, -t) for t in ts]
+    prev = [mpf(0)] * len(ts)
+    for k in range(1, n + 1):
+        cur = [mp.sqrt(k) if w is None else mp.power(k, w) for w in ws]
+        yield [1 / (c + p) if w is None else c - p
+               for c, p, w in zip(cur, prev, ws)]
+        prev = cur
 
 
-def _four_term(a: int, b: int, sq) -> mpf:
-    # sqrt(a) sqrt(b) <(a/b)^{it}>_w with the weighted inner as sq[lo]/sq[hi]
-    if a == 0 or b == 0:
-        return mpf(0)
-    lo, hi = (a, b) if a <= b else (b, a)
-    return sq[a] * sq[b] * (sq[lo] / sq[hi])
+def _gram_terms(keys):
+    """term(a, b) = sqrt(a) sqrt(b) <(a/b)^{it}>_w for a, b in keys.
+
+    The weighted inner <x^{it}>_w = min(x, 1/x)^{1/2} enters as
+    sq[lo] * inv[hi], so term(a, b) is min(a, b) up to rounding, and
+    <psi_n, psi_m> = term(n, m) - term(n, m-1) - term(n-1, m) + term(n-1, m-1).
+    term is symmetric bit for bit: the first product rounds the same in
+    either order.
+    """
+    sq = {k: mp.sqrt(k) for k in keys if k > 0}
+    inv = {k: 1 / s for k, s in sq.items()}
+
+    def term(a, b):
+        if a == 0 or b == 0:
+            return mpf(0)
+        lo, hi = (a, b) if a <= b else (b, a)
+        return sq[a] * sq[b] * sq[lo] * inv[hi]
+    return term
 
 
 def psi_inner(n: int, m: int, bits: Optional[int] = None):
@@ -71,11 +83,8 @@ def psi_inner(n: int, m: int, bits: Optional[int] = None):
         raise ValueError(f"need indices >= 1, got ({n}, {m})")
     bits = resolve_bits(bits)
     with working(bits):
-        top = max(n, m)
-        sq = {k: mp.sqrt(k) for k in {n, m, n - 1, m - 1, top} if k > 0}
-        sq[0] = mpf(0)
-        return (_four_term(n, m, sq) - _four_term(n, m - 1, sq)
-                - _four_term(n - 1, m, sq) + _four_term(n - 1, m - 1, sq))
+        term = _gram_terms({n, m, n - 1, m - 1})
+        return term(n, m) - term(n, m - 1) - term(n - 1, m) + term(n - 1, m - 1)
 
 
 def psi_inner_max_deviation(n_max: int, bits: Optional[int] = None):
@@ -84,21 +93,9 @@ def psi_inner_max_deviation(n_max: int, bits: Optional[int] = None):
         raise ValueError(f"need n_max >= 1, got {n_max}")
     bits = resolve_bits(bits)
     with working(bits):
-        sq = [mpf(0)] * (n_max + 1)
-        inv = [mpf(0)] * (n_max + 1)
-        for k in range(1, n_max + 1):
-            sq[k] = mp.sqrt(k)
-            inv[k] = 1 / sq[k]
-
-        def term(a, b):
-            if a == 0 or b == 0:
-                return mpf(0)
-            lo, hi = (a, b) if a <= b else (b, a)
-            return sq[a] * sq[b] * sq[lo] * inv[hi]
-
+        term = _gram_terms(range(n_max + 1))
         # Row n of the four-term formula reads term(n, 0..n) and
-        # term(n-1, 0..n). term is symmetric bit for bit (the first product
-        # rounds the same in either order), so the previous row plus
+        # term(n-1, 0..n); by symmetry the previous row plus
         # term(n-1, n) = term(n, n-1) covers the second half.
         worst = mpf(0)
         prev = [mpf(0)]
@@ -122,33 +119,10 @@ def kernel(n: int, u, v, bits: Optional[int] = None):
     with working(bits):
         u_mp = to_mp(u)
         v_mp = to_mp(v)
-        if u_mp == 0 and v_mp == 0:
-            acc = mpf(0)
-            prev = mpf(0)
-            for k in range(1, n + 1):
-                s = mp.sqrt(k)
-                d = 1 / (s + prev)       # sqrt(k) - sqrt(k-1)
-                acc = acc + d * d
-                prev = s
-            return acc
-        if u_mp == v_mp:
-            w = mpc(mpf(1) / 2, -u_mp)
-            acc = mpf(0)
-            prev = mpf(0)
-            for k in range(1, n + 1):
-                cur = _pw(k, w)
-                acc = acc + abs(cur - prev) ** 2
-                prev = cur
-            return acc
-        wu = mpc(mpf(1) / 2, -u_mp)
-        wv = mpc(mpf(1) / 2, -v_mp)
+        diag = u_mp == v_mp
         acc = mpf(0)
-        pu = pv = mpf(0)
-        for k in range(1, n + 1):
-            cu = _pw(k, wu)
-            cv = _pw(k, wv)
-            acc = acc + (cu - pu) * mp.conj(cv - pv)
-            pu, pv = cu, cv
+        for psi in _psi_columns(n, [u_mp] if diag else [u_mp, v_mp]):
+            acc = acc + (abs(psi[0]) ** 2 if diag else psi[0] * mp.conj(psi[1]))
         return acc
 
 
@@ -178,16 +152,13 @@ def kernel_matrix(n: int, t: Sequence, bits: Optional[int] = None) -> KernelMatr
                 if abs(t_mp[i] - t_mp[j]) < guard:
                     raise DuplicateOrdinates(
                         f"ordinates {i} and {j} closer than {_DUPLICATE_GUARD}")
-        ws = [mpc(mpf(1) / 2, -x) for x in t_mp]
         H = [[mpf(0)] * l for _ in range(l)]
-        prev = [mpf(0)] * l
-        for k in range(1, n + 1):
-            cur = [_pw(k, w) for w in ws]
-            psi = [cur[i] - prev[i] for i in range(l)]
+        for psi in _psi_columns(n, t_mp):
+            conj = [mp.conj(p) for p in psi]
             for i in range(l):
+                row, p = H[i], psi[i]
                 for j in range(i, l):
-                    H[i][j] = H[i][j] + psi[i] * mp.conj(psi[j])
-            prev = cur
+                    row[j] = row[j] + p * conj[j]
         for i in range(l):
             for j in range(i):
                 H[i][j] = mp.conj(H[j][i])
@@ -222,14 +193,8 @@ def min_norm(n: int, t: Sequence, bits: Optional[int] = None,
         value = mp.re(mp.fsum(x))
         coeffs = None
         if with_coeffs:
-            ws = [mpc(mpf(1) / 2, -ti) for ti in km.t]
-            prev = [mpf(0)] * len(km.t)
-            coeffs = []
-            for k in range(1, n + 1):
-                cur = [_pw(k, w) for w in ws]
-                ck = mp.fsum(mp.conj(cur[i] - prev[i]) * x[i] for i in range(len(km.t)))
-                coeffs.append(ck)
-                prev = cur
+            coeffs = [mp.fsum(mp.conj(p) * xi for p, xi in zip(psi, x))
+                      for psi in _psi_columns(n, km.t)]
         return MinNormSolution(value=value, coeffs=coeffs, n=n, t=km.t)
 
 
@@ -335,27 +300,13 @@ def kernel_asymptotics_report(u, n_grid: Sequence[int],
 
     with working(bits):
         u_mp = to_mp(u)
+        head = grid[-1] if u_mp != 0 else min(grid[-1], _em_start(bits))
         acc = mpf(0)
-        if u_mp == 0:
-            start = _em_start(bits)
-            prev = mpf(0)
-            for k in range(1, min(grid[-1], start) + 1):
-                s = mp.sqrt(k)
-                d = 1 / (s + prev)
-                acc = acc + d * d
-                prev = s
-                if k in targets:
-                    add_row(k, acc)
-            for n in grid:
-                if n > start:
-                    add_row(n, acc + _em_tail(acc, start, n, bits))
-        else:
-            w = mpc(mpf(1) / 2, -u_mp)
-            prev = mpf(0)
-            for k in range(1, grid[-1] + 1):
-                cur = _pw(k, w)
-                acc = acc + abs(cur - prev) ** 2
-                prev = cur
-                if k in targets:
-                    add_row(k, acc)
+        for k, (x,) in enumerate(_psi_columns(head, [u_mp]), 1):
+            acc = acc + abs(x) ** 2
+            if k in targets:
+                add_row(k, acc)
+        for n in grid:
+            if n > head:
+                add_row(n, acc + _em_tail(acc, head, n, bits))
     return rows

@@ -1,9 +1,13 @@
 """Command-line entry points, exit codes, and file outputs."""
 
 import csv
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from xdp.cli import main
@@ -159,3 +163,40 @@ def test_config_file_with_flag_override(tmp_path):
     rows = list(csv.reader(out.open()))
     assert len(rows) == 2                      # header + single overridden row
     assert rows[1][3] == "128"                 # file setting survives
+
+
+# Small rationals with 0, repeats and negative values well represented.
+_SMALL_RATIONALS = st.one_of(
+    st.sampled_from(["0", "1/2", "-1/2", "9", "-3"]),
+    st.fractions(min_value=-12, max_value=12, max_denominator=6).map(str))
+_CONTRACT = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def _assert_exit_contract(argv):
+    # exit 0, 1 or 2; a failure says so in exactly one "xdp:" line
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    if code:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("xdp:"), (argv, lines)
+    return code
+
+
+@_CONTRACT
+@given(grid=st.one_of(st.lists(st.integers(-2, 40), min_size=1, max_size=4),
+                     st.sets(st.integers(2, 40), min_size=1, max_size=4).map(sorted)),
+       u=_SMALL_RATIONALS, bits=st.sampled_from([64, 128]))
+def test_lubinsky_exit_contract(grid, u, bits):
+    _assert_exit_contract(["lubinsky", f"--u={u}",
+                           "--n-grid=" + ",".join(map(str, grid)),
+                           f"--precision={bits}"])
+
+
+@_CONTRACT
+@given(n=st.integers(-2, 40), ts=st.lists(_SMALL_RATIONALS, min_size=1, max_size=4),
+       bits=st.sampled_from([64, 128]))
+def test_min_norm_exit_contract(n, ts, bits):
+    _assert_exit_contract(["min-norm", f"--n={n}", "--t=" + ",".join(ts),
+                           f"--precision={bits}"])

@@ -199,6 +199,20 @@ def test_build_gram_exact_matches_per_pair_build():
                 assert g[j - 1] == mp.conj(to_mp(w))
 
 
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_mpf_gram_entries_within_one_ulp(bits):
+    # 1 - 2^{-s} at r = 0 has the irrational kappa profile (1, 1 - sqrt 2):
+    # its mixed-sign step sums run with guard bits and round once per entry
+    n = 48
+    G, _ = _build_gram(P_BASE, 0, n, bits)
+    ref, _ = _build_gram(P_BASE, 0, n, 700)
+    with working(700):
+        tol = mpf(2) ** -(bits - 1)
+        for j in range(n):
+            for k in range(n):
+                assert abs(G[j][k] - ref[j][k]) <= tol * abs(ref[j][k]), (j, k)
+
 def _band_gram(bits):
     # pivot 2^{-3 bits / 8} sits in [2^{-bits/2}, 2^{-bits/4}) at every precision
     with working(bits):

@@ -120,6 +120,14 @@ def test_decay_fit_degenerate_and_negative_slope():
     assert fit_one.slope <= fit_half.slope
 
 
+def test_decay_fit_carries_the_sweep_rows(tmp_path):
+    # criterion 9 checks strict decay on these rows instead of a second sweep
+    cfg = _cfg(r=Fraction(1, 2), n_schedule=(1, 2, 4, 8, 16), cache_dir=str(tmp_path))
+    fit = run_decay_fit(cfg)
+    assert fit.rows == tuple(run_distance_sweep(cfg))
+    assert [row.n for row in fit.rows] == [1, 2, 4, 8, 16]
+
+
 def test_report_zeros_present_floor():
     cfg = _cfg(r=-1, n_schedule=(1, 2, 4, 8), rect="-2,1,-20,20", T=20)
     rep = run_criterion_report(cfg)

@@ -1,5 +1,6 @@
 """Exact arithmetic, precision policy, and serialization round-trips."""
 
+import types
 from fractions import Fraction
 
 import mpmath
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+import xdp
 from xdp.exact import GaussianRational, as_fraction, fraction_to_mpf, to_mp
 from xdp.numio import mp_to_str, mpc_to_pair, pair_to_mpc, str_to_mp
 from xdp.precision import (
@@ -114,3 +116,12 @@ def test_pair_roundtrip():
     assert pair_to_mpc(pair, 256) == z
     assert mp_to_str(mpf(0)) == "0.0"
     assert str_to_mp(mp_to_str(mpf(0))) == 0
+
+
+def test_package_exports_names_not_submodules():
+    assert len(xdp.__all__) == len(set(xdp.__all__))
+    for name in xdp.__all__:
+        assert not isinstance(getattr(xdp, name), types.ModuleType), name
+    namespace = {}
+    exec("from xdp import *", namespace)
+    assert set(xdp.__all__) <= set(namespace)

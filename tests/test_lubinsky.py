@@ -1,29 +1,29 @@
 """Weighted-L^2 orthonormal system, reproducing kernels, min-norm bound.
 
 The weight is (1/2pi) dt / (1/4 + t^2). Pinned values:
-  <x^{it}>_w = min(x, 1/x)^{1/2}            (quadosc oracle below)
   K_2(0,0) = 1 + (sqrt2 - 1)^2 = 4 - 2 sqrt2
   min_norm(2, [0]).value = 1/(4 - 2 sqrt2) = (2 + sqrt2)/4,
 which coincides with d^2_{1,0} of 1 - 2^{-s}: the lower bound is tight there.
 """
 
 import pytest
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from xdp import lubinsky
 from xdp.errors import DuplicateOrdinates, NSingular, RemainderNotProven
 from xdp.lubinsky import (
     _EM_START,
+    _em_tail,
     _laurent_sum,
     kernel,
     kernel_asymptotics_report,
     kernel_matrix,
     min_norm,
-    monomial_weighted_inner,
     psi_eval,
     psi_inner,
     psi_inner_max_deviation,
 )
+from xdp.linalg import ldl_factor, ldl_solve
 from xdp.precision import working
 
 
@@ -36,24 +36,6 @@ def test_psi_eval_pinned():
         t = mpf("1.25")
         want = mp.power(5, mp.mpc(0.5, -t)) - mp.power(4, mp.mpc(0.5, -t))
         assert abs(psi_eval(5, t, bits=256) - want) < mpf(2) ** -245
-
-
-def test_monomial_weighted_inner_pinned_and_quadrature():
-    with working(256):
-        assert abs(monomial_weighted_inner(1, bits=256) - 1) < mpf(2) ** -250
-        assert abs(monomial_weighted_inner(2, bits=256) - 1 / mp.sqrt(2)) < mpf(2) ** -250
-        a = monomial_weighted_inner(mpf(3) / 7, bits=256)
-        b = monomial_weighted_inner(mpf(7) / 3, bits=256)
-        assert abs(a - b) < mpf(2) ** -250
-    with pytest.raises(ValueError):
-        monomial_weighted_inner(0)
-    # oracle: (1/pi) int_0^inf cos(t log x)/(1/4 + t^2) dt
-    with working(96):
-        for x in (mpf(2), mpf(1) / 3, mpf("5.5")):
-            L = abs(mp.log(x))
-            q = mp.quadosc(lambda t: mp.cos(t * L) / (mpf(1) / 4 + t * t),
-                           [0, mp.inf], omega=L) / mp.pi
-            assert abs(monomial_weighted_inner(x, bits=96) - q) < mpf(10) ** -20
 
 
 def test_psi_inner_orthonormal():
@@ -240,3 +222,102 @@ def test_kernel_asymptotics_report_raises_without_proven_remainder(monkeypatch):
     monkeypatch.setattr(lubinsky, "_EM_MAX_TERMS", 2)
     with pytest.raises(RemainderNotProven):
         kernel_asymptotics_report(0, [_EM_START + 10], bits=256)
+
+
+# The loops each kernel sum ran before they shared one psi stream. Where no
+# ordinate is 0, or both kernel arguments are, the stream must give the same
+# bits.
+
+def _old_kernel(n, u, v):
+    if u == 0 and v == 0:
+        acc = prev = mpf(0)
+        for k in range(1, n + 1):
+            s = mp.sqrt(k)
+            d = 1 / (s + prev)
+            acc = acc + d * d
+            prev = s
+        return acc
+    wu, wv = mpc(mpf(1) / 2, -u), mpc(mpf(1) / 2, -v)
+    acc = pu = pv = mpf(0)
+    for k in range(1, n + 1):
+        cu, cv = mp.power(k, wu), mp.power(k, wv)
+        acc = acc + (abs(cu - pu) ** 2 if u == v else (cu - pu) * mp.conj(cv - pv))
+        pu, pv = cu, cv
+    return acc
+
+
+def _old_psi_rows(n, t):
+    ws = [mpc(mpf(1) / 2, -x) for x in t]
+    prev = [mpf(0)] * len(t)
+    for k in range(1, n + 1):
+        cur = [mp.power(k, w) for w in ws]
+        yield [cur[i] - prev[i] for i in range(len(t))]
+        prev = cur
+
+
+def _old_min_norm(n, t):
+    l = len(t)
+    H = [[mpf(0)] * l for _ in range(l)]
+    for psi in _old_psi_rows(n, t):
+        for i in range(l):
+            for j in range(i, l):
+                H[i][j] = H[i][j] + psi[i] * mp.conj(psi[j])
+    for i in range(l):
+        for j in range(i):
+            H[i][j] = mp.conj(H[j][i])
+    x = ldl_solve(ldl_factor(H, pivot=True), [mpf(1)] * l)
+    coeffs = [mp.fsum(mp.conj(psi[i]) * x[i] for i in range(l))
+              for psi in _old_psi_rows(n, t)]
+    return H, mp.re(mp.fsum(x)), coeffs
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 60])
+def test_psi_stream_matches_the_old_loops(n):
+    bits = 256
+    t = [mpf("9.06"), mpf("-0.3"), mpf("18.13")]
+    with working(bits):
+        for u, v in [(0, 0), (t[0], t[0]), (t[1], t[1]), (t[0], t[1]), (t[2], t[1])]:
+            assert kernel(n, u, v, bits=bits) == _old_kernel(n, u, v), (u, v)
+        grid = [k for k in (2, 3, 16, 17, 59, 60) if k <= n]
+        for u in (0, t[0], t[1]) if grid else ():
+            rows = kernel_asymptotics_report(u, grid, bits=bits)
+            assert [row.n for row in rows] == grid
+            for row in rows:
+                want = _old_kernel(row.n, u, u)
+                assert row.value == want
+                assert row.ratio == want / (mp.log(row.n) / 4)
+        H, value, coeffs = _old_min_norm(n, t[:min(n, 3)])
+        assert kernel_matrix(n, t[:min(n, 3)], bits=bits).H == H
+        sol = min_norm(n, t[:min(n, 3)], bits=bits, with_coeffs=True)
+        assert sol.value == value
+        assert sol.coeffs == coeffs
+
+
+def test_psi_stream_report_beyond_em_start_matches_old_head():
+    # the direct head up to _EM_START feeds the unchanged Euler-Maclaurin tail
+    bits = 256
+    rows = kernel_asymptotics_report(0, [_EM_START, 1500], bits=bits)
+    with working(bits):
+        head = _old_kernel(_EM_START, 0, 0)
+        assert rows[0].value == head
+        assert rows[1].value == head + _em_tail(head, _EM_START, 1500, bits)
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_zero_ordinate_next_to_nonzero_ones(bits):
+    # psi_k(0) is the real 1/(sqrt(k) + sqrt(k-1)) beside complex columns
+    n = 300
+    t = [0, mpf("2.5"), mpf("-7")]
+    H = kernel_matrix(n, t, bits=bits).H
+    fine = kernel_matrix(n, t, bits=bits + 128).H
+    got = [kernel(n, 0, mpf("2.5"), bits=bits), kernel(n, mpf("-7"), 0, bits=bits)]
+    want = [kernel(n, 0, mpf("2.5"), bits=bits + 128),
+            kernel(n, mpf("-7"), 0, bits=bits + 128)]
+    with working(bits + 128):
+        tol = mpf(2) ** -(bits - 16)
+        for i in range(3):
+            for j in range(3):
+                assert abs(H[i][j] - fine[i][j]) <= tol * abs(fine[i][j]), (i, j)
+        for a, b in zip(got, want):
+            assert abs(a - b) <= tol * abs(b)
+        assert got[0] == H[0][1]
