@@ -7,7 +7,6 @@ acceptance` and the test suite.
 """
 
 import random
-import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from time import perf_counter
@@ -177,10 +176,8 @@ def criterion_8() -> AcceptanceResult:
 def criterion_9() -> AcceptanceResult:
     """Strict decay and fitted slope at r = 1/2 up to n = 256."""
     t0 = perf_counter()
-    with tempfile.TemporaryDirectory() as tmp:
-        cfg = ExperimentConfig(poly="1:1,2:-1", r=Fraction(1, 2),
-                               precision_bits=BITS, cache_dir=tmp)
-        fit = run_decay_fit(cfg)
+    cfg = ExperimentConfig(poly="1:1,2:-1", r=Fraction(1, 2), precision_bits=BITS)
+    fit = run_decay_fit(cfg)
     rows = fit.rows
     strict = all(b.d_squared < a.d_squared for a, b in zip(rows, rows[1:]))
     ok = strict and fit.slope <= -0.2

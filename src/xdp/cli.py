@@ -55,7 +55,7 @@ def _add_common(sp, *names):
         flags[name]()
 
 
-def _build_parser() -> _Parser:
+def _build_parser():
     parser = _Parser(prog="xdp",
                      description="Approximation distances, zero census, and "
                                  "orthogonal-system bounds for Dirichlet polynomials")
@@ -98,7 +98,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--cache-dir", required=True, dest="cache_dir")
     sp.add_argument("--max-bytes", type=int, required=True, dest="max_bytes")
 
-    return parser
+    return parser, sub
 
 
 def _load_cfg(args, extra: Optional[dict] = None):
@@ -257,10 +257,33 @@ _DISPATCH = {
 }
 
 
+def _attach_dash_values(sub, argv: list) -> list:
+    """Rewrite '--opt value' as '--opt=value' where --opt takes a value and
+    the value starts with '-' ('--rect -1,1,1/2,20', '--t -1/2,3'): argparse
+    reads such a value as an option unless it is a plain negative number."""
+    # argparse has no public map from option string to action
+    actions = {opt: action for sp in sub.choices.values()
+               for opt, action in sp._option_string_actions.items()}
+    out = []
+    i = 0
+    while i < len(argv):
+        tok = argv[i]
+        takes_value = tok in actions and actions[tok].nargs is None
+        if (takes_value and i + 1 < len(argv) and argv[i + 1].startswith("-")
+                and argv[i + 1].split("=", 1)[0] not in actions):
+            out.append(f"{tok}={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(tok)
+            i += 1
+    return out
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, sub = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_dash_values(sub, argv))
         if args.command is None:
             raise _UsageError("a subcommand is required (see --help)")
         return _DISPATCH[args.command](args)

@@ -1,12 +1,21 @@
 """Zero location by the argument principle, and the spectral constant.
 
-Contours are rectangle boundaries (plus small circles for multiplicities),
-integrated with composite 12-point Gauss-Legendre panels whose count doubles
-until the winding number pins to the same integer on consecutive levels.
-The winding number is an integer, so contour evaluation runs in numpy
-doubles whenever coefficient and exponent sizes make doubles safe, and in
-mpmath otherwise. Zero positions themselves are polished to full working
-precision by Newton steps (multiplicity-accelerated after a circle count).
+A contour is a list of arcs (rectangle edges, or one small circle for a
+multiplicity), integrated with composite 12-point Gauss-Legendre panels
+whose count doubles until the winding number pins to the same integer on
+consecutive levels. One integrator serves every contour in numpy doubles
+and one in mpmath. The winding number is an integer, so:
+
+* a rectangle runs in doubles whenever coefficient and exponent sizes keep
+  the terms in double range (``_numpy_safe``), and in mpmath otherwise;
+* a multiplicity circle runs in doubles when, in addition, the smallest
+  |P| sampled on it exceeds 2^20 times the rounding error of a double
+  evaluation of P, eps (1 + |s|_max log m) sum_k |a_k| k^-sigma (see
+  ``_double_floor``). A circle about a multiple zero fails this test, since
+  |P| there is of order radius^multiplicity, and is wound in mpmath.
+
+Zero positions themselves are polished to full working precision by Newton
+steps (multiplicity-accelerated after a circle count).
 """
 
 from __future__ import annotations
@@ -31,6 +40,9 @@ _CHUNK = 1 << 16
 _COARSE = Fraction(1, 4)          # polish cells once no edge exceeds this
 _CLUSTER_FLOOR = Fraction(1, 10 ** 5)
 _MULT_RADIUS = "1e-6"
+_CACHED_PANELS = 256              # largest node table kept in _NODE_TABLES
+_NODE_TABLES: dict = {}           # panels -> _unit_nodes table
+_DOUBLE_MARGIN = 2.0 ** 20 * 2.0 ** -52   # 20 bits above double rounding
 
 
 # =========================================================================
@@ -125,11 +137,55 @@ def _np_ratio(a, logk, s):
     return num / den
 
 
-def _edge_nodes(z0, z1, panels: int):
-    taus = (np.tile(_GL_X, panels) + 1.0) / 2.0
-    taus = (taus + np.repeat(np.arange(panels), 12)) / panels
-    w = np.tile(_GL_W, panels) / (2.0 * panels)
-    return z0 + taus * (z1 - z0), w * (z1 - z0)
+@dataclass(frozen=True)
+class _Arc:
+    """One smooth piece z(tau), 0 <= tau <= 1, of a closed contour: the
+    segment from a to b, or with circle=True the circle of radius b about a,
+    once counter-clockwise. Level L integrates it with base << L panels."""
+
+    a: object
+    b: object
+    base: int
+    circle: bool = False
+
+    def at(self, tau, lib):
+        """z(tau) and dz/dtau in numpy (lib=np, tau an array) or mpmath (lib=mp)."""
+        if self.circle:
+            e = self.b * lib.exp(2j * lib.pi * tau)
+            return self.a + e, 2j * lib.pi * e
+        return self.a + tau * (self.b - self.a), self.b - self.a
+
+
+def _rect_arcs(corners, base):
+    return [_Arc(corners[i], corners[(i + 1) % 4], base[i]) for i in range(4)]
+
+
+def _circle(center, radius):
+    return _Arc(center, radius, 4, circle=True)
+
+
+def _unit_nodes(panels: int):
+    """Composite 12-point Gauss-Legendre nodes on [0, 1], weights summing to 1.
+
+    Tables up to _CACHED_PANELS panels are kept: small contours are wound
+    thousands of times, and for them building the table costs more than
+    using it. Larger ones cost little next to the evaluation they feed.
+    """
+    table = _NODE_TABLES.get(panels)
+    if table is None:
+        taus = ((_GL_X + 1.0) / 2.0 + np.arange(panels)[:, None]).ravel() / panels
+        table = (taus, np.tile(_GL_W, panels) / (2.0 * panels))
+        for arr in table:
+            arr.flags.writeable = False
+        if panels <= _CACHED_PANELS:
+            _NODE_TABLES[panels] = table
+    return table
+
+
+def _np_samples(arcs, n: int):
+    """n equispaced points on each arc; an arc's end is the next one's start."""
+    tau = np.arange(n) / n
+    return np.concatenate([arc.at(tau, np)[0] for arc in arcs])
 
 
 def _stabilized(levels):
@@ -146,25 +202,22 @@ def _stabilized(levels):
     raise QuadratureNotConverged("winding did not stabilize on an integer")
 
 
-def _winding_rect_np(a, logk, corners, base, max_levels=13):
-    edges = [(corners[i], corners[(i + 1) % 4]) for i in range(4)]
-    samp = []
-    for z0, z1 in edges:
-        samp.append(z0 + np.linspace(0.0, 1.0, 129) * (z1 - z0))
-    sv = np.abs(_np_values(a, logk, np.concatenate(samp)))
-    amax = sv.max()
-    if not amax > 0 or sv.min() < amax * 1e-12:
-        raise ContourTooClose("polynomial nearly vanishes on the contour")
+def _winding_np(a, logk, arcs, max_levels: int):
+    """Winding number of P's image along the arcs, in doubles; each level
+    evaluates P'/P at all of its nodes in one call."""
 
     def levels():
         for level in range(max_levels):
-            total = 0.0 + 0.0j
-            for (z0, z1), bp in zip(edges, base):
-                panels = bp << level
+            nodes, wdz = [], []
+            for arc in arcs:
+                panels = arc.base << level
                 if panels * 12 > 4_000_000:
                     raise QuadratureNotConverged("contour refinement exploded")
-                nodes, wdz = _edge_nodes(z0, z1, panels)
-                total += (_np_ratio(a, logk, nodes) * wdz).sum()
+                tau, w = _unit_nodes(panels)
+                z, dz = arc.at(tau, np)
+                nodes.append(z)
+                wdz.append(w * dz)
+            total = _np_ratio(a, logk, np.concatenate(nodes)) @ np.concatenate(wdz)
             yield level, total / (2j * np.pi)
 
     return _stabilized(levels())
@@ -184,14 +237,12 @@ def _mp_value_ratio(P: DirichletPolynomial, s):
     return p, d
 
 
-def _winding_rect_mp(P, corners, base, bits, max_levels=9):
-    edges = [(corners[i], corners[(i + 1) % 4]) for i in range(4)]
+def _winding_mp(P, arcs, bits: int, samples: int, max_levels: int):
+    """The winding number at `bits`, after checking |P| at `samples` points
+    per arc against 2^-(bits/2) of its largest sampled value."""
     with working(bits):
-        vals = []
-        for z0, z1 in edges:
-            for q in range(33):
-                tau = mpf(q) / 32
-                vals.append(abs(_mp_value_ratio(P, z0 + tau * (z1 - z0))[0]))
+        vals = [abs(_mp_value_ratio(P, arc.at(mpf(q) / samples, mp)[0])[0])
+                for arc in arcs for q in range(samples)]
         amax = max(vals)
         if not amax > 0 or min(vals) < amax * mpf(2) ** (-(bits // 2)):
             raise ContourTooClose("polynomial nearly vanishes on the contour")
@@ -201,18 +252,17 @@ def _winding_rect_mp(P, corners, base, bits, max_levels=9):
         def levels():
             for level in range(max_levels):
                 total = mpf(0)
-                for (z0, z1), bp in zip(edges, base):
-                    panels = bp << level
+                for arc in arcs:
+                    panels = arc.base << level
                     if panels * 12 > 40_000:
                         raise QuadratureNotConverged("contour refinement exploded")
-                    dz = z1 - z0
                     for pnl in range(panels):
                         for x, wq in zip(gx, gw):
-                            tau = (pnl + (x + 1) / 2) / panels
-                            p, d = _mp_value_ratio(P, z0 + tau * dz)
+                            z, dz = arc.at((pnl + (x + 1) / 2) / panels, mp)
+                            p, d = _mp_value_ratio(P, z)
                             if p == 0:
                                 raise ContourTooClose("contour node hit a zero")
-                            total = total + (d / p) * (wq / (2 * panels)) * dz
+                            total = total + (d / p) * dz * (wq / (2 * panels))
                 yield level, complex(total / (2j * mp.pi))
 
         return _stabilized(levels())
@@ -230,42 +280,51 @@ def winding_count(P: DirichletPolynomial, rect, bits: Optional[int] = None) -> i
     sigma_max = max(abs(float(rect.re_lo)), abs(float(rect.re_hi)))
     if _numpy_safe(P, sigma_max):
         a, logk = _np_coeffs(P)
-        return _winding_rect_np(a, logk, corners, base)
+        arcs = _rect_arcs(corners, base)
+        sv = np.abs(_np_values(a, logk, _np_samples(arcs, 128)))
+        amax = sv.max()
+        if not amax > 0 or sv.min() < amax * 1e-12:
+            raise ContourTooClose("polynomial nearly vanishes on the contour")
+        return _winding_np(a, logk, arcs, max_levels=13)
     with working(bits):
         mcorners = [mpc(fraction_to_mpf(x), fraction_to_mpf(y))
                     for (x, y) in [(rect.re_lo, rect.im_lo), (rect.re_hi, rect.im_lo),
                                    (rect.re_hi, rect.im_hi), (rect.re_lo, rect.im_hi)]]
-    return _winding_rect_mp(P, mcorners, base, bits)
+    return _winding_mp(P, _rect_arcs(mcorners, base), bits, samples=32, max_levels=9)
 
 
-def _winding_circle_mp(P, center, radius, bits, max_levels=7):
-    with working(bits):
-        tiny = mpf(2) ** (-(bits // 2))
-        vals = []
-        for q in range(64):
-            th = 2 * mp.pi * q / 64
-            vals.append(abs(_mp_value_ratio(P, center + radius * mp.expjpi(2 * mpf(q) / 64))[0]))
-        amax = max(vals)
-        if not amax > 0 or min(vals) < amax * tiny:
-            raise ContourTooClose("circle passes too close to a zero")
-        gx = [mpf(float(x)) for x in _GL_X]
-        gw = [mpf(float(w)) for w in _GL_W]
+def _double_floor(a, logk, m: int, center: complex, radius: float) -> float:
+    """Smallest |P| on the circle that a double evaluation still resolves.
 
-        def levels():
-            for level in range(max_levels):
-                panels = 4 << level
-                total = mpf(0)
-                for pnl in range(panels):
-                    for x, wq in zip(gx, gw):
-                        frac = (pnl + (x + 1) / 2) / panels      # theta / 2 pi
-                        e = mp.expjpi(2 * frac)
-                        p, d = _mp_value_ratio(P, center + radius * e)
-                        if p == 0:
-                            raise ContourTooClose("circle node hit a zero")
-                        total = total + (d / p) * e * (wq / (2 * panels))
-                yield level, complex(total * radius)
+    Doubles compute each term a_k exp(-s log k) from s log k, whose absolute
+    error is about eps |s| log k (eps = 2^-52); exp turns that into a
+    relative error of the term, and the product and the sum add a few eps
+    more. So |fl(P(s)) - P(s)| <~ eps (1 + |s|_max log m) sum_k |a_k| k^-sigma,
+    with |s|_max the largest |s| and sigma the smallest Re s on the circle,
+    where the terms are largest. Asking |P| to be 2^20 times that keeps
+    about 20 correct bits of |P| along the circle, which pins its argument
+    and leaves room for the small constants and the number of terms.
+    """
+    size = float(np.abs(a) @ np.exp(-(center.real - radius) * logk))
+    return _DOUBLE_MARGIN * (1.0 + (abs(center) + radius) * math.log(m)) * size
 
-        return _stabilized(levels())
+
+def _winding_circle(P, center, radius, bits: int) -> int:
+    """Zeros inside the circle: in doubles when they resolve |P| on it (see
+    _double_floor), otherwise at `bits`."""
+    c, r = complex(center), float(radius)
+    if _numpy_safe(P, abs(c.real) + r):
+        a, logk = _np_coeffs(P)
+        circle = _circle(c, r)
+        # the floor is at least 2^-32 sum_k |a_k| k^-sigma, so a circle that
+        # clears it also clears _winding_mp's contact test at any bits >= 64
+        sv = np.abs(_np_values(a, logk, _np_samples([circle], 64)))
+        if sv.min() >= _double_floor(a, logk, P.m, c, r):
+            try:
+                return _winding_np(a, logk, [circle], max_levels=7)
+            except (ContourTooClose, QuadratureNotConverged):
+                pass        # doubles did not settle it: mpmath decides
+    return _winding_mp(P, [_circle(center, radius)], bits, samples=64, max_levels=7)
 
 
 def _multiplicity(P, z, bits):
@@ -274,7 +333,7 @@ def _multiplicity(P, z, bits):
         radius = mpf(_MULT_RADIUS)
         for _ in range(5):
             try:
-                return _winding_circle_mp(P, z, radius, bits)
+                return _winding_circle(P, z, radius, bits)
             except (ContourTooClose, QuadratureNotConverged):
                 radius = radius * mpf("0.7")
     raise NonConvergent(f"multiplicity circle kept touching zeros near {z}")

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -58,6 +59,25 @@ def test_zeros_json_report(tmp_path):
 def test_zeros_boundary_zero_exits_2(tmp_path):
     assert main(["zeros", "--poly", "1:1,2:-1", "--rect=-1,1,0,10",
                  "--out", str(tmp_path / "z.json")]) == 2
+
+
+@pytest.mark.parametrize("argv, option, value", [
+    (["zeros", "--poly", "1:1,2:-1", "--precision", "128"], "--rect", "-1,1,1/2,20"),
+    (["constant-c", "--poly", "1:1,2:-1", "--height", "10", "--precision", "128"],
+     "--r", "-1/2"),
+    (["lubinsky", "--n-grid", "4,8", "--precision", "64"], "--u", "-1/2"),
+    (["min-norm", "--n", "4", "--precision", "64"], "--t", "-1/2,3"),
+])
+def test_negative_option_values(argv, option, value, capsys):
+    # "--opt -value" reads the same as "--opt=-value"
+    assert main(argv + [option, value]) == 0
+    spaced = capsys.readouterr()
+    assert main(argv + [f"{option}={value}"]) == 0
+    assert spaced.out == capsys.readouterr().out
+    assert spaced.err == ""
+    # a missing value is still missing, not the next option
+    assert main(argv + [option, "--precision=64"]) == 1
+    assert "expected one argument" in capsys.readouterr().err
 
 
 def test_constant_c_json(tmp_path):
@@ -200,3 +220,33 @@ def test_lubinsky_exit_contract(grid, u, bits):
 def test_min_norm_exit_contract(n, ts, bits):
     _assert_exit_contract(["min-norm", f"--n={n}", "--t=" + ",".join(ts),
                            f"--precision={bits}"])
+
+
+# Polynomials with m = 1, real, complex and multiple zeros; rectangles left
+# of the axis and through the zeros of 1 - 2^{-s} at 2 pi i k / log 2 (an
+# edge on Re = 0 or Im = 0 runs through the zero at 0).
+_POLYS = st.one_of(
+    st.sampled_from(["1:1", "1:-3/2", "1:1,2:-1", "1:1,2:-1-1i", "1:1,2:-2,4:1",
+                     "1:1,2:-1/4"]),
+    st.tuples(_SMALL_RATIONALS, _SMALL_RATIONALS, _SMALL_RATIONALS).map(
+        lambda c: f"1:1,2:{c[0]}+{c[1]}i,3:{c[2]}i".replace("+-", "-")))
+_EDGES = st.lists(st.sampled_from(["0", "-1", "-3", "1/2", "2", "-5/2"]),
+                  min_size=2, max_size=2, unique=True).map(
+    lambda e: sorted(e, key=Fraction))
+
+
+@_CONTRACT
+@given(poly=_POLYS, x=_EDGES, y=_EDGES, bits=st.sampled_from([64, 128]))
+def test_zeros_exit_contract(poly, x, y, bits):
+    rect = f"{x[0]},{x[1]},{y[0]},{y[1]}"
+    _assert_exit_contract(["zeros", "--poly", poly, "--rect", rect,
+                           "--precision", str(bits)])
+
+
+@_CONTRACT
+@given(poly=_POLYS, r=_SMALL_RATIONALS,
+       height=st.sampled_from(["1/2", "3", "10", "0", "-2"]),
+       bits=st.sampled_from([64, 128]))
+def test_constant_c_exit_contract(poly, r, height, bits):
+    _assert_exit_contract(["constant-c", "--poly", poly, "--r", r,
+                           "--height", height, "--precision", str(bits)])

@@ -7,13 +7,15 @@ Frozen facts used as oracles:
   sum over the full lattice of 1/(1/4 + t^2) = log2 * coth(log2 / 4).
 """
 
+import math
 from fractions import Fraction
 
 import pytest
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from xdp.dpcore import DirichletPolynomial
 from xdp.errors import ContourTooClose
+from xdp import zeros
 from xdp.precision import working
 from xdp.zeros import (
     Rectangle,
@@ -27,6 +29,7 @@ P_BASE = DirichletPolynomial.parse("1:1,2:-1")
 P_SQ = DirichletPolynomial.parse("1:1,2:-2,4:1")
 P_CPLX = DirichletPolynomial.parse("1:1,2:-1-1i")
 P_ONE = DirichletPolynomial.parse("1:1")
+P_CUBE = DirichletPolynomial.parse("1:1,2:-3,4:3,8:-1")    # (1 - 2^{-s})^3
 
 
 def lattice_t(k, bits=256):
@@ -72,6 +75,69 @@ def test_contour_through_zero_raises():
         winding_count(P_BASE, Rectangle(-1, 0, -1, 1))   # zero s=0 on right edge
     with pytest.raises(ContourTooClose):
         winding_count(P_BASE, Rectangle(-1, 1, -1, float(2 * 3.141592653589793 / 0.6931471805599453)))
+
+
+def _spy_mp_windings(monkeypatch):
+    """Record, per mpmath winding, whether its contour was a circle."""
+    calls = []
+    real = zeros._winding_mp
+
+    def spy(P, arcs, *args, **kwargs):
+        calls.append(arcs[0].circle)
+        return real(P, arcs, *args, **kwargs)
+
+    monkeypatch.setattr(zeros, "_winding_mp", spy)
+    return calls
+
+
+def test_double_circle_matches_mp_on_simple_zeros(monkeypatch):
+    calls = _spy_mp_windings(monkeypatch)
+    with working(256):
+        centers = [(P_BASE, complex(mp.mpc(0, lattice_t(k)))) for k in range(12)]
+        centers.append((P_CPLX, complex(mp.mpc(mpf(1) / 2, mp.pi / (4 * mp.log(2))))))
+        radius = mpf("1e-6")
+        for P, c in centers:
+            center = mpc(c.real, c.imag)
+            assert zeros._winding_circle(P, center, radius, 256) == 1, c
+            assert calls == [], c          # the guard let doubles wind it
+            mp_count = zeros._winding_mp(P, [zeros._circle(center, radius)], 256,
+                                         samples=64, max_levels=7)
+            assert mp_count == 1, c
+            calls.clear()
+
+
+@pytest.mark.parametrize("P, mult", [(P_SQ, 2), (P_CUBE, 3)])
+def test_guard_sends_multiple_zeros_to_mp(P, mult, monkeypatch):
+    # |P| ~ (1e-6 log 2)^mult on the circle: below what doubles resolve
+    calls = _spy_mp_windings(monkeypatch)
+    assert zeros._multiplicity(P, mpc(0, 0), 256) == mult
+    assert calls == [True]
+
+
+def test_find_zeros_high_on_the_line(monkeypatch):
+    # at |s| ~ 1e6 the phase error of exp(-i t log k) eats the guard's
+    # margin, so the circles run in mpmath
+    calls = _spy_mp_windings(monkeypatch)
+    zs = find_zeros(P_BASE, Rectangle(-1, 1, 10 ** 6 + Fraction(1, 3), 10 ** 6 + 40),
+                    bits=256)
+    assert zs.total_count == 5
+    assert [m for (_, m) in zs.zeros] == [1] * 5
+    assert calls == [True] * 5
+    with working(256):
+        step = 2 * mp.pi / mp.log(2)
+        for k, (z, _) in enumerate(zs.zeros, start=110318):
+            assert abs(z - mp.mpc(0, k * step)) < mpf("1e-20"), k
+
+
+def test_find_zeros_double_circles_match_forced_mp(monkeypatch):
+    rect = Rectangle(-1, 1, Fraction(1, 2), Fraction(201, 2))
+    calls = _spy_mp_windings(monkeypatch)
+    fast = find_zeros(P_BASE, rect, tol=Fraction(1, 10 ** 30), bits=256)
+    assert calls == []                     # every contour ran in doubles
+    monkeypatch.setattr(zeros, "_DOUBLE_MARGIN", math.inf)
+    forced = find_zeros(P_BASE, rect, tol=Fraction(1, 10 ** 30), bits=256)
+    assert calls == [True] * 11
+    assert forced == fast
 
 
 def test_find_zeros_single_simple():
