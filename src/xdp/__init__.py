@@ -8,14 +8,13 @@ from .config import (DEFAULT_SCHEDULE, ExperimentConfig, config_from_json,
                      parse_schedule)
 from .distance import (DistanceResult, GramSystem, approximant_distance,
                        distance_profile, distance_squared, gram_system,
-                       indicator_inner, mellin_identity_residual, rho_inner)
+                       mellin_identity_residual)
 from .dpcore import (DirichletPolynomial, InverseCoeffs, KappaProfile,
-                     StripBounds, dp_derivative_eval, dp_eval, inverse_coeffs,
-                     inverse_partial_sum_error, kappa_eval,
+                     StripBounds, dp_eval, inverse_coeffs,
                      kappa_partial_sums, strip_bounds)
-from .errors import (ContourTooClose, DuplicateOrdinates, EvaluationPole,
-                     NonConvergent, NSingular, PrecisionExhausted,
-                     QuadratureNotConverged, XdpError)
+from .errors import (ContourTooClose, DuplicateOrdinates, NonConvergent,
+                     NSingular, PrecisionExhausted, QuadratureNotConverged,
+                     XdpError)
 from .exact import GaussianRational, as_fraction
 from .experiments import (CriterionReport, DecayFit, SweepRow,
                           run_criterion_report, run_decay_fit,
@@ -37,13 +36,10 @@ __all__ = [
     "DEFAULT_SCHEDULE", "ExperimentConfig", "config_from_json",
     "geometric_schedule", "load_config", "parse_rect", "parse_schedule",
     "DistanceResult", "GramSystem", "approximant_distance", "distance_profile",
-    "distance_squared", "gram_system", "indicator_inner",
-    "mellin_identity_residual", "rho_inner",
+    "distance_squared", "gram_system", "mellin_identity_residual",
     "DirichletPolynomial", "InverseCoeffs", "KappaProfile", "StripBounds",
-    "dp_derivative_eval", "dp_eval", "inverse_coeffs",
-    "inverse_partial_sum_error", "kappa_eval", "kappa_partial_sums",
-    "strip_bounds",
-    "ContourTooClose", "DuplicateOrdinates", "EvaluationPole", "NonConvergent",
+    "dp_eval", "inverse_coeffs", "kappa_partial_sums", "strip_bounds",
+    "ContourTooClose", "DuplicateOrdinates", "NonConvergent",
     "NSingular", "PrecisionExhausted", "QuadratureNotConverged", "XdpError",
     "GaussianRational", "as_fraction",
     "CriterionReport", "DecayFit", "SweepRow", "run_criterion_report",

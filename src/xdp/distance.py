@@ -32,7 +32,7 @@ from mpmath import mp, mpf
 from .dpcore import DirichletPolynomial, KappaProfile, dp_eval, kappa_partial_sums
 from .errors import NSingular, PrecisionExhausted
 from .exact import GaussianRational, as_fraction, fraction_to_mpf, to_mp
-from .linalg import LDLFactors, ldl_factor, ldl_profile
+from .linalg import LDLFactors, ldl_factor, ldl_profile, ldl_solve
 from .precision import resolve_bits, working
 
 _ESCALATION_LIMIT = 3
@@ -86,28 +86,6 @@ def _indicator_inner_profile(prof: KappaProfile, k: int):
     for a in range(1, m):
         total = total + S[a - 1] * (fraction_to_mpf(Fraction(1, a) - Fraction(1, a + 1)))
     return total / k
-
-
-def rho_inner(P: DirichletPolynomial, r, j: int, k: int, bits: Optional[int] = None):
-    """<rho_j, rho_k> at the requested precision."""
-    if j < 1 or k < 1:
-        raise ValueError(f"generator indices must be >= 1, got ({j}, {k})")
-    bits = resolve_bits(bits)
-    prof = kappa_partial_sums(P, r, bits=bits)
-    with working(bits):
-        v = _pair_inner(prof, j, k)
-        return to_mp(v) if isinstance(v, GaussianRational) else v
-
-
-def indicator_inner(P: DirichletPolynomial, r, k: int, bits: Optional[int] = None):
-    """<rho_k, 1> at the requested precision."""
-    if k < 1:
-        raise ValueError(f"generator index must be >= 1, got {k}")
-    bits = resolve_bits(bits)
-    prof = kappa_partial_sums(P, r, bits=bits)
-    with working(bits):
-        v = _indicator_inner_profile(prof, k)
-        return to_mp(v) if isinstance(v, GaussianRational) else v
 
 
 # =========================================================================
@@ -192,29 +170,6 @@ def gram_system(P: DirichletPolynomial, r, n: int, bits: Optional[int] = None) -
         f"Gram pivots stayed in the indeterminate band up to {cur // 2} bits")
 
 
-def _solve_keeping(f: LDLFactors, b, drop_at):
-    """LDL^H solve that zeroes components with pivots below the drop threshold."""
-    n = len(f.d)
-    y = [b[f.perm[i]] for i in range(n)]
-    z = [mpf(0)] * n
-    for i in range(n):
-        acc = y[i]
-        for k in range(i):
-            acc = acc - f.L[i][k] * z[k]
-        z[i] = acc
-    w = [z[i] / f.d[i] if f.d[i] >= drop_at else mpf(0) for i in range(n)]
-    x = [mpf(0)] * n
-    for i in reversed(range(n)):
-        acc = w[i]
-        for k in range(i + 1, n):
-            acc = acc - mp.conj(f.L[k][i]) * x[k]
-        x[i] = acc
-    out = [mpf(0)] * n
-    for i in range(n):
-        out[f.perm[i]] = x[i]
-    return out
-
-
 # =========================================================================
 # distances
 # =========================================================================
@@ -272,7 +227,7 @@ def distance_squared(P: DirichletPolynomial, r, n: int, method: str = "det-ratio
         gs = gram_system(P, r, n, bits=bits)
         with working(gs.precision_bits):
             drop_at = max(gs.factors.d) * mpf(2) ** (-(gs.precision_bits // 2))
-            x = _solve_keeping(gs.factors, gs.g, drop_at)
+            x = ldl_solve(gs.factors, gs.g, drop_at=drop_at)
             inner = mp.fsum(mp.conj(gv) * xv for gv, xv in zip(gs.g, x))
             d2 = _clamp01(mp.re(mpf(1) - inner))
         return DistanceResult(n=n, r=r_q, d_squared=d2, method=method,

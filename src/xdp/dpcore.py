@@ -9,7 +9,6 @@ the kappa partial sums stay exact.
 
 from __future__ import annotations
 
-import math
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,7 +16,7 @@ from typing import Iterator, Optional, Sequence, Union
 
 from mpmath import mp, mpc, mpf
 
-from .errors import EvaluationPole, NonConvergent
+from .errors import NonConvergent
 from .exact import GaussianRational, as_fraction, fraction_to_mpf, to_mp
 from .precision import resolve_bits, working
 
@@ -151,31 +150,30 @@ class DirichletPolynomial:
     __str__ = to_text
 
 
+def _mp_terms(P: DirichletPolynomial) -> list:
+    """(a_k, log k) for the nonzero terms of P at the ambient precision."""
+    return [(to_mp(a), mp.log(k)) for k, a in P.items()]
+
+
+def _mp_pair(terms, s):
+    """(P(s), P'(s)) at the ambient precision from P's ``_mp_terms``:
+    P(s) = sum a_k k^{-s} and P'(s) = -sum a_k log(k) k^{-s}."""
+    p = d = mpf(0)
+    for a, logk in terms:
+        if not logk:            # k = 1
+            p += a
+            continue
+        t = a * mp.exp(-s * logk)
+        p += t
+        d -= logk * t
+    return p, d
+
+
 def dp_eval(P: DirichletPolynomial, s: Scalar, bits: Optional[int] = None):
     """P(s) at the given binary precision."""
     bits = resolve_bits(bits)
     with working(bits):
-        s_mp = to_mp(s)
-        total = mpf(0)
-        for k, a in P.items():
-            if k == 1:
-                total = total + to_mp(a)
-            else:
-                total = total + to_mp(a) * mp.power(k, -s_mp)
-        return total
-
-
-def dp_derivative_eval(P: DirichletPolynomial, s: Scalar, bits: Optional[int] = None):
-    """P'(s) = -sum a_k log(k) k^{-s}."""
-    bits = resolve_bits(bits)
-    with working(bits):
-        s_mp = to_mp(s)
-        total = mpf(0)
-        for k, a in P.items():
-            if k == 1:
-                continue
-            total = total - to_mp(a) * mp.log(k) * mp.power(k, -s_mp)
-        return total
+        return _mp_pair(_mp_terms(P), to_mp(s))[0]
 
 
 # =========================================================================
@@ -255,23 +253,6 @@ def kappa_partial_sums(P: DirichletPolynomial, r, bits: Optional[int] = None) ->
                 run = run + to_mp(a) * mp.power(k, e_mp)
             S.append(run)
     return KappaProfile(r=r_q, S=tuple(S), exact=False, precision_bits=bits)
-
-
-def kappa_eval(profile: KappaProfile, x):
-    """kappa_r(x): 0 for x < 1, S_floor(x) on [1, m), S_m for x >= m. Needs x > 0."""
-    if isinstance(x, mpf):
-        if not x > 0:
-            raise ValueError(f"kappa argument must be positive, got {x}")
-        j = int(mp.floor(x))
-    else:
-        if not x > 0:
-            raise ValueError(f"kappa argument must be positive, got {x}")
-        j = math.floor(x)
-    if j < 1:
-        return GaussianRational(0) if profile.exact else mpf(0)
-    if j >= profile.m:
-        return profile.S[-1]
-    return profile.S[j - 1]
 
 
 # =========================================================================
@@ -368,41 +349,3 @@ def inverse_coeffs(P: DirichletPolynomial, N: int) -> InverseCoeffs:
         if acc:
             mu[n - 1] = -inv_a1 * acc
     return InverseCoeffs(mu=tuple(mu), N=N)
-
-
-def inverse_partial_sum_error(P: DirichletPolynomial, r, epsilon, n: int,
-                              t_grid: Sequence, bits: Optional[int] = None):
-    """sup over the grid of |sum_{k<=n} mu_f(k) k^{-s} - 1/f(s)|, s = 1/2+eps+it.
-
-    Here f(s) = P(s + r - 1/2), so mu_f(k) = mu_P(k) k^{1/2-r} and the whole
-    expression collapses to the P-side quantities at w = eps + r + it.
-    Raises EvaluationPole if f vanishes (to working tolerance) on the grid.
-    """
-    bits = resolve_bits(bits)
-    eps_q = as_fraction(epsilon)
-    if eps_q <= 0:
-        raise ValueError(f"need epsilon > 0, got {epsilon}")
-    if not t_grid:
-        raise ValueError("t_grid is empty")
-    sigma_q = eps_q + as_fraction(r)
-    inv = inverse_coeffs(P, n)
-    tiny = mpf(2) ** (-(bits // 2))
-    with working(bits):
-        sigma = fraction_to_mpf(sigma_q)
-        worst = mpf(0)
-        for t in t_grid:
-            t_mp = to_mp(t)
-            w = sigma if t_mp == 0 else mpc(sigma, t_mp)
-            value = dp_eval(P, w, bits=bits)
-            if abs(value) < tiny:
-                raise EvaluationPole(
-                    f"shifted polynomial vanishes near t = {t}; no inverse there")
-            partial = mpf(0)
-            for k in range(1, n + 1):
-                mu_k = inv.mu[k - 1]
-                if mu_k:
-                    partial = partial + to_mp(mu_k) * mp.power(k, -w)
-            err = abs(partial - 1 / value)
-            if err > worst:
-                worst = err
-        return worst

@@ -46,7 +46,3 @@ class NSingular(XdpError):
 
 class DuplicateOrdinates(XdpError):
     """Ordinates for a kernel matrix closer than the 1e-9 guard."""
-
-
-class EvaluationPole(XdpError):
-    """f(s) = 0 was hit on the partial-sum evaluation line."""

@@ -256,7 +256,7 @@ def constant_c_json(C: ConstantC, bits: int) -> dict:
         "T": str(C.T),
         "partial": mp_to_str(C.partial, bits),
         "tail_bound": mp_to_str(C.tail_bound, bits),
-        "line_tolerance": mp_to_str(C.line_tolerance, bits),
+        "line_tolerance": str(C.line_tolerance),
         "ordinates": [mp_to_str(t, bits) for t in C.ordinates],
     }
 

@@ -68,14 +68,19 @@ def ldl_factor(A, pivot: bool = True) -> LDLFactors:
     return LDLFactors(L=L, d=d, perm=perm)
 
 
-def ldl_solve(f: LDLFactors, b):
-    """Solve A x = b given factors of A."""
+def ldl_solve(f: LDLFactors, b, drop_at=None):
+    """Solve A x = b given factors of A.
+
+    A zero pivot raises NSingular. With ``drop_at``, components whose pivot
+    is below it are set to zero instead: their generators are dropped.
+    """
     n = len(f.d)
     if len(b) != n:
         raise ValueError(f"rhs length {len(b)} does not match order {n}")
-    for i, dv in enumerate(f.d):
-        if dv == 0:
-            raise NSingular(i, dv)
+    if drop_at is None:
+        for i, dv in enumerate(f.d):
+            if dv == 0:
+                raise NSingular(i, dv)
     y = [b[f.perm[i]] for i in range(n)]
     z = [mpf(0)] * n
     for i in range(n):
@@ -83,7 +88,8 @@ def ldl_solve(f: LDLFactors, b):
         for k in range(i):
             acc = acc - f.L[i][k] * z[k]
         z[i] = acc
-    w = [z[i] / f.d[i] for i in range(n)]
+    w = [z[i] / f.d[i] if drop_at is None or f.d[i] >= drop_at else mpf(0)
+         for i in range(n)]
     x = [mpf(0)] * n
     for i in reversed(range(n)):
         acc = w[i]

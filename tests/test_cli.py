@@ -87,6 +87,7 @@ def test_constant_c_json(tmp_path):
     assert code == 0
     payload = json.loads(out.read_text())
     assert len(payload["ordinates"]) == 5
+    assert payload["line_tolerance"] == "1/1000000000"
     with working(128):
         partial = mpf(payload["partial"])
         tail = mpf(payload["tail_bound"])
@@ -250,3 +251,40 @@ def test_zeros_exit_contract(poly, x, y, bits):
 def test_constant_c_exit_contract(poly, r, height, bits):
     _assert_exit_contract(["constant-c", "--poly", poly, "--r", r,
                            "--height", height, "--precision", str(bits)])
+
+
+# Sweep inputs: m = 1, multiple zeros, complex coefficients and coefficients
+# near 1e300 and 1e-300, whose terms leave double range.
+_SWEEP_POLYS = st.one_of(
+    st.sampled_from(["1:1", "1:1,2:-1", "1:1,2:-2,4:1", "1:1,2:1e300",
+                     "1:1e300,2:-1", "1:1,2:-3e-300", "1:1,2:-1-1i"]),
+    st.tuples(_SMALL_RATIONALS, _SMALL_RATIONALS).map(
+        lambda c: f"1:1,2:{c[0]},3:{c[1]}i"))
+_SWEEP_CONTRACT = settings(max_examples=30, deadline=None, derandomize=True,
+                           database=None)
+
+
+@_SWEEP_CONTRACT
+@given(poly=_SWEEP_POLYS, r=_SMALL_RATIONALS, n=st.integers(-1, 6),
+       bits=st.sampled_from([64, 128]))
+def test_distance_exit_contract(poly, r, n, bits):
+    _assert_exit_contract(["distance", "--poly", poly, f"--r={r}",
+                           f"--n-max={n}", f"--precision={bits}"])
+
+
+@_SWEEP_CONTRACT
+@given(poly=_SWEEP_POLYS, r=_SMALL_RATIONALS, n=st.integers(-1, 4),
+       x=_EDGES, y=_EDGES, height=st.sampled_from(["1/2", "2", "3", "0"]),
+       bits=st.sampled_from([64, 128]))
+def test_report_exit_contract(poly, r, n, x, y, height, bits):
+    _assert_exit_contract(["report", "--poly", poly, f"--r={r}", f"--n-max={n}",
+                           f"--rect={x[0]},{x[1]},{y[0]},{y[1]}",
+                           f"--height={height}", f"--precision={bits}"])
+
+
+@_SWEEP_CONTRACT
+@given(poly=_SWEEP_POLYS, r=_SMALL_RATIONALS, n=st.sampled_from([4, 6, 8, 2, -1]),
+       bits=st.sampled_from([64, 128]))
+def test_decay_fit_exit_contract(poly, r, n, bits):
+    _assert_exit_contract(["decay-fit", "--poly", poly, f"--r={r}",
+                           f"--n-max={n}", f"--precision={bits}"])

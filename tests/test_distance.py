@@ -15,7 +15,7 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 from xdp import distance
-from xdp.dpcore import DirichletPolynomial, dp_eval, kappa_eval, kappa_partial_sums
+from xdp.dpcore import DirichletPolynomial, dp_eval, kappa_partial_sums
 from xdp.distance import (
     _build_gram,
     _indicator_inner_profile,
@@ -24,9 +24,7 @@ from xdp.distance import (
     distance_profile,
     distance_squared,
     gram_system,
-    indicator_inner,
     mellin_identity_residual,
-    rho_inner,
 )
 from xdp.errors import PrecisionExhausted
 from xdp.exact import GaussianRational, to_mp
@@ -38,6 +36,20 @@ P_BASE = DirichletPolynomial.parse("1:1,2:-1")
 P_MIX = DirichletPolynomial.parse("1:1,2:1i,3:-1/2")
 
 
+def rho_inner(P, r, j, k, bits):
+    """<rho_j, rho_k> at the requested precision."""
+    prof = kappa_partial_sums(P, r, bits=bits)
+    with working(bits):
+        return to_mp(_pair_inner(prof, j, k))
+
+
+def indicator_inner(P, r, k, bits):
+    """<rho_k, 1> at the requested precision."""
+    prof = kappa_partial_sums(P, r, bits=bits)
+    with working(bits):
+        return to_mp(_indicator_inner_profile(prof, k))
+
+
 def quad_rho_inner(P, r, j, k, bits=256):
     """Quadrature oracle for the generator inner product."""
     prof = kappa_partial_sums(P, r, bits=bits)
@@ -45,10 +57,12 @@ def quad_rho_inner(P, r, j, k, bits=256):
         pts = sorted({mpf(1) / (j * a) for a in range(1, P.m + 1)}
                      | {mpf(1) / (k * a) for a in range(1, P.m + 1)})
 
+        def kappa(x):       # 0 below 1, S_floor(x) up to m, S_m beyond
+            i = min(int(mp.floor(x)), P.m)
+            return to_mp(prof.S[i - 1]) if i >= 1 else mpf(0)
+
         def f(x):
-            u = to_mp(kappa_eval(prof, 1 / (j * x)))
-            v = to_mp(kappa_eval(prof, 1 / (k * x)))
-            return u * mp.conj(v)
+            return kappa(1 / (j * x)) * mp.conj(kappa(1 / (k * x)))
 
         return mp.quad(f, [mpf(0)] + pts)
 

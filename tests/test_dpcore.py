@@ -4,6 +4,7 @@ Expected values are frozen closed forms; oracles are computed here with raw
 mpmath/Fraction arithmetic, independent of the implementation under test.
 """
 
+import math
 from fractions import Fraction
 
 import mpmath
@@ -14,16 +15,14 @@ from mpmath import mp, mpc, mpf
 
 from xdp.dpcore import (
     DirichletPolynomial,
-    dp_derivative_eval,
+    _mp_pair,
+    _mp_terms,
     dp_eval,
     inverse_coeffs,
-    inverse_partial_sum_error,
-    kappa_eval,
     kappa_partial_sums,
     strip_bounds,
 )
-from xdp.errors import EvaluationPole
-from xdp.exact import GaussianRational
+from xdp.exact import GaussianRational, to_mp
 
 P_ONE = DirichletPolynomial.parse("1:1")            # P == 1
 P_BASE = DirichletPolynomial.parse("1:1,2:-1")      # 1 - 2^{-s}
@@ -92,8 +91,13 @@ def test_parse_format_roundtrip_property(nums, den):
 
 
 # =========================================================================
-# dp_eval / dp_derivative_eval
+# dp_eval and the (P, P') evaluator
 # =========================================================================
+
+def derivative(P, s, bits):
+    with mp.workprec(bits):
+        return _mp_pair(_mp_terms(P), to_mp(s))[1]
+
 
 def test_dp_eval_pinned():
     assert dp_eval(P_BASE, 0) == 0
@@ -110,11 +114,11 @@ def test_dp_eval_pinned():
 def test_dp_derivative_pinned():
     # P = 1 - 2^{-s}: P'(s) = log(2) * 2^{-s}; at s=0 -> log 2
     with mp.workprec(256):
-        assert abs(dp_derivative_eval(P_BASE, 0, bits=256) - mp.log(2)) < mpf(2) ** -250
-    assert dp_derivative_eval(P_ONE, 3.7) == 0
+        assert abs(derivative(P_BASE, 0, 256) - mp.log(2)) < mpf(2) ** -250
+    assert derivative(P_ONE, 3.7, 256) == 0
     with mp.workprec(256):
         expected = -mp.log(3) / 3
-        assert abs(dp_derivative_eval(DirichletPolynomial.parse("1:1,3:1"), 1, bits=256)
+        assert abs(derivative(DirichletPolynomial.parse("1:1,3:1"), 1, 256)
                    - expected) < mpf(2) ** -250
 
 
@@ -125,7 +129,7 @@ def test_derivative_matches_finite_differences():
         for s in (mpc(1, 1), mpc(-2, 7), mpc(0.5, -3)):
             h = mpf(10) ** -20
             fd = (dp_eval(p, s + h, bits=300) - dp_eval(p, s - h, bits=300)) / (2 * h)
-            dv = dp_derivative_eval(p, s, bits=300)
+            dv = derivative(p, s, 300)
             assert abs(dv - fd) / abs(dv) < mpf(10) ** -10
 
 
@@ -152,8 +156,6 @@ def test_kappa_partial_sums_pinned():
 
 def test_kappa_tail_is_dp_value():
     # S_m == P(r - 1/2) for several (P, r)
-    from xdp.exact import to_mp
-
     for p in (P_BASE, P_PLUS, DirichletPolynomial.parse("1:1/2,2:1/3,5:-2")):
         for r in (0, Fraction(1, 2), -1, Fraction(3, 2)):
             prof = kappa_partial_sums(p, r, bits=192)
@@ -167,27 +169,29 @@ def test_kappa_tail_is_dp_value():
                 assert abs(got - want) < mpf(2) ** -180
 
 
+def kappa_at(profile, x):
+    """kappa_r(x) from the step heights: 0 below 1, S_floor(x) up to m, S_m beyond."""
+    j = min(math.floor(x), profile.m)
+    return profile.S[j - 1] if j >= 1 else 0
+
+
 def test_kappa_eval_steps_and_jumps():
     prof = kappa_partial_sums(P_PLUS, Fraction(1, 2))   # S = (1, 2, 3)
-    assert kappa_eval(prof, Fraction(1, 2)) == 0
-    assert kappa_eval(prof, 1) == 1
-    assert kappa_eval(prof, Fraction(39, 20)) == 1       # 1.95 -> floor 1
-    assert kappa_eval(prof, 2) == 2                      # right-closed jump
-    assert kappa_eval(prof, 2.5) == 2
-    assert kappa_eval(prof, 3) == 3
-    assert kappa_eval(prof, 100) == 3                    # constant tail
-    with pytest.raises(ValueError):
-        kappa_eval(prof, 0)
-    with pytest.raises(ValueError):
-        kappa_eval(prof, -1)
+    assert kappa_at(prof, Fraction(1, 2)) == 0
+    assert kappa_at(prof, 1) == 1
+    assert kappa_at(prof, Fraction(39, 20)) == 1       # 1.95 -> floor 1
+    assert kappa_at(prof, 2) == 2                      # right-closed jump
+    assert kappa_at(prof, 2.5) == 2
+    assert kappa_at(prof, 3) == 3
+    assert kappa_at(prof, 100) == 3                    # constant tail
 
 
 def test_kappa_eval_inexact_profile():
     prof = kappa_partial_sums(P_BASE, 0, bits=256)
     with mp.workprec(256):
-        assert abs(kappa_eval(prof, 2) - (1 - mp.sqrt(2))) < mpf(2) ** -250
-        assert abs(kappa_eval(prof, 100) - (1 - mp.sqrt(2))) < mpf(2) ** -250
-        assert kappa_eval(prof, 0.5) == 0
+        assert abs(kappa_at(prof, 2) - (1 - mp.sqrt(2))) < mpf(2) ** -250
+        assert abs(kappa_at(prof, 100) - (1 - mp.sqrt(2))) < mpf(2) ** -250
+        assert kappa_at(prof, 0.5) == 0
 
 
 # =========================================================================
@@ -266,41 +270,3 @@ def test_convolution_identity_gaussian():
             if n % d == 0:
                 total = total + p.coeffs[d - 1] * inv.mu[n // d - 1]
         assert total == GaussianRational(1 if n == 1 else 0)
-
-
-# =========================================================================
-# partial-sum error (Lemma-4 style diagnostics)
-# =========================================================================
-
-def test_partial_sum_error_trivial():
-    assert inverse_partial_sum_error(P_ONE, 0, Fraction(1, 2), 10, [0, 1, 5]) == 0
-
-
-def test_partial_sum_error_pinned_geometric_tail():
-    # P = 1 - 2^{-s}, r=0, eps=1/2, t=0, n=15:
-    # error = |sum_{j=0}^{3} 2^{-j/2} - 1/(1 - 2^{-1/2})| = 2^{-2} / (1 - 2^{-1/2})
-    err = inverse_partial_sum_error(P_BASE, 0, Fraction(1, 2), 15, [0], bits=256)
-    with mp.workprec(256):
-        expected = (mpf(2) ** -2) / (1 - mpf(2) ** mpf(-0.5))
-        assert abs(err - expected) < mpf(2) ** -240
-
-
-def test_partial_sum_error_decreases_at_powers_of_two():
-    # strict decrease from n = 2^j - 1 to n = 2^j; ratio of successive power
-    # tails is exactly 2^{-1/2} at t = 0
-    errs = {n: inverse_partial_sum_error(P_BASE, 0, Fraction(1, 2), n, [0], bits=192)
-            for n in (7, 8, 15, 16, 31, 32)}
-    assert errs[8] < errs[7]
-    assert errs[16] < errs[15]
-    assert errs[32] < errs[31]
-    with mp.workprec(192):
-        ratio = errs[16] / errs[8]
-        assert abs(ratio - 1 / mp.sqrt(2)) < mpf(10) ** -20
-
-
-def test_partial_sum_error_pole_detected():
-    # f(s) = P(s + r - 1/2) with P = 1 - 2*2^{-s} vanishes at s = 1 + 0i,
-    # i.e. r = 1/2, eps = 1/2, t = 0
-    p = DirichletPolynomial.parse("1:1,2:-2")
-    with pytest.raises(EvaluationPole):
-        inverse_partial_sum_error(p, Fraction(1, 2), Fraction(1, 2), 8, [0])

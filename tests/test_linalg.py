@@ -200,6 +200,8 @@ def test_singular_solve_raises():
         with pytest.raises(NSingular) as exc:
             ldl_solve(f, [mpf(1), mpf(0)])
         assert exc.value.index == 1
+        # with a drop threshold the dependent second generator is dropped
+        assert ldl_solve(f, [mpf(1), mpf(1)], drop_at=mpf(2) ** -64) == [1, 0]
 
 
 def test_shape_validation():

@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpc, mpf
 
+from xdp.cli import main
 from xdp.dpcore import DirichletPolynomial
 from xdp.errors import ContourTooClose
 from xdp import zeros
@@ -82,9 +83,9 @@ def _spy_mp_windings(monkeypatch):
     calls = []
     real = zeros._winding_mp
 
-    def spy(P, arcs, *args, **kwargs):
+    def spy(f, arcs, *args, **kwargs):
         calls.append(arcs[0].circle)
-        return real(P, arcs, *args, **kwargs)
+        return real(f, arcs, *args, **kwargs)
 
     monkeypatch.setattr(zeros, "_winding_mp", spy)
     return calls
@@ -97,10 +98,11 @@ def test_double_circle_matches_mp_on_simple_zeros(monkeypatch):
         centers.append((P_CPLX, complex(mp.mpc(mpf(1) / 2, mp.pi / (4 * mp.log(2))))))
         radius = mpf("1e-6")
         for P, c in centers:
+            f = zeros._Poly(P, 256)
             center = mpc(c.real, c.imag)
-            assert zeros._winding_circle(P, center, radius, 256) == 1, c
+            assert zeros._winding_circle(f, center, radius) == 1, c
             assert calls == [], c          # the guard let doubles wind it
-            mp_count = zeros._winding_mp(P, [zeros._circle(center, radius)], 256,
+            mp_count = zeros._winding_mp(f, [zeros._circle(center, radius)],
                                          samples=64, max_levels=7)
             assert mp_count == 1, c
             calls.clear()
@@ -110,18 +112,21 @@ def test_double_circle_matches_mp_on_simple_zeros(monkeypatch):
 def test_guard_sends_multiple_zeros_to_mp(P, mult, monkeypatch):
     # |P| ~ (1e-6 log 2)^mult on the circle: below what doubles resolve
     calls = _spy_mp_windings(monkeypatch)
-    assert zeros._multiplicity(P, mpc(0, 0), 256) == mult
+    assert zeros._multiplicity(zeros._Poly(P, 256), mpc(0, 0)) == mult
     assert calls == [True]
 
 
 def test_find_zeros_high_on_the_line(monkeypatch):
-    # at |s| ~ 1e6 the phase error of exp(-i t log k) eats the guard's
-    # margin, so the circles run in mpmath
+    # wound about their centre, the circles' double phase error no longer
+    # grows with |s| ~ 1e6: they run in doubles and agree with mpmath
     calls = _spy_mp_windings(monkeypatch)
-    zs = find_zeros(P_BASE, Rectangle(-1, 1, 10 ** 6 + Fraction(1, 3), 10 ** 6 + 40),
-                    bits=256)
+    rect = Rectangle(-1, 1, 10 ** 6 + Fraction(1, 3), 10 ** 6 + 40)
+    zs = find_zeros(P_BASE, rect, bits=256)
     assert zs.total_count == 5
     assert [m for (_, m) in zs.zeros] == [1] * 5
+    assert calls == []
+    monkeypatch.setattr(zeros, "_DOUBLE_MARGIN", math.inf)
+    assert find_zeros(P_BASE, rect, bits=256) == zs
     assert calls == [True] * 5
     with working(256):
         step = 2 * mp.pi / mp.log(2)
@@ -212,9 +217,9 @@ def test_constant_c_trivial_polynomial():
 
 
 def test_constant_c_small_height():
-    c = constant_C(P_BASE, 0, 25, mpf("1e-9"), bits=256)
+    c = constant_C(P_BASE, 0, 25, Fraction(1, 10 ** 9), bits=256)
     assert c.T == 25
-    assert c.line_tolerance == mpf("1e-9")
+    assert c.line_tolerance == Fraction(1, 10 ** 9)
     assert len(c.ordinates) == 5      # k = -2..2
     with working(256):
         want = mp.fsum(1 / (mpf(1) / 4 + lattice_t(k) ** 2) for k in range(-2, 3))
@@ -224,6 +229,59 @@ def test_constant_c_small_height():
         # bracketing of the full lattice constant, as in the larger sweeps
         truth = mp.log(2) * mp.coth(mp.log(2) / 4)
         assert abs(c.partial + c.tail_bound / 2 - truth) <= c.tail_bound
+
+
+def test_constant_c_counts_double_zeros_once():
+    # (1 - 2^{-s})^2 has the zeros of 1 - 2^{-s}, each double: the band
+    # engine polishes them to 2^-(bits/2) like simple ones
+    bits = 128
+    simple = constant_C(P_BASE, 0, 100, Fraction(1, 10 ** 9), bits=bits)
+    double = constant_C(P_SQ, 0, 100, Fraction(1, 10 ** 9), bits=bits)
+    assert len(simple.ordinates) == len(double.ordinates) == 23
+    eps = mpf(2) ** -(bits // 2)
+    for a, b in zip(simple.ordinates, double.ordinates):
+        assert abs(a - b) < eps
+    assert abs(simple.partial - double.partial) < eps
+    with working(bits):
+        assert abs(double.partial - mpf("4.0378")) < mpf("1e-4")
+
+
+def test_constant_c_double_zeros_high_up_exit_0(capsys):
+    assert main(["constant-c", "--poly", "1:1,2:-2,4:1", "--r", "0",
+                 "--height", "1000", "--precision", "128"]) == 0
+    assert '"ordinates"' in capsys.readouterr().out
+
+
+def test_constant_c_ordinates_carry_working_precision():
+    c = constant_C(P_BASE, 0, 40, Fraction(1, 10 ** 9), bits=256)
+    assert len(c.ordinates) == 9
+    for k, t in zip(range(-4, 5), c.ordinates):
+        assert abs(t - lattice_t(k)) < mpf(2) ** -120, k
+
+
+def test_find_zeros_near_height_1e12(capsys):
+    # a double Newton holds s there only to about 1e-4, more than the
+    # multiplicity circle's radius: the start runs in mpmath instead
+    rect = Rectangle(-1, 1, Fraction(3000000000001, 3), 1000000000040)
+    zs = find_zeros(P_BASE, rect, bits=128)
+    assert zs.total_count == 4
+    assert [m for (_, m) in zs.zeros] == [1] * 4
+    assert main(["zeros", "--poly", "1:1,2:-1",
+                 "--rect=-1,1,3000000000001/3,1000000000040", "--precision", "128"]) == 0
+    capsys.readouterr()
+
+
+def test_constant_c_coefficient_beyond_double_range():
+    # 1 + 10^300 2^{-s} vanishes at s = log2(10^300) + i pi (2k + 1)/log 2,
+    # where the terms are far outside double range: the scan runs in mpmath
+    P = DirichletPolynomial.parse("1:1,2:1e300")
+    r = Fraction(99657842846620870436, 10 ** 17)      # log2(10^300) to 1e-17
+    c = constant_C(P, r, 10, Fraction(1, 10 ** 9), bits=128)
+    with working(128):
+        t = mp.pi / mp.log(2)
+        assert len(c.ordinates) == 2
+        assert abs(c.ordinates[0] + t) < mpf(2) ** -60
+        assert abs(c.ordinates[1] - t) < mpf(2) ** -60
 
 
 def test_constant_c_strip_left_of_the_axis():
