@@ -14,7 +14,7 @@ from .dpcore import (DirichletPolynomial, InverseCoeffs, KappaProfile,
                      kappa_partial_sums, strip_bounds)
 from .errors import (ContourTooClose, DuplicateOrdinates, NonConvergent,
                      NSingular, PrecisionExhausted, QuadratureNotConverged,
-                     XdpError)
+                     RemainderNotProven, XdpError)
 from .exact import GaussianRational, as_fraction
 from .experiments import (CriterionReport, DecayFit, SweepRow,
                           run_criterion_report, run_decay_fit,
@@ -40,7 +40,8 @@ __all__ = [
     "DirichletPolynomial", "InverseCoeffs", "KappaProfile", "StripBounds",
     "dp_eval", "inverse_coeffs", "kappa_partial_sums", "strip_bounds",
     "ContourTooClose", "DuplicateOrdinates", "NonConvergent",
-    "NSingular", "PrecisionExhausted", "QuadratureNotConverged", "XdpError",
+    "NSingular", "PrecisionExhausted", "QuadratureNotConverged",
+    "RemainderNotProven", "XdpError",
     "GaussianRational", "as_fraction",
     "CriterionReport", "DecayFit", "SweepRow", "run_criterion_report",
     "run_decay_fit", "run_distance_sweep",

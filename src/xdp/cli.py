@@ -13,7 +13,7 @@ from typing import Optional
 from mpmath import mp, mpf
 
 from .acceptance import run_acceptance
-from .config import config_from_json, parse_rect
+from .config import config_from_json, load_config, parse_rect
 from .dpcore import DirichletPolynomial
 from .errors import XdpError
 from .exact import as_fraction, to_mp
@@ -114,13 +114,9 @@ def _load_cfg(args, extra: Optional[dict] = None):
                  "cache_dir": getattr(args, "cache_dir", None),
                  "line_tol": getattr(args, "line_tol", None)}
     overrides.update(extra or {})
-    base = {}
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            base = json.load(fh)
-        if not isinstance(base, dict):
-            raise ValueError(f"config file {args.config} must hold a JSON object")
-    return config_from_json(base, overrides)
+        return load_config(args.config, overrides)
+    return config_from_json({}, overrides)
 
 
 def _emit(payload: dict, out: Optional[str]) -> None:

@@ -53,6 +53,41 @@ def parse_rect(text: str) -> Rectangle:
     return Rectangle(*(as_fraction(p) for p in parts))
 
 
+def _fraction(name: str, value) -> Fraction:
+    try:
+        return as_fraction(value)
+    except (TypeError, ZeroDivisionError) as exc:
+        raise ValueError(f"{name} must be a number, got {value!r}: {exc}") from None
+
+
+def _int(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _schedule(value) -> tuple:
+    if isinstance(value, str):
+        return parse_schedule(value)
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"schedule must be a list of integers, got {value!r}")
+    if any(isinstance(n, bool) or not isinstance(n, int) for n in value):
+        raise ValueError(f"schedule entries must be integers: {value!r}")
+    sched = tuple(value)
+    _check_schedule(sched)
+    return sched
+
+
+def _rectangle(value) -> Rectangle:
+    if isinstance(value, Rectangle):
+        return value
+    if isinstance(value, str):
+        return parse_rect(value)
+    if not isinstance(value, (list, tuple)) or len(value) != 4:
+        raise ValueError(f"rect must be 'x0,x1,y0,y1' or four numbers, got {value!r}")
+    return Rectangle(*(_fraction("rect", v) for v in value))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     poly: str
@@ -67,23 +102,26 @@ class ExperimentConfig:
     line_tol: Fraction = Fraction(1, 10 ** 9)
 
     def __post_init__(self):
-        if not self.poly:
-            raise ValueError("empty polynomial text")
-        object.__setattr__(self, "r", as_fraction(self.r))
-        object.__setattr__(self, "n_schedule", tuple(self.n_schedule))
-        _check_schedule(self.n_schedule)
+        if not isinstance(self.poly, str) or not self.poly:
+            raise ValueError(f"poly must be polynomial text, got {self.poly!r}")
+        object.__setattr__(self, "r", _fraction("r", self.r))
+        object.__setattr__(self, "n_schedule", _schedule(self.n_schedule))
+        object.__setattr__(self, "precision_bits",
+                           _int("precision_bits", self.precision_bits))
         if self.precision_bits < MIN_PRECISION_BITS:
             raise ValueError(
                 f"precision_bits must be >= {MIN_PRECISION_BITS}, got {self.precision_bits}")
         if self.format not in _FORMATS:
             raise ValueError(f"format must be one of {_FORMATS}, got {self.format!r}")
-        if self.rect is not None and not isinstance(self.rect, Rectangle):
-            object.__setattr__(self, "rect", parse_rect(self.rect)
-                               if isinstance(self.rect, str)
-                               else Rectangle(*self.rect))
+        if self.rect is not None:
+            object.__setattr__(self, "rect", _rectangle(self.rect))
         if self.T is not None:
-            object.__setattr__(self, "T", as_fraction(self.T))
-        object.__setattr__(self, "line_tol", as_fraction(self.line_tol))
+            object.__setattr__(self, "T", _fraction("T", self.T))
+        for name in ("output", "cache_dir"):
+            path = getattr(self, name)
+            if path is not None and not isinstance(path, str):
+                raise ValueError(f"{name} must be a path, got {path!r}")
+        object.__setattr__(self, "line_tol", _fraction("line_tol", self.line_tol))
 
     def polynomial(self) -> DirichletPolynomial:
         return DirichletPolynomial.parse(self.poly)
@@ -94,7 +132,8 @@ _JSON_KEYS = {"poly", "r", "schedule", "n_max", "precision_bits", "rect", "T",
 
 
 def config_from_json(obj: dict, overrides: Optional[dict] = None) -> ExperimentConfig:
-    """Config out of a JSON-shaped dict; overrides (CLI flags) win key-by-key."""
+    """Config out of a JSON-shaped dict; overrides (CLI flags) win key-by-key.
+    ``ExperimentConfig`` checks and normalizes every value."""
     merged = dict(obj)
     unknown = set(merged) - _JSON_KEYS
     if unknown:
@@ -102,26 +141,14 @@ def config_from_json(obj: dict, overrides: Optional[dict] = None) -> ExperimentC
     for key, val in (overrides or {}).items():
         if val is not None:
             merged[key] = val
-    kwargs = {"poly": merged.get("poly")}
-    if kwargs["poly"] is None:
+    if merged.get("poly") is None:
         raise ValueError("config needs a polynomial ('poly')")
-    if "r" in merged:
-        kwargs["r"] = as_fraction(merged["r"])
-    schedule = merged.get("schedule")
-    if schedule is not None:
-        kwargs["n_schedule"] = (parse_schedule(schedule)
-                                if isinstance(schedule, str) else tuple(schedule))
+    kwargs = {key: val for key, val in merged.items()
+              if val is not None and key not in ("schedule", "n_max")}
+    if merged.get("schedule") is not None:
+        kwargs["n_schedule"] = merged["schedule"]
     elif merged.get("n_max") is not None:
-        kwargs["n_schedule"] = geometric_schedule(int(merged["n_max"]))
-    if merged.get("precision_bits") is not None:
-        kwargs["precision_bits"] = int(merged["precision_bits"])
-    if merged.get("rect") is not None:
-        kwargs["rect"] = (parse_rect(merged["rect"])
-                          if isinstance(merged["rect"], str)
-                          else Rectangle(*merged["rect"]))
-    for key in ("T", "output", "format", "cache_dir", "line_tol"):
-        if merged.get(key) is not None:
-            kwargs[key] = merged[key]
+        kwargs["n_schedule"] = geometric_schedule(_int("n_max", merged["n_max"]))
     return ExperimentConfig(**kwargs)
 
 

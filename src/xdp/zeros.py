@@ -16,14 +16,14 @@ and one in mpmath. The winding number is an integer, so:
   radius^multiplicity, and is wound in mpmath.
 
 One engine, ``_zeros_in``, locates zeros for both callers: ``find_zeros``
-runs it on its rectangle and ``constant_C`` on each band of its strip scan
-that winds. A cell is split by jittered quadrisection (a long cell across
-its long side) until it holds one zero or is no wider than _COARSE, and is
-then polished (``_polish``): Newton from its centre to within _NEWTON_STOP
-of a zero, a circle count for the multiplicity, and Newton with that
-multiplicity in mpmath to the requested tolerance. One Newton loop runs
-over either evaluator of P, and P is prepared once per call in both forms
-(``_Poly``).
+runs it on its rectangle and ``constant_C`` on its whole strip. A cell is
+cut on a jittered grid (``_split_cell``: 2 x 2, or a long cell across its
+long side into pieces of about a third of a zero each) until it holds one
+zero or is no wider than _COARSE, and is then polished (``_polish``):
+Newton from its centre to within _NEWTON_STOP of a zero, a circle count
+for the multiplicity, and Newton with that multiplicity in mpmath to the
+requested tolerance. One Newton loop runs over either evaluator of P, and
+P is prepared once per call in both forms (``_Poly``).
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import Optional
 import numpy as np
 from mpmath import mp, mpc, mpf
 
-from .dpcore import DirichletPolynomial, _mp_pair, _mp_terms, dp_eval, strip_bounds
+from .dpcore import DirichletPolynomial, _mp_pair, _mp_terms, strip_bounds
 from .errors import ContourTooClose, NonConvergent, QuadratureNotConverged
 from .exact import as_fraction, fraction_to_mpf, to_mp
 from .precision import resolve_bits, working
@@ -55,6 +55,7 @@ _SAFE_LOG = 600.0                 # terms up to e^600 stay in double range
 _CACHED_PANELS = 256              # largest node table kept in _NODE_TABLES
 _NODE_TABLES: dict = {}           # panels -> _unit_nodes table
 _DOUBLE_MARGIN = 2.0 ** 20 * 2.0 ** -52   # 20 bits above double rounding
+_RESOLVE = 1 / 16                 # nearest zero / panel length a level resolves
 
 
 # =========================================================================
@@ -94,12 +95,6 @@ class Rectangle:
         x0, x1 = float(self.re_lo), float(self.re_hi)
         y0, y1 = float(self.im_lo), float(self.im_hi)
         return [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
-
-    def quadrisect(self, cx: Fraction, cy: Fraction):
-        return [Rectangle(self.re_lo, cx, self.im_lo, cy),
-                Rectangle(cx, self.re_hi, self.im_lo, cy),
-                Rectangle(self.re_lo, cx, cy, self.im_hi),
-                Rectangle(cx, self.re_hi, cy, self.im_hi)]
 
     def __str__(self):
         return f"[{self.re_lo}, {self.re_hi}] x [{self.im_lo}, {self.im_hi}]"
@@ -197,6 +192,9 @@ class _Arc:
     base: int
     circle: bool = False
 
+    def length(self, lib):
+        return 2 * lib.pi * abs(self.b) if self.circle else abs(self.b - self.a)
+
     def at(self, tau, lib):
         """z(tau) and dz/dtau in numpy (lib=np, tau an array) or mpmath (lib=mp)."""
         if self.circle:
@@ -238,12 +236,20 @@ def _np_samples(arcs, n: int):
 
 
 def _stabilized(levels):
-    """Drive a level -> complex-winding callable to a stable integer."""
+    """Drive (level, winding, resolved) triples to a stable integer.
+
+    Two consecutive levels must round to the same integer, and the second
+    must resolve every zero it passes: a contour closer to a zero than its
+    nodes can see counts that zero about half, which for a double zero is a
+    whole number the levels agree on. At a node, |P/P'| estimates the
+    distance to the nearest zero over its multiplicity; a level resolves
+    when no node comes within _RESOLVE of a panel length by that estimate.
+    """
     prev = None
-    for level, w in levels:
+    for level, w, resolved in levels:
         r = int(round(w.real))
         ok = abs(w.real - r) <= 0.25 and abs(w.imag) <= 0.25
-        if ok and prev is not None and prev == r:
+        if ok and resolved and prev == r:
             if r < 0:
                 raise QuadratureNotConverged(f"negative winding {r}")
             return r
@@ -257,7 +263,7 @@ def _winding_np(a, logk, arcs, max_levels: int):
 
     def levels():
         for level in range(max_levels):
-            nodes, wdz = [], []
+            nodes, wdz, near = [], [], []
             for arc in arcs:
                 panels = arc.base << level
                 if panels * 12 > 4_000_000:
@@ -266,8 +272,10 @@ def _winding_np(a, logk, arcs, max_levels: int):
                 z, dz = arc.at(tau, np)
                 nodes.append(z)
                 wdz.append(w * dz)
-            total = _np_ratio(a, logk, np.concatenate(nodes)) @ np.concatenate(wdz)
-            yield level, total / (2j * np.pi)
+                near.append(_RESOLVE * arc.length(np) / panels)
+            ratio = _np_ratio(a, logk, np.concatenate(nodes))
+            resolved = (np.abs(ratio) * np.repeat(near, [z.size for z in nodes])).max() <= 1
+            yield level, ratio @ np.concatenate(wdz) / (2j * np.pi), resolved
 
     return _stabilized(levels())
 
@@ -288,18 +296,22 @@ def _winding_mp(f: _Poly, arcs, samples: int, max_levels: int):
         def levels():
             for level in range(max_levels):
                 total = mpf(0)
+                resolved = True
                 for arc in arcs:
                     panels = arc.base << level
                     if panels * 12 > 40_000:
                         raise QuadratureNotConverged("contour refinement exploded")
+                    near = _RESOLVE * float(arc.length(mp)) / panels
                     for pnl in range(panels):
                         for x, wq in zip(gx, gw):
                             z, dz = arc.at((pnl + (x + 1) / 2) / panels, mp)
                             p, d = f.mp_pair(z)
                             if p == 0:
                                 raise ContourTooClose("contour node hit a zero")
-                            total = total + (d / p) * dz * (wq / (2 * panels))
-                yield level, complex(total / (2j * mp.pi))
+                            q = d / p
+                            resolved = resolved and abs(complex(q)) * near <= 1
+                            total = total + q * dz * (wq / (2 * panels))
+                yield level, complex(total / (2j * mp.pi)), resolved
 
         return _stabilized(levels())
 
@@ -427,28 +439,39 @@ class ZeroSet:
     rectangle: Rectangle
     total_count: int
     residual: Optional[mpf]  # max |P(z)| over the polished zeros, and each
-    residuals: tuple         # |P(z)|; None and () in constant_C's band scan
+    residuals: tuple         # |P(z)|; None and () in constant_C's strip scan
 
 
 def _jitter_fraction(rng: random.Random) -> Fraction:
     return Fraction(rng.randrange(-80_000, 80_001), 10 ** 6)
 
 
+def _cuts(lo: Fraction, hi: Fraction, k: int, rng: random.Random) -> list:
+    """lo, the k - 1 jittered inner cuts of k equal pieces of [lo, hi], hi."""
+    step = (hi - lo) / k
+    return ([lo] + [lo + (i + 2 * _jitter_fraction(rng)) * step for i in range(1, k)]
+            + [hi])
+
+
 def _split_cell(f: _Poly, cell: Rectangle, w_parent: int):
-    """Jittered quadrisect, or bisect across the long side of a cell more
-    than twice as long as wide, whose child windings sum to the parent's."""
+    """The cells of a jittered grid cut whose windings sum to the parent's.
+
+    A cell at most twice as long as wide is cut 2 x 2. A longer one is cut
+    across its long side into k = min(3 (w_parent + 1), long // short)
+    pieces, about a third of a zero each, so that most pieces hold none or
+    one and a whole strip needs a single cut.
+    """
+    short, long_ = sorted((cell.width, cell.height))
+    nx = ny = 2
+    if long_ > 2 * short:
+        k = min(3 * (w_parent + 1), long_ // short)
+        nx, ny = (k, 1) if cell.width > cell.height else (1, k)
     for retry in range(6):
         rng = random.Random(f"{cell}|{retry}")
-        cx = (cell.re_lo + cell.re_hi) / 2 + _jitter_fraction(rng) * cell.width
-        cy = (cell.im_lo + cell.im_hi) / 2 + _jitter_fraction(rng) * cell.height
-        if cell.height > 2 * cell.width:
-            children = [Rectangle(cell.re_lo, cell.re_hi, cell.im_lo, cy),
-                        Rectangle(cell.re_lo, cell.re_hi, cy, cell.im_hi)]
-        elif cell.width > 2 * cell.height:
-            children = [Rectangle(cell.re_lo, cx, cell.im_lo, cell.im_hi),
-                        Rectangle(cx, cell.re_hi, cell.im_lo, cell.im_hi)]
-        else:
-            children = cell.quadrisect(cx, cy)
+        xs = _cuts(cell.re_lo, cell.re_hi, nx, rng)
+        ys = _cuts(cell.im_lo, cell.im_hi, ny, rng)
+        children = [Rectangle(x0, x1, y0, y1)
+                    for y0, y1 in zip(ys, ys[1:]) for x0, x1 in zip(xs, xs[1:])]
         try:
             ws = [winding_count(f, c) for c in children]
         except (ContourTooClose, QuadratureNotConverged):
@@ -533,7 +556,7 @@ def find_zeros(P: DirichletPolynomial, rect, tol=None,
     found = _zeros_in(f, rect, w_total, tol) if w_total else []
     found.sort(key=lambda item: (float(mp.im(item[0])), float(mp.re(item[0]))))
     with working(bits):
-        residuals = tuple(abs(dp_eval(P, z, bits=bits)) for z, _ in found)
+        residuals = tuple(abs(f.mp_pair(z)[0]) for z, _ in found)
     return ZeroSet(zeros=tuple(found), rectangle=rect, total_count=w_total,
                    residual=max(residuals) if residuals else mpf(0),
                    residuals=residuals)
@@ -563,29 +586,15 @@ class ConstantC:
     ordinates: tuple
 
 
-def _line_clear(f: _Poly, x0: float, x1: float, y: float) -> bool:
-    """Whether |P| stays above 1e-3 of its largest value at 160 points of the
-    segment Im s = y, x0 <= Re s <= x1 (in mpmath where the terms leave
-    double range)."""
-    if f.numpy_safe(max(abs(x0), abs(x1))):
-        s = complex(x0, y) + np.linspace(0.0, 1.0, 160) * (x1 - x0)
-        v = np.abs(_np_values(f.a, f.logk, s))
-        lo, hi = float(v.min()), float(v.max())
-    else:
-        with working(f.bits):
-            v = [abs(f.mp_pair(mpc(x0 + (x1 - x0) * q / 159, y))[0])
-                 for q in range(160)]
-            lo, hi = min(v), max(v)
-    return hi > 0 and lo >= hi * 1e-3
-
-
 def constant_C(P: DirichletPolynomial, r, T, line_tol, bits: Optional[int] = None) -> ConstantC:
     """Partial sum of 1/(1/4 + t^2) over distinct on-line zeros up to |t| <= T,
     plus a density tail bound for everything above.
 
-    The strip is cut into horizontal bands; each band that winds goes
-    through the zero engine, zeros polished to 2^-(bits/2) as in
-    find_zeros, and ``zeros_on_line`` keeps those within line_tol of Re = r.
+    The strip [alpha - 1/2, beta + 1/2] x [-T - pad, T + pad] is wound once
+    and goes through the zero engine as find_zeros does, zeros polished to
+    2^-(bits/2); ``zeros_on_line`` keeps those within line_tol of Re = r.
+    A strip whose contour the engine cannot settle is retried with the next
+    pad.
     """
     if not T > 0:
         raise ValueError(f"need T > 0, got {T}")
@@ -601,34 +610,18 @@ def constant_C(P: DirichletPolynomial, r, T, line_tol, bits: Optional[int] = Non
     sb = strip_bounds(P, bits=min(bits, 192))
     x0 = as_fraction(sb.alpha) - Fraction(1, 2)
     x1 = as_fraction(sb.beta) + Fraction(1, 2)
-    h = Fraction(float(0.5 * 2 * math.pi / (1.5 * math.log(P.m)))).limit_denominator(10 ** 6)
     T_f = as_fraction(T)
     last_error = None
     for attempt in range(6):
-        delta = h * Fraction(123456 + attempt * 13700, 1_000_000)
-        k_min = math.floor((-T_f - delta) / h)
-        k_max = math.ceil((T_f - delta) / h)
-        grid = [delta + k * h for k in range(k_min, k_max + 1)]
-        if not all(_line_clear(f, float(x0), float(x1), float(y)) for y in grid):
-            continue
+        pad = Fraction(123456 + attempt * 13700, 1_000_000)
+        strip = Rectangle(x0, x1, -T_f - pad, T_f + pad)
         try:
-            whole = Rectangle(x0, x1, grid[0], grid[-1])
-            w_whole = winding_count(f, whole)
-            found = []
-            w_sum = 0
-            for y_lo, y_hi in zip(grid, grid[1:]):
-                band = Rectangle(x0, x1, y_lo, y_hi)
-                w = winding_count(f, band)
-                w_sum += w
-                if w:
-                    found.extend(_zeros_in(f, band, w, tol))
-            if w_sum != w_whole:
-                raise QuadratureNotConverged(
-                    f"band counts {w_sum} disagree with the full contour {w_whole}")
+            w = winding_count(f, strip)
+            found = _zeros_in(f, strip, w, tol) if w else []
         except (ContourTooClose, QuadratureNotConverged, NonConvergent) as exc:
             last_error = exc
             continue
-        zs = ZeroSet(zeros=tuple(found), rectangle=whole, total_count=w_whole,
+        zs = ZeroSet(zeros=tuple(found), rectangle=strip, total_count=w,
                      residual=None, residuals=())
         with working(bits):
             T_mp = fraction_to_mpf(T_f)
@@ -638,5 +631,4 @@ def constant_C(P: DirichletPolynomial, r, T, line_tol, bits: Optional[int] = Non
             tail = density * 2 / T_mp
         return ConstantC(r=r_q, partial=partial, T=T, tail_bound=tail,
                          line_tolerance=line_tol_q, ordinates=tuple(ts))
-    raise QuadratureNotConverged(
-        f"band decomposition kept failing: {last_error}")
+    raise QuadratureNotConverged(f"strip scan kept failing: {last_error}")

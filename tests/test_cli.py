@@ -186,6 +186,18 @@ def test_config_file_with_flag_override(tmp_path):
     assert rows[1][3] == "128"                 # file setting survives
 
 
+@pytest.mark.parametrize("entry", [
+    {"r": [1]}, {"rect": 5}, {"rect": [1, 2]}, {"schedule": [1, "a"]},
+    {"schedule": 5}, {"poly": 5}, {"T": [1]}, {"precision_bits": [1]},
+    {"line_tol": {}}, {"output": 5}, {"cache_dir": 5}, {"r": "1/0"},
+])
+def test_config_value_of_wrong_type_exits_1(entry, tmp_path):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"poly": "1:1,2:-1", **entry}))
+    assert _assert_exit_contract(["distance", "--config", str(cfg_file),
+                                  "--n-max", "2"]) == 1
+
+
 # Small rationals with 0, repeats and negative values well represented.
 _SMALL_RATIONALS = st.one_of(
     st.sampled_from(["0", "1/2", "-1/2", "9", "-3"]),

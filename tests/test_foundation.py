@@ -125,3 +125,6 @@ def test_package_exports_names_not_submodules():
     namespace = {}
     exec("from xdp import *", namespace)
     assert set(xdp.__all__) <= set(namespace)
+    failures = {name for name, obj in vars(xdp.errors).items()
+                if isinstance(obj, type) and issubclass(obj, xdp.errors.XdpError)}
+    assert failures <= set(xdp.__all__)

@@ -14,7 +14,7 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 from xdp.cli import main
-from xdp.dpcore import DirichletPolynomial
+from xdp.dpcore import DirichletPolynomial, dp_eval
 from xdp.errors import ContourTooClose
 from xdp import zeros
 from xdp.precision import working
@@ -61,6 +61,17 @@ def test_winding_additive_split():
     whole = Rectangle(-1, 1, mpf("0.5"), mpf("100.5"))
     s = winding_count(P_BASE, bottom) + winding_count(P_BASE, top)
     assert s == winding_count(P_BASE, whole)
+
+
+@pytest.mark.parametrize("P, mult", [(P_SQ, 2), (P_BASE, 1)])
+@pytest.mark.parametrize("gap", [Fraction(1, 10 ** 4), Fraction(1, 10 ** 5)])
+def test_winding_resolves_a_zero_just_off_an_edge(P, mult, gap):
+    # an edge this close to the double zero at 0 counts it about half, 1,
+    # on every level whose nodes are coarser than the gap; such a level must
+    # not settle the count, whichever side of the edge the zero is on
+    left, right, bottom = Fraction(-7, 80), Fraction(32, 625), Fraction(-239, 2500)
+    assert winding_count(P, Rectangle(left, right, bottom, gap)) == mult
+    assert winding_count(P, Rectangle(left, right, bottom, -gap)) == 0
 
 
 def test_winding_conjugate_symmetry():
@@ -196,6 +207,37 @@ def test_find_zeros_complex_coefficients():
         assert abs(z - want) < mpf("1e-25")
 
 
+def test_find_zeros_residuals_match_dp_eval():
+    zs = find_zeros(P_CPLX, Rectangle(-1, 2, -20, 20), bits=192)
+    assert zs.total_count > 1
+    assert zs.residuals == tuple(abs(dp_eval(P_CPLX, z, bits=192)) for z, _ in zs.zeros)
+    assert zs.residual == max(zs.residuals)
+
+
+def test_split_cell_cuts_a_long_cell_into_thirds_of_a_zero(monkeypatch):
+    # a strip of height 100 and width 2 with 11 zeros: 3 (11 + 1) = 36
+    # pieces, fewer than 100 // 2 = 50; a square cell is cut 2 x 2
+    f = zeros._Poly(P_BASE, 128)
+    wound = []
+    real = zeros.winding_count
+
+    def spy(P, rect, *args):
+        wound.append(rect)
+        return real(P, rect, *args)
+
+    monkeypatch.setattr(zeros, "winding_count", spy)
+    strip = Rectangle(-1, 1, Fraction(1, 2), Fraction(201, 2))
+    kept = zeros._split_cell(f, strip, 11)
+    assert len(wound) == 36
+    assert all(c.re_lo == -1 and c.re_hi == 1 for c in wound)
+    assert [c.im_lo for c in wound[1:]] == [c.im_hi for c in wound[:-1]]
+    assert (wound[0].im_lo, wound[-1].im_hi) == (strip.im_lo, strip.im_hi)
+    assert sorted(w for _, w in kept) == [1] * 11
+    wound.clear()
+    zeros._split_cell(f, Rectangle(-1, 1, -1, 2), 1)
+    assert len(wound) == 4
+
+
 def test_zeros_on_line():
     zs = find_zeros(P_BASE, Rectangle(-1, 1, mpf("0.5"), 30), tol=mpf("1e-30"), bits=256)
     ts = zeros_on_line(zs, 0, mpf("1e-10"))
@@ -232,7 +274,7 @@ def test_constant_c_small_height():
 
 
 def test_constant_c_counts_double_zeros_once():
-    # (1 - 2^{-s})^2 has the zeros of 1 - 2^{-s}, each double: the band
+    # (1 - 2^{-s})^2 has the zeros of 1 - 2^{-s}, each double: the zero
     # engine polishes them to 2^-(bits/2) like simple ones
     bits = 128
     simple = constant_C(P_BASE, 0, 100, Fraction(1, 10 ** 9), bits=bits)
@@ -271,9 +313,36 @@ def test_find_zeros_near_height_1e12(capsys):
     capsys.readouterr()
 
 
+def test_constant_c_wide_strip_is_one_zero_set(monkeypatch, capsys):
+    # |P| varies by more than 10^3 along every horizontal line across the
+    # strip alpha = -4.17 ... beta = 1.77: the whole strip goes through the
+    # zero engine, once
+    P = DirichletPolynomial.parse("1:1,2:5/3,3:3,4:1")
+    engine = []
+    real = zeros._zeros_in
+
+    def spy(f, rect, w, tol):
+        found = real(f, rect, w, tol)
+        engine.append((rect, w, found))
+        return found
+
+    monkeypatch.setattr(zeros, "_zeros_in", spy)
+    c = constant_C(P, 0, 30, Fraction(1, 10 ** 9), bits=256)
+    assert c.ordinates == ()
+    (strip, w, found), = engine
+    assert strip.im_lo < -30 and strip.im_hi > 30
+    zs = find_zeros(P, strip, bits=256)
+    assert zs.total_count == w == 12
+    assert (sorted(m for _, m in found) == sorted(m for _, m in zs.zeros)
+            == [1] * 12)
+    assert main(["constant-c", "--poly", "1:1,2:5/3,3:3,4:1", "--r", "0",
+                 "--height", "30"]) == 0
+    assert '"ordinates": []' in capsys.readouterr().out
+
+
 def test_constant_c_coefficient_beyond_double_range():
     # 1 + 10^300 2^{-s} vanishes at s = log2(10^300) + i pi (2k + 1)/log 2,
-    # where the terms are far outside double range: the scan runs in mpmath
+    # where the terms are far outside double range: the strip runs in mpmath
     P = DirichletPolynomial.parse("1:1,2:1e300")
     r = Fraction(99657842846620870436, 10 ** 17)      # log2(10^300) to 1e-17
     c = constant_C(P, r, 10, Fraction(1, 10 ** 9), bits=128)
