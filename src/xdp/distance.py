@@ -2,9 +2,11 @@
 
 The generators are rho_k(x) = kappa_r(1/(k x)), step functions supported on
 (0, 1/k]. Every inner product is a finite sum over the common breakpoint
-partition, with exact rational breakpoints; when the kappa profile itself is
-exact the Gram data is computed in Gaussian-rational arithmetic and rounded
-once at the end.
+partition, and it is summed exactly in Python integers on every profile: a
+step height S_a is a Gaussian rational, or an mpf/mpc, which is a dyadic
+rational, so S_a = s_a/Q with s_a a Gaussian integer; over D = j k lcm(1..m)
+every breakpoint 1/(j a), 1/(k b) is an integer. Each Gram entry is then one
+rational number, rounded once, to nearest, at the working precision.
 
 d_{n,r}^2 = min_b || 1 - sum_{k<=n} b_k rho_k ||^2 = 1 - g* G^{-1} g. One
 unpivoted LDL^H of G that carries z = L^{-1} g along gives the whole profile
@@ -24,10 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from mpmath import mp, mpf
+from mpmath.libmp import from_rational, mpf_neg, mpf_shift, round_nearest
 
 from .dpcore import DirichletPolynomial, KappaProfile, dp_eval, kappa_partial_sums
 from .errors import NSingular, PrecisionExhausted
@@ -36,56 +39,71 @@ from .linalg import LDLFactors, ldl_factor, ldl_profile, ldl_solve
 from .precision import resolve_bits, working
 
 _ESCALATION_LIMIT = 3
-_PAIR_GUARD_BITS = 16
 
 
 # =========================================================================
-# inner products
+# inner products, exact in integers
 # =========================================================================
 
-def _pair_inner(prof: KappaProfile, j: int, k: int):
-    """<rho_j, rho_k>; GaussianRational when the profile is exact, else mp."""
-    m = prof.m
-    S = prof.S
-    top = Fraction(1, max(j, k))
-    bot = Fraction(1, m * max(j, k))
-    pts = sorted(p for p in ({Fraction(1, j * a) for a in range(1, m + 1)}
-                             | {Fraction(1, k * a) for a in range(1, m + 1)})
-                 if bot <= p <= top)
-    if prof.exact:
-        tail = S[m - 1] * S[m - 1].conjugate()
-        total = tail * bot
-        for lo, hi in zip(pts, pts[1:]):
-            mid = (lo + hi) / 2
-            a = min(int(1 / (j * mid)), m)
-            b = min(int(1 / (k * mid)), m)
-            total = total + S[a - 1] * S[b - 1].conjugate() * (hi - lo)
-        return total
-    # the step products have mixed signs: sum them with guard bits and round
-    # once, so the entry is correctly rounded at the caller's precision
-    with mp.extraprec(_PAIR_GUARD_BITS):
-        total = S[m - 1] * mp.conj(S[m - 1]) * fraction_to_mpf(bot)
-        for lo, hi in zip(pts, pts[1:]):
-            mid = (lo + hi) / 2
-            a = min(int(1 / (j * mid)), m)
-            b = min(int(1 / (k * mid)), m)
-            total = total + S[a - 1] * mp.conj(S[b - 1]) * fraction_to_mpf(hi - lo)
-    return +total
+def _integer_profile(prof: KappaProfile):
+    """(Q, L, s, prods) in Python ints: S_a = (s[a-1][0] + i s[a-1][1]) / Q,
+    L = lcm(1..m) and prods[a-1][b-1] = s_a conj(s_b)."""
+    parts = [GaussianRational.from_value(v) for v in prof.S]
+    Q = lcm(*(x.denominator for z in parts for x in (z.re, z.im)))
+    s = [(z.re.numerator * (Q // z.re.denominator), z.im.numerator * (Q // z.im.denominator))
+         for z in parts]
+    prods = [[(ua * ub + va * vb, va * ub - ua * vb) for ub, vb in s] for ua, va in s]
+    return Q, lcm(*range(1, len(s) + 1)), s, prods
 
 
-def _indicator_inner_profile(prof: KappaProfile, k: int):
-    """<rho_k, 1> = (1/k) [sum_{a<m} S_a (1/a - 1/(a+1)) + S_m / m]."""
-    m = prof.m
-    S = prof.S
-    if prof.exact:
-        total = S[m - 1] * Fraction(1, m)
-        for a in range(1, m):
-            total = total + S[a - 1] * (Fraction(1, a) - Fraction(1, a + 1))
-        return total * Fraction(1, k)
-    total = S[m - 1] / m
-    for a in range(1, m):
-        total = total + S[a - 1] * (fraction_to_mpf(Fraction(1, a) - Fraction(1, a + 1)))
-    return total / k
+def _pair_numerator(prods, L: int, j: int, k: int):
+    """(re, im) with <rho_j, rho_k> = (re + i im) / (Q^2 j k L).
+
+    With prods and L from ``_integer_profile``: over D = j k L the
+    breakpoints 1/(j a) and 1/(k b) are k L/a and j L/b, and on (lo, hi]
+    rho_j is S_a with a = min(k L // hi, m), rho_k is S_b with
+    b = min(j L // hi, m).
+    """
+    m = len(prods)
+    kL, jL = k * L, j * L
+    top = min(kL, jL)
+    pts = sorted({p for a in range(1, m + 1) for p in (kL // a, jL // a) if p <= top}
+                 | {0}, reverse=True)
+    re = im = 0
+    for hi, lo in zip(pts, pts[1:]):
+        pr, pi = prods[min(kL // hi, m) - 1][min(jL // hi, m) - 1]
+        re += pr * (hi - lo)
+        im += pi * (hi - lo)
+    return re, im
+
+
+def _indicator_numerator(s, L: int):
+    """(re, im) with <rho_1, 1> = (re + i im) / (Q L)
+    = sum_{a<m} S_a (1/a - 1/(a+1)) + S_m / m."""
+    m = len(s)
+    w = [L // a - L // (a + 1) for a in range(1, m)] + [L // m]
+    return (sum(u * c for (u, _), c in zip(s, w)),
+            sum(v * c for (_, v), c in zip(s, w)))
+
+
+def _round_part(num: int, den: int, bits: int):
+    """num/den rounded once to nearest at ``bits``, as an mpf tuple. Powers
+    of two leave the quotient by an exact shift, which spares mpmath from
+    stripping them off long integers."""
+    tn = (num & -num).bit_length() - 1 if num else 0
+    td = (den & -den).bit_length() - 1
+    return mpf_shift(from_rational(num >> tn, den >> td, bits, round_nearest), tn - td)
+
+
+def _rounded(re: int, im: int, den: int, bits: int):
+    """(re + i im)/den and its conjugate, each part rounded once; mpf when
+    im == 0, else mpc."""
+    x = _round_part(re, den, bits)
+    if not im:
+        v = mp.make_mpf(x)
+        return v, v
+    y = _round_part(im, den, bits)
+    return mp.make_mpc((x, y)), mp.make_mpc((x, mpf_neg(y)))
 
 
 # =========================================================================
@@ -106,36 +124,26 @@ class GramSystem:
 
 
 def _build_gram(P: DirichletPolynomial, r, n: int, bits: int):
-    """(G, g) at the given precision; exact intermediates when available.
+    """(G, g), each entry one exact rational rounded once at ``bits``.
 
-    Only coprime pairs are integrated; <rho_{da}, rho_{db}> = <rho_a, rho_b>/d
-    fills the rest by one division, exact on the Gaussian-rational path.
+    Only coprime pairs are summed; <rho_{dj}, rho_{dk}> is the same
+    numerator over d times the denominator, and <1, rho_k> that of
+    <1, rho_1> over k times it.
     """
-    prof = kappa_partial_sums(P, r, bits=bits)
-    with working(bits):
-        G = [[mpf(0)] * n for _ in range(n)]
-        coprime = {}
-        for j in range(1, n + 1):
-            for k in range(j, n + 1):
-                d = gcd(j, k)
-                if d == 1:
-                    v = coprime[j, k] = _pair_inner(prof, j, k)   # <rho_j, rho_k>
-                elif prof.exact:
-                    v = coprime[j // d, k // d] * Fraction(1, d)
-                else:
-                    v = coprime[j // d, k // d] / d
-                if isinstance(v, GaussianRational):
-                    v = to_mp(v)
-                # G[row j][col k] = <rho_k, rho_j> = conj of the above
-                G[j - 1][k - 1] = mp.conj(v)
-                G[k - 1][j - 1] = v
-        base = _indicator_inner_profile(prof, 1)  # <rho_1, 1>
-        g = []
-        for k in range(1, n + 1):
-            v = base * Fraction(1, k) if prof.exact else base / k
-            if isinstance(v, GaussianRational):
-                v = to_mp(v)
-            g.append(mp.conj(v))                  # <1, rho_k>
+    Q, L, s, prods = _integer_profile(kappa_partial_sums(P, r, bits=bits))
+    G = [[None] * n for _ in range(n)]
+    coprime = {}
+    for j in range(1, n + 1):
+        for k in range(j, n + 1):
+            d = gcd(j, k)
+            a, b = j // d, k // d
+            if d == 1:
+                coprime[j, k] = _pair_numerator(prods, L, j, k)
+            re, im = coprime[a, b]
+            # G[row k][col j] = <rho_j, rho_k>, and its conjugate mirrored
+            G[k - 1][j - 1], G[j - 1][k - 1] = _rounded(re, im, Q * Q * a * b * L * d, bits)
+    re, im = _indicator_numerator(s, L)
+    g = [_rounded(re, im, Q * L * k, bits)[1] for k in range(1, n + 1)]   # <1, rho_k>
     return G, g
 
 
@@ -284,7 +292,7 @@ def mellin_identity_residual(P: DirichletPolynomial, r, b: Sequence, s,
         s_mp = to_mp(s)
         if not mp.re(s_mp) > 0:
             raise ValueError(f"Mellin identity needs Re(s) > 0, got {s}")
-        S = [to_mp(v) if isinstance(v, GaussianRational) else v for v in prof.S]
+        S = [to_mp(v) for v in prof.S]
         lhs = mpf(0)
         dirichlet = mpf(0)
         for k, bk in enumerate(b, start=1):

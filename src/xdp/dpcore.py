@@ -40,7 +40,7 @@ def _parse_coeff(text: str) -> GaussianRational:
     if not t:
         raise ValueError("empty coefficient")
     if not t.endswith("i"):
-        return GaussianRational(Fraction(t))
+        return GaussianRational(as_fraction(t))
     body = t[:-1]
     split = None
     for idx in range(len(body) - 1, 0, -1):
@@ -56,8 +56,8 @@ def _parse_coeff(text: str) -> GaussianRational:
     elif im_part == "-":
         im = Fraction(-1)
     else:
-        im = Fraction(im_part)
-    return GaussianRational(Fraction(re_part), im)
+        im = as_fraction(im_part)
+    return GaussianRational(as_fraction(re_part), im)
 
 
 class DirichletPolynomial:

@@ -9,21 +9,28 @@ and Gram entries whenever the shift exponent is an integer.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
 
 
 def as_fraction(x) -> Fraction:
-    """Convert x to an exact Fraction. Floats and mpf values convert exactly."""
+    """Convert x to an exact Fraction. Floats and mpf values convert exactly;
+    a zero denominator or a non-finite value raises ValueError."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise ValueError(f"cannot convert non-finite value {x!r}")
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x.strip())
+        try:
+            return Fraction(x.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     if isinstance(x, mpf):
         sign, man, exp, _ = x._mpf_
         if not man:

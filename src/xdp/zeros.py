@@ -22,8 +22,9 @@ long side into pieces of about a third of a zero each) until it holds one
 zero or is no wider than _COARSE, and is then polished (``_polish``):
 Newton from its centre to within _NEWTON_STOP of a zero, a circle count
 for the multiplicity, and Newton with that multiplicity in mpmath to the
-requested tolerance. One Newton loop runs over either evaluator of P, and
-P is prepared once per call in both forms (``_Poly``).
+requested tolerance; only the converged iterate must lie in the cell. One
+Newton loop runs over either evaluator of P, and P is prepared once per
+call in both forms (``_Poly``).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import sys
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,6 +58,7 @@ _CACHED_PANELS = 256              # largest node table kept in _NODE_TABLES
 _NODE_TABLES: dict = {}           # panels -> _unit_nodes table
 _DOUBLE_MARGIN = 2.0 ** 20 * 2.0 ** -52   # 20 bits above double rounding
 _RESOLVE = 1 / 16                 # nearest zero / panel length a level resolves
+_DOUBLE_MAX = Fraction(sys.float_info.max)   # contours are laid out in doubles
 
 
 # =========================================================================
@@ -73,7 +76,11 @@ class Rectangle:
 
     def __post_init__(self):
         for name in ("re_lo", "re_hi", "im_lo", "im_hi"):
-            object.__setattr__(self, name, as_fraction(getattr(self, name)))
+            v = as_fraction(getattr(self, name))
+            if not abs(v) <= _DOUBLE_MAX:
+                raise ValueError(f"rectangle bound {name} is outside double range "
+                                 f"(|x| <= {sys.float_info.max:.4g})")
+            object.__setattr__(self, name, v)
         if not self.re_lo < self.re_hi:
             raise ValueError(f"need re_lo < re_hi, got {self.re_lo}, {self.re_hi}")
         if not self.im_lo < self.im_hi:
@@ -410,27 +417,32 @@ def _newton(pair, z, mult: int, box, stop):
     """Newton steps z <- z - mult P(z)/P'(z), with pair(z) = (P(z), P'(z)) in
     doubles or in mpmath.
 
-    Returns the iterate after the first step no longer than ``stop``, or
-    None once an iterate leaves box = (re_lo, re_hi, im_lo, im_hi), when P'
-    vanishes or doubles overflow, or after _NEWTON_STEPS steps.
+    Returns the iterate after the first step no longer than ``stop`` if it
+    lies inside box = (re_lo, re_hi, im_lo, im_hi), else None. An early step
+    may overshoot the box; the loop gives up once an iterate leaves the box
+    widened by its own width and height on each side, when P' vanishes or
+    doubles overflow, or after _NEWTON_STEPS steps.
     """
     x0, x1, y0, y1 = box
+    w, h = x1 - x0, y1 - y0
     for _ in range(_NEWTON_STEPS):
         pd = pair(z)
         if pd is None:
             return None
         p, d = pd
         if not p:
-            return z
+            break
         if not d:
             return None
         step = mult * p / d
         z = z - step
-        if not (x0 < z.real < x1 and y0 < z.imag < y1):
+        if not (x0 - w < z.real < x1 + w and y0 - h < z.imag < y1 + h):
             return None
         if abs(step) <= stop:
-            return z
-    return None
+            break
+    else:
+        return None
+    return z if x0 < z.real < x1 and y0 < z.imag < y1 else None
 
 
 @dataclass(frozen=True)

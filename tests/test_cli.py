@@ -190,12 +190,31 @@ def test_config_file_with_flag_override(tmp_path):
     {"r": [1]}, {"rect": 5}, {"rect": [1, 2]}, {"schedule": [1, "a"]},
     {"schedule": 5}, {"poly": 5}, {"T": [1]}, {"precision_bits": [1]},
     {"line_tol": {}}, {"output": 5}, {"cache_dir": 5}, {"r": "1/0"},
+    {"r": float("inf")}, {"r": float("nan")}, {"T": float("inf")},
+    {"rect": [0, 1, 0, float("inf")]}, {"rect": [float("nan"), 1, 0, 1]},
 ])
 def test_config_value_of_wrong_type_exits_1(entry, tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"poly": "1:1,2:-1", **entry}))
     assert _assert_exit_contract(["distance", "--config", str(cfg_file),
                                   "--n-max", "2"]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["constant-c", "--poly", "1:1,2:-1", "--height", "1/0"],
+    ["constant-c", "--poly", "1:1,2:-1", "--height", "1e400"],
+    ["zeros", "--poly", "1:1,2:-1", "--rect", "0,1/0,0,1"],
+    ["zeros", "--poly", "1:1,2:-1", "--rect", "-1,1,1,2", "--tol", "1/0"],
+    ["zeros", "--poly", "1:1/0,2:-1", "--rect", "-1,1,1,2"],
+    ["zeros", "--poly", "1:1,2:1/0i", "--rect", "-1,1,1,2"],
+    ["zeros", "--poly", "1:1,2:-1", "--rect", "0,1,0,1e400"],
+    ["distance", "--poly", "1:1/0,2:-1", "--n-max", "2"],
+    ["lubinsky", "--u", "1/0", "--n-grid", "10"],
+    ["min-norm", "--n", "3", "--t", "1/0"],
+])
+def test_number_out_of_range_exits_1(argv):
+    # zero denominators and values outside double range are input errors
+    assert _assert_exit_contract(argv) == 1
 
 
 # Small rationals with 0, repeats and negative values well represented.

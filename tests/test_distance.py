@@ -10,6 +10,7 @@ breakpoint partition, and k * <rho_k, 1> = P(r + 1/2).
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from mpmath import mp, mpc, mpf
@@ -18,8 +19,10 @@ from xdp import distance
 from xdp.dpcore import DirichletPolynomial, dp_eval, kappa_partial_sums
 from xdp.distance import (
     _build_gram,
-    _indicator_inner_profile,
-    _pair_inner,
+    _indicator_numerator,
+    _integer_profile,
+    _pair_numerator,
+    _rounded,
     approximant_distance,
     distance_profile,
     distance_squared,
@@ -34,20 +37,51 @@ from xdp.precision import working
 P_ONE = DirichletPolynomial.parse("1:1")
 P_BASE = DirichletPolynomial.parse("1:1,2:-1")
 P_MIX = DirichletPolynomial.parse("1:1,2:1i,3:-1/2")
+P_M4 = DirichletPolynomial.parse("1:1,2:-2,4:1")
+P_M6 = DirichletPolynomial.parse("1:1,2:1/3,3:-1/5,4:2,5:1/7-1i,6:-1")   # lcm 60
 
 
 def rho_inner(P, r, j, k, bits):
-    """<rho_j, rho_k> at the requested precision."""
-    prof = kappa_partial_sums(P, r, bits=bits)
-    with working(bits):
-        return to_mp(_pair_inner(prof, j, k))
+    """<rho_j, rho_k> at the requested precision, from the integer sum."""
+    Q, L, _, prods = _integer_profile(kappa_partial_sums(P, r, bits=bits))
+    re, im = _pair_numerator(prods, L, j, k)
+    return _rounded(re, im, Q * Q * j * k * L, bits)[0]
 
 
 def indicator_inner(P, r, k, bits):
-    """<rho_k, 1> at the requested precision."""
-    prof = kappa_partial_sums(P, r, bits=bits)
-    with working(bits):
-        return to_mp(_indicator_inner_profile(prof, k))
+    """<rho_k, 1> at the requested precision, from the integer sum."""
+    Q, L, s, _ = _integer_profile(kappa_partial_sums(P, r, bits=bits))
+    re, im = _indicator_numerator(s, L)
+    return _rounded(re, im, Q * L * k, bits)[0]
+
+
+def oracle_pair_inner(prof, j, k):
+    """<rho_j, rho_k> of an exact profile, merged breakpoint by breakpoint
+    in Gaussian-rational arithmetic."""
+    m = prof.m
+    S = prof.S
+    top = Fraction(1, max(j, k))
+    bot = Fraction(1, m * max(j, k))
+    pts = sorted(p for p in ({Fraction(1, j * a) for a in range(1, m + 1)}
+                             | {Fraction(1, k * a) for a in range(1, m + 1)})
+                 if bot <= p <= top)
+    total = S[m - 1] * S[m - 1].conjugate() * bot
+    for lo, hi in zip(pts, pts[1:]):
+        mid = (lo + hi) / 2
+        a = min(int(1 / (j * mid)), m)
+        b = min(int(1 / (k * mid)), m)
+        total = total + S[a - 1] * S[b - 1].conjugate() * (hi - lo)
+    return total
+
+
+def oracle_indicator_inner(prof, k):
+    """<rho_k, 1> = (1/k) [sum_{a<m} S_a (1/a - 1/(a+1)) + S_m / m], exact."""
+    m = prof.m
+    S = prof.S
+    total = S[m - 1] * Fraction(1, m)
+    for a in range(1, m):
+        total = total + S[a - 1] * (Fraction(1, a) - Fraction(1, a + 1))
+    return total * Fraction(1, k)
 
 
 def quad_rho_inner(P, r, j, k, bits=256):
@@ -197,35 +231,46 @@ def test_profile_mpc_twin_identical():
 
 
 def test_build_gram_exact_matches_per_pair_build():
+    # the integer build rounds each entry once, as the Gaussian-rational
+    # oracle does: every entry is ==, and the helpers agree with it
     n = 24
-    for P in (P_BASE, P_MIX):
-        prof = kappa_partial_sums(P, Fraction(1, 2), bits=192)
-        assert prof.exact
-        G, g = _build_gram(P, Fraction(1, 2), n, 192)
-        with working(192):
-            for j in range(1, n + 1):
-                for k in range(j, n + 1):
-                    v = _pair_inner(prof, j, k)
-                    assert isinstance(v, GaussianRational)
-                    assert G[k - 1][j - 1] == to_mp(v)
-                    assert G[j - 1][k - 1] == mp.conj(to_mp(v))
-                w = _indicator_inner_profile(prof, j)
-                assert g[j - 1] == mp.conj(to_mp(w))
-
+    for bits in (128, 256):
+        for P in (P_BASE, P_MIX, P_M4, P_M6):
+            prof = kappa_partial_sums(P, Fraction(1, 2), bits=bits)
+            assert prof.exact
+            G, g = _build_gram(P, Fraction(1, 2), n, bits)
+            with working(bits):
+                for j in range(1, n + 1):
+                    for k in range(j, n + 1):
+                        v = oracle_pair_inner(prof, j, k)
+                        assert isinstance(v, GaussianRational)
+                        assert G[k - 1][j - 1] == to_mp(v), (P.to_text(), bits, j, k)
+                        assert G[j - 1][k - 1] == mp.conj(to_mp(v)), (P.to_text(), bits, j, k)
+                        if gcd(j, k) == 1:
+                            assert rho_inner(P, Fraction(1, 2), j, k, bits) == to_mp(v)
+                    w = oracle_indicator_inner(prof, j)
+                    assert g[j - 1] == mp.conj(to_mp(w))
+                    assert indicator_inner(P, Fraction(1, 2), j, bits) == to_mp(w)
 
 
 @pytest.mark.parametrize("bits", [128, 256])
 def test_mpf_gram_entries_within_one_ulp(bits):
-    # 1 - 2^{-s} at r = 0 has the irrational kappa profile (1, 1 - sqrt 2):
-    # its mixed-sign step sums run with guard bits and round once per entry
+    # irrational kappa profiles, e.g. (1, 1 - sqrt 2) for 1 - 2^{-s} at r = 0:
+    # each entry is summed exactly from the rounded steps and rounded once
     n = 48
-    G, _ = _build_gram(P_BASE, 0, n, bits)
-    ref, _ = _build_gram(P_BASE, 0, n, 700)
-    with working(700):
-        tol = mpf(2) ** -(bits - 1)
-        for j in range(n):
-            for k in range(n):
-                assert abs(G[j][k] - ref[j][k]) <= tol * abs(ref[j][k]), (j, k)
+    for poly, r in (("1:1,2:-1", 0), ("1:1,2:1i,3:-1/2", 0),
+                    ("1:1,2:1/2+1/2i,3:-1/3i", Fraction(1, 3))):
+        P = DirichletPolynomial.parse(poly)
+        assert not kappa_partial_sums(P, r, bits=bits).exact
+        G, g = _build_gram(P, r, n, bits)
+        ref, ref_g = _build_gram(P, r, n, 700)
+        with working(700):
+            tol = mpf(2) ** -(bits - 1)
+            for j in range(n):
+                for k in range(n):
+                    assert abs(G[j][k] - ref[j][k]) <= tol * abs(ref[j][k]), (poly, j, k)
+                assert abs(g[j] - ref_g[j]) <= tol * abs(ref_g[j]), (poly, j)
+
 
 def _band_gram(bits):
     # pivot 2^{-3 bits / 8} sits in [2^{-bits/2}, 2^{-bits/4}) at every precision

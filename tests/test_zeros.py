@@ -372,6 +372,26 @@ def test_constant_c_ordinates_sorted_disjoint():
     assert len(ts) == 9               # k = -4..4
 
 
+def test_polish_keeps_zero_when_first_step_leaves_cell():
+    # from s = i y with phi = (y - t) log 2, the first Newton step for
+    # 1 - 2^{-s} lands at Re s = (1 - cos phi)/log 2: above 1/2 here, so it
+    # leaves the tall cell before converging to the zero at i t inside it
+    t = lattice_t(1)
+    c = Fraction(round(float(t) * 10 ** 4) + 13000, 10 ** 4)
+    cell = Rectangle(Fraction(-1, 2), Fraction(1, 2), c - Fraction(151, 100),
+                     c + Fraction(151, 100))
+    phi = (float(c) - float(t)) * math.log(2)
+    assert (1 - math.cos(phi)) / math.log(2) > 1 / 2
+    f = zeros._Poly(P_BASE, 128)
+    assert winding_count(f, cell) == 1
+    with working(128):
+        hit = zeros._polish(f, cell, 1, mpf(2) ** -64)
+        assert hit is not None
+        z, mult = hit
+        assert mult == 1
+        assert abs(z - mpc(0, lattice_t(1, 128))) < mpf(2) ** -60
+
+
 def test_validation():
     with pytest.raises(ValueError):
         find_zeros(P_BASE, Rectangle(-1, 1, -5, 5), tol=mpf(0))
