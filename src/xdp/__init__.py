@@ -6,9 +6,8 @@ from .cache import cache_gc, load_gram, store_gram
 from .config import (DEFAULT_SCHEDULE, ExperimentConfig, config_from_json,
                      geometric_schedule, load_config, parse_rect,
                      parse_schedule)
-from .distance import (DistanceResult, GramSystem, approximant_distance,
-                       distance_profile, distance_squared, gram_system,
-                       mellin_identity_residual)
+from .distance import (DistanceResult, approximant_distance, distance_profile,
+                       distance_squared, mellin_identity_residual)
 from .dpcore import (DirichletPolynomial, InverseCoeffs, KappaProfile,
                      StripBounds, dp_eval, inverse_coeffs,
                      kappa_partial_sums, strip_bounds)
@@ -35,8 +34,8 @@ __all__ = [
     "cache_gc", "load_gram", "store_gram",
     "DEFAULT_SCHEDULE", "ExperimentConfig", "config_from_json",
     "geometric_schedule", "load_config", "parse_rect", "parse_schedule",
-    "DistanceResult", "GramSystem", "approximant_distance", "distance_profile",
-    "distance_squared", "gram_system", "mellin_identity_residual",
+    "DistanceResult", "approximant_distance", "distance_profile",
+    "distance_squared", "mellin_identity_residual",
     "DirichletPolynomial", "InverseCoeffs", "KappaProfile", "StripBounds",
     "dp_eval", "inverse_coeffs", "kappa_partial_sums", "strip_bounds",
     "ContourTooClose", "DuplicateOrdinates", "NonConvergent",

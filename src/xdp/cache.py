@@ -1,25 +1,28 @@
-"""Persistent Gram-system cache.
+"""Persistent cache of audited d^2 profiles.
 
-One JSON file per (canonical polynomial text, r, requested precision); decimal
-strings carry the matrix entries exactly. Writes go through a temp file and a
-rename so concurrent runs sharing a directory never observe a torn file, and
-reads bump the mtime so eviction is least-recently-used.
+One JSON file per (canonical polynomial text, r, requested precision). It
+holds what the pivot audit settled on for the first n generators:
+d^2_1..d^2_n, the pivots, the dropped count and the precision used, each
+real as a decimal string that parses back exactly at that precision. That
+is O(n) numbers; the Gram matrix itself is cheaper to rebuild than to store
+and parse back. Writes go through a temp file and a rename so concurrent
+runs sharing a directory never observe a torn file, and reads bump the
+mtime so eviction is least-recently-used.
 """
 
 import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 from .dpcore import DirichletPolynomial
 from .exact import as_fraction
-from .numio import mpc_to_pair, pair_to_mpc
-from .precision import working
+from .linalg import LDLProfile
+from .numio import mp_to_str, str_to_mp
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 
 def _key(P: DirichletPolynomial, r, bits: int) -> str:
@@ -31,28 +34,22 @@ def cache_path(cache_dir, P: DirichletPolynomial, r, bits: int) -> Path:
     return Path(cache_dir) / f"xdp-gram-{_key(P, r, bits)}.json"
 
 
-@dataclass(frozen=True)
-class LoadedGram:
-    n: int
-    G: list
-    g: list
-    precision_bits: int
-
-
 def store_gram(cache_dir, P: DirichletPolynomial, r, bits: int,
-               n: int, G, g, actual_bits: int) -> Path:
-    """Atomically persist an n-generator system under the request key."""
+               prof: LDLProfile, actual_bits: int) -> Path:
+    """Atomically persist the audited profile of the Gram system under the
+    request key (``bits`` as requested; ``actual_bits`` as used). Returns
+    the written path."""
     directory = Path(cache_dir)
     directory.mkdir(parents=True, exist_ok=True)
     payload = {
         "version": CACHE_VERSION,
         "poly": P.to_text(),
         "r": str(as_fraction(r)),
-        "n": n,
+        "n": len(prof.d_squared),
         "precision_bits": actual_bits,
-        "G": [[mpc_to_pair(G[i][j], actual_bits) for j in range(n)]
-              for i in range(n)],
-        "g": [mpc_to_pair(g[i], actual_bits) for i in range(n)],
+        "dropped": prof.dropped,
+        "d_squared": [mp_to_str(v, actual_bits) for v in prof.d_squared],
+        "pivots": [mp_to_str(v, actual_bits) for v in prof.pivots],
     }
     path = cache_path(cache_dir, P, r, bits)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
@@ -68,8 +65,11 @@ def store_gram(cache_dir, P: DirichletPolynomial, r, bits: int,
 
 
 def load_gram(cache_dir, P: DirichletPolynomial, r, bits: int,
-              n_min: int) -> Optional[LoadedGram]:
-    """Stored system if it covers at least n_min generators, else None.
+              n_min: int) -> Optional[tuple]:
+    """(LDLProfile, precision_bits) stored under the request key if it covers
+    at least n_min generators, else None. The profile is the stored one, of
+    order n >= n_min; being unpivoted, its leading entries serve every
+    smaller order, at the stored precision.
 
     A hit refreshes the file's mtime. Unreadable or mismatched files are
     treated as misses, never as errors.
@@ -77,19 +77,20 @@ def load_gram(cache_dir, P: DirichletPolynomial, r, bits: int,
     path = cache_path(cache_dir, P, r, bits)
     try:
         payload = json.loads(path.read_text())
-        if payload["version"] != CACHE_VERSION or payload["n"] < n_min \
+        n = payload["n"]
+        if payload["version"] != CACHE_VERSION or n < n_min \
                 or payload["poly"] != P.to_text():
             return None
-        n = payload["n"]
-        stored_bits = payload["precision_bits"]
-        with working(stored_bits):
-            G = [[pair_to_mpc(payload["G"][i][j], stored_bits) for j in range(n)]
-                 for i in range(n)]
-            g = [pair_to_mpc(payload["g"][i], stored_bits) for i in range(n)]
-    except (OSError, ValueError, KeyError, TypeError, IndexError):
+        bits_used = payload["precision_bits"]
+        prof = LDLProfile(d_squared=[str_to_mp(v, bits_used) for v in payload["d_squared"]],
+                          pivots=[str_to_mp(v, bits_used) for v in payload["pivots"]],
+                          dropped=payload["dropped"], band=None)
+        if len(prof.d_squared) != n or len(prof.pivots) != n:
+            return None
+    except (OSError, ValueError, KeyError, TypeError):
         return None
     os.utime(path)
-    return LoadedGram(n=n, G=G, g=g, precision_bits=stored_bits)
+    return prof, bits_used
 
 
 def cache_gc(cache_dir, max_bytes: int) -> int:

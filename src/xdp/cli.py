@@ -17,8 +17,8 @@ from .config import config_from_json, load_config, parse_rect
 from .dpcore import DirichletPolynomial
 from .errors import XdpError
 from .exact import as_fraction, to_mp
-from .experiments import (SWEEP_COLUMNS, constant_c_json, report_to_json,
-                          run_criterion_report, run_decay_fit,
+from .experiments import (_write_sweep, constant_c_json, decay_fit_json,
+                          report_to_json, run_criterion_report, run_decay_fit,
                           run_distance_sweep, zero_report_json)
 from .cache import cache_gc
 from .lubinsky import kernel_asymptotics_report, min_norm, psi_eval
@@ -132,12 +132,7 @@ def _cmd_distance(args) -> int:
     cfg = _load_cfg(args)
     rows = run_distance_sweep(cfg)
     if cfg.output is None:
-        print(",".join(SWEEP_COLUMNS))
-        for row in rows:
-            print(",".join([str(row.n), mp_to_str(row.d_squared, row.precision_bits),
-                            mp_to_str(row.d_squared_times_log_n, row.precision_bits),
-                            str(row.precision_bits),
-                            mp_to_str(row.min_pivot, row.precision_bits)]))
+        _write_sweep(rows, cfg.format, sys.stdout)
     return 0
 
 
@@ -214,8 +209,7 @@ def _cmd_decay_fit(args) -> int:
     cfg = _load_cfg(args)
     fit = run_decay_fit(cfg)
     if cfg.output is None:
-        _emit({"slope": "-inf" if fit.slope == float("-inf") else fit.slope,
-               "residual": fit.residual, "n_used": list(fit.n_used)}, None)
+        _emit(decay_fit_json(fit), None)
     return 0
 
 

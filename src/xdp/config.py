@@ -56,7 +56,7 @@ def parse_rect(text: str) -> Rectangle:
 def _fraction(name: str, value) -> Fraction:
     try:
         return as_fraction(value)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{name} must be a number, got {value!r}: {exc}") from None
 
 

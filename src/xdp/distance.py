@@ -3,8 +3,8 @@
 The generators are rho_k(x) = kappa_r(1/(k x)), step functions supported on
 (0, 1/k]. Every inner product is a finite sum over the common breakpoint
 partition, and it is summed exactly in Python integers on every profile: a
-step height S_a is a Gaussian rational, or an mpf/mpc, which is a dyadic
-rational, so S_a = s_a/Q with s_a a Gaussian integer; over D = j k lcm(1..m)
+step height S_a is a Gaussian rational (``kappa_partial_sums``), so
+S_a = s_a/Q with s_a a Gaussian integer; over D = j k lcm(1..m)
 every breakpoint 1/(j a), 1/(k b) is an integer. Each Gram entry is then one
 rational number, rounded once, to nearest, at the working precision.
 
@@ -13,9 +13,10 @@ unpivoted LDL^H of G that carries z = L^{-1} g along gives the whole profile
 n = 1..n_max as d_n^2 = 1 - sum_{i<=n} |z_i|^2 / p_i, which by the Schur
 complement is the determinant ratio det(G_n - g g*)/det(G_n). The
 factorization (``linalg.ldl_profile``) runs in fixed-point integers and
-applies the same pivot audit as ``gram_system``: negligible pivots are
-dropped, and an indeterminate one rebuilds the Gram data at doubled
-precision. The pivoted ``projection`` solve stays as the independent check.
+carries the one pivot audit: negligible pivots are dropped, and an
+indeterminate one rebuilds the Gram data at doubled precision. The pivoted
+``projection`` solve takes the Gram data at the precision the audit settled
+on and stays, in its own arithmetic, the independent check.
 
 Since rho_a and rho_b live on (0, 1/max(a, b)], substituting y = d x gives
 <rho_{da}, rho_{db}> = <rho_a, rho_b>/d and <1, rho_k> = <1, rho_1>/k, so
@@ -33,9 +34,9 @@ from mpmath import mp, mpf
 from mpmath.libmp import from_rational, mpf_neg, mpf_shift, round_nearest
 
 from .dpcore import DirichletPolynomial, KappaProfile, dp_eval, kappa_partial_sums
-from .errors import NSingular, PrecisionExhausted
-from .exact import GaussianRational, as_fraction, fraction_to_mpf, to_mp
-from .linalg import LDLFactors, ldl_factor, ldl_profile, ldl_solve
+from .errors import PrecisionExhausted
+from .exact import as_fraction, fraction_to_mpf, to_mp
+from .linalg import ldl_factor, ldl_profile, ldl_solve
 from .precision import resolve_bits, working
 
 _ESCALATION_LIMIT = 3
@@ -48,10 +49,9 @@ _ESCALATION_LIMIT = 3
 def _integer_profile(prof: KappaProfile):
     """(Q, L, s, prods) in Python ints: S_a = (s[a-1][0] + i s[a-1][1]) / Q,
     L = lcm(1..m) and prods[a-1][b-1] = s_a conj(s_b)."""
-    parts = [GaussianRational.from_value(v) for v in prof.S]
-    Q = lcm(*(x.denominator for z in parts for x in (z.re, z.im)))
+    Q = lcm(*(x.denominator for z in prof.S for x in (z.re, z.im)))
     s = [(z.re.numerator * (Q // z.re.denominator), z.im.numerator * (Q // z.im.denominator))
-         for z in parts]
+         for z in prof.S]
     prods = [[(ua * ub + va * vb, va * ub - ua * vb) for ub, vb in s] for ua, va in s]
     return Q, lcm(*range(1, len(s) + 1)), s, prods
 
@@ -107,21 +107,8 @@ def _rounded(re: int, im: int, den: int, bits: int):
 
 
 # =========================================================================
-# Gram system
+# Gram data
 # =========================================================================
-
-@dataclass(frozen=True)
-class GramSystem:
-    """G[j][k] = <rho_{k+1}, rho_{j+1}>, g[k] = <1, rho_{k+1}>, mp entries."""
-
-    n: int
-    G: list
-    g: list
-    precision_bits: int
-    min_pivot: mpf
-    dropped: int
-    factors: LDLFactors
-
 
 def _build_gram(P: DirichletPolynomial, r, n: int, bits: int):
     """(G, g), each entry one exact rational rounded once at ``bits``.
@@ -147,37 +134,6 @@ def _build_gram(P: DirichletPolynomial, r, n: int, bits: int):
     return G, g
 
 
-def gram_system(P: DirichletPolynomial, r, n: int, bits: Optional[int] = None) -> GramSystem:
-    """Gram data plus a pivoted factorization, with precision escalation.
-
-    Pivots below 2^{-p/2} * max_pivot are counted as dropped (numerically
-    dependent generators). A pivot in the indeterminate band
-    [2^{-p/2}, 2^{-p/4}) * max_pivot forces a retry at doubled precision,
-    at most three times.
-    """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    cur = resolve_bits(bits)
-    for _ in range(_ESCALATION_LIMIT + 1):
-        G, g = _build_gram(P, r, n, cur)
-        with working(cur):
-            f = ldl_factor(G, pivot=True)
-            max_p = max(f.d)
-            min_p = min(f.d)
-            if max_p <= 0:
-                raise NSingular(0, max_p)
-            drop_at = max_p * mpf(2) ** (-(cur // 2))
-            band_at = max_p * mpf(2) ** (-(cur // 4))
-            dropped = sum(1 for d in f.d if d < drop_at)
-            indeterminate = any(drop_at <= d < band_at for d in f.d)
-        if not indeterminate:
-            return GramSystem(n=n, G=G, g=g, precision_bits=cur,
-                              min_pivot=min_p, dropped=dropped, factors=f)
-        cur *= 2
-    raise PrecisionExhausted(
-        f"Gram pivots stayed in the indeterminate band up to {cur // 2} bits")
-
-
 # =========================================================================
 # distances
 # =========================================================================
@@ -200,24 +156,20 @@ def _clamp01(x):
     return x
 
 
-def _audited_profile(P: DirichletPolynomial, r, n: int, bits: int,
-                     G=None, g=None):
+def _audited_profile(P: DirichletPolynomial, r, n: int, bits: int):
     """(G, g, LDLProfile, bits used) for the first n generators.
 
-    Factors G with ``ldl_profile`` at ``bits``. A pivot in the indeterminate
-    band rebuilds the Gram data at doubled precision, at most
-    _ESCALATION_LIMIT times. A given (G, g), e.g. from the cache, replaces
-    the first build.
+    Builds the Gram data at ``bits`` and factors it with ``ldl_profile``. A
+    pivot in the indeterminate band rebuilds it at doubled precision, at
+    most _ESCALATION_LIMIT times.
     """
     cur = bits
     for _ in range(_ESCALATION_LIMIT + 1):
-        if G is None:
-            G, g = _build_gram(P, r, n, cur)
+        G, g = _build_gram(P, r, n, cur)
         with working(cur):
             prof = ldl_profile(G, g)
         if prof.band is None:
             return G, g, prof, cur
-        G = None
         cur *= 2
     raise PrecisionExhausted(
         f"profile pivots stayed in the indeterminate band up to {cur // 2} bits")
@@ -225,24 +177,27 @@ def _audited_profile(P: DirichletPolynomial, r, n: int, bits: int,
 
 def distance_squared(P: DirichletPolynomial, r, n: int, method: str = "det-ratio",
                      bits: Optional[int] = None) -> DistanceResult:
+    """d^2 for the first n generators at the audited precision.
+
+    ``projection`` solves G x = g with a pivoted LDL^H of the same Gram data,
+    dropping components whose pivot is below 2^{-p/2} of the largest.
+    """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if method not in ("det-ratio", "projection"):
         raise ValueError(f"unknown method {method!r}")
-    bits = resolve_bits(bits)
     r_q = as_fraction(r)
-    if method == "projection":
-        gs = gram_system(P, r, n, bits=bits)
-        with working(gs.precision_bits):
-            drop_at = max(gs.factors.d) * mpf(2) ** (-(gs.precision_bits // 2))
-            x = ldl_solve(gs.factors, gs.g, drop_at=drop_at)
-            inner = mp.fsum(mp.conj(gv) * xv for gv, xv in zip(gs.g, x))
-            d2 = _clamp01(mp.re(mpf(1) - inner))
-        return DistanceResult(n=n, r=r_q, d_squared=d2, method=method,
-                              coeffs=x, precision_bits=gs.precision_bits)
-    _, _, prof, used = _audited_profile(P, r, n, bits)
-    return DistanceResult(n=n, r=r_q, d_squared=prof.d_squared[-1], method=method,
-                          coeffs=None, precision_bits=used)
+    G, g, prof, used = _audited_profile(P, r, n, resolve_bits(bits))
+    if method == "det-ratio":
+        return DistanceResult(n=n, r=r_q, d_squared=prof.d_squared[-1], method=method,
+                              coeffs=None, precision_bits=used)
+    with working(used):
+        f = ldl_factor(G)
+        x = ldl_solve(f, g, drop_at=max(f.d) * mpf(2) ** (-(used // 2)))
+        inner = mp.fsum(mp.conj(gv) * xv for gv, xv in zip(g, x))
+        d2 = _clamp01(mp.re(mpf(1) - inner))
+    return DistanceResult(n=n, r=r_q, d_squared=d2, method=method,
+                          coeffs=x, precision_bits=used)
 
 
 def distance_profile(P: DirichletPolynomial, r, n_max: int,

@@ -3,8 +3,8 @@
 A polynomial is P(s) = sum a_k k^{-s}, k = 1..m, with a_1 != 0 and a_m != 0
 (trailing zero coefficients are trimmed at construction). Coefficients are
 stored as exact Gaussian rationals; evaluation happens at a requested binary
-precision, while the convolution inverse and (when the shift exponent allows)
-the kappa partial sums stay exact.
+precision, while the convolution inverse stays exact and the kappa partial
+sums are exact sums of powers k^{1/2-r}, each exact when it is rational.
 """
 
 from __future__ import annotations
@@ -202,7 +202,8 @@ def _exact_power(k: int, e: Fraction) -> Optional[Fraction]:
 
 @dataclass(frozen=True)
 class KappaProfile:
-    """Step heights S_1..S_m of x -> kappa_r(x); S_j is the value on [j, j+1)."""
+    """Step heights S_1..S_m of x -> kappa_r(x); S_j is the value on [j, j+1),
+    a GaussianRational."""
 
     r: Fraction
     S: tuple
@@ -219,40 +220,32 @@ class KappaProfile:
         return self.S[-1]
 
 
+_KAPPA_GUARD_BITS = 32
+
+
 def kappa_partial_sums(P: DirichletPolynomial, r, bits: Optional[int] = None) -> KappaProfile:
+    """S_j = sum_{k<=j} a_k k^e, e = 1/2 - r, summed exactly as Gaussian
+    rationals. A power k^e is the exact Fraction when it is rational, else
+    k^e rounded once at bits + 32; ``exact`` says whether every power was
+    rational, and ``precision_bits`` is None then."""
     r_q = as_fraction(r)
     e = Fraction(1, 2) - r_q
-
-    factors: dict[int, Fraction] = {}
-    exact = True
-    for k, _ in P.items():
-        f = _exact_power(k, e)
-        if f is None:
-            exact = False
-            break
-        factors[k] = f
-
-    if exact:
-        run = GaussianRational(0)
-        S = []
-        for k in range(1, P.m + 1):
-            a = P.coeffs[k - 1]
-            if a:
-                run = run + a * factors[k]
-            S.append(run)
-        return KappaProfile(r=r_q, S=tuple(S), exact=True, precision_bits=None)
-
     bits = resolve_bits(bits)
-    with working(bits):
+    exact = True
+    run = GaussianRational(0)
+    S = []
+    with working(bits + _KAPPA_GUARD_BITS):
         e_mp = fraction_to_mpf(e)
-        run = mpf(0)
-        S = []
-        for k in range(1, P.m + 1):
-            a = P.coeffs[k - 1]
+        for k, a in enumerate(P.coeffs, 1):
             if a:
-                run = run + to_mp(a) * mp.power(k, e_mp)
+                power = _exact_power(k, e)
+                if power is None:
+                    exact = False
+                    power = as_fraction(mp.power(k, e_mp))
+                run = run + a * power
             S.append(run)
-    return KappaProfile(r=r_q, S=tuple(S), exact=False, precision_bits=bits)
+    return KappaProfile(r=r_q, S=tuple(S), exact=exact,
+                        precision_bits=None if exact else bits)
 
 
 # =========================================================================

@@ -41,22 +41,21 @@ class SweepRow:
 def run_distance_sweep(cfg: ExperimentConfig) -> list:
     """One SweepRow per scheduled n; writes cfg.output when set.
 
-    A cached Gram system is factored at its stored precision. If the pivot
-    audit escalates, the rebuilt system is stored with the precision it used.
+    With cfg.cache_dir, a stored profile covering the schedule is used as
+    stored, at the precision it was computed at; on a miss the audited
+    profile is computed and stored.
     """
     P = cfg.polynomial()
     n_max = cfg.n_schedule[-1]
-    bits = cfg.precision_bits
-    G = g = None
+    hit = None
     if cfg.cache_dir is not None:
-        hit = load_gram(cfg.cache_dir, P, cfg.r, bits, n_min=n_max)
-        if hit is not None:
-            G = [row[:n_max] for row in hit.G[:n_max]]
-            g, bits = hit.g[:n_max], hit.precision_bits
-    cached = G is not None
-    G, g, prof, used = _audited_profile(P, cfg.r, n_max, bits, G, g)
-    if cfg.cache_dir is not None and (not cached or used != bits):
-        store_gram(cfg.cache_dir, P, cfg.r, cfg.precision_bits, n_max, G, g, used)
+        hit = load_gram(cfg.cache_dir, P, cfg.r, cfg.precision_bits, n_min=n_max)
+    if hit is None:
+        _, _, prof, used = _audited_profile(P, cfg.r, n_max, cfg.precision_bits)
+        if cfg.cache_dir is not None:
+            store_gram(cfg.cache_dir, P, cfg.r, cfg.precision_bits, prof, used)
+    else:
+        prof, used = hit
     with working(used):
         running = []
         for p in prof.pivots:
@@ -69,29 +68,30 @@ def run_distance_sweep(cfg: ExperimentConfig) -> list:
                                  precision_bits=used,
                                  min_pivot=running[n - 1]))
     if cfg.output is not None:
-        _write_sweep(cfg, rows, used)
+        with open(cfg.output, "w", newline="") as fh:
+            _write_sweep(rows, cfg.format, fh)
     return rows
 
 
-def _write_sweep(cfg: ExperimentConfig, rows, bits: int) -> None:
-    def fmt(row):
+def _write_sweep(rows, fmt: str, fh) -> None:
+    """The sweep as CSV or JSON text; each row at its own precision."""
+    def fmt_row(row):
+        bits = row.precision_bits
         return {"n": row.n,
                 "d_squared": mp_to_str(row.d_squared, bits),
                 "d_squared_times_log_n": mp_to_str(row.d_squared_times_log_n, bits),
-                "precision_bits": row.precision_bits,
+                "precision_bits": bits,
                 "min_pivot": mp_to_str(row.min_pivot, bits)}
 
-    if cfg.format == "json":
-        payload = {"columns": list(SWEEP_COLUMNS), "rows": [fmt(r) for r in rows]}
-        with open(cfg.output, "w") as fh:
-            json.dump(payload, fh, indent=1)
+    if fmt == "json":
+        json.dump({"columns": list(SWEEP_COLUMNS), "rows": [fmt_row(r) for r in rows]},
+                  fh, indent=1)
     else:
-        with open(cfg.output, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(SWEEP_COLUMNS)
-            for row in rows:
-                d = fmt(row)
-                writer.writerow([d[c] for c in SWEEP_COLUMNS])
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(SWEEP_COLUMNS)
+        for row in rows:
+            d = fmt_row(row)
+            writer.writerow([d[c] for c in SWEEP_COLUMNS])
 
 
 # =========================================================================
@@ -130,12 +130,14 @@ def run_decay_fit(cfg: ExperimentConfig) -> DecayFit:
         fit = DecayFit(slope=slope, residual=math.sqrt(rss / nn),
                        n_used=tuple(half), rows=rows)
     if cfg.output is not None:
-        payload = {"slope": "-inf" if fit.slope == float("-inf") else fit.slope,
-                   "residual": fit.residual,
-                   "n_used": list(fit.n_used)}
         with open(cfg.output, "w") as fh:
-            json.dump(payload, fh, indent=1)
+            json.dump(decay_fit_json(fit), fh, indent=1)
     return fit
+
+
+def decay_fit_json(fit: DecayFit) -> dict:
+    return {"slope": "-inf" if fit.slope == float("-inf") else fit.slope,
+            "residual": fit.residual, "n_used": list(fit.n_used)}
 
 
 # =========================================================================

@@ -2,9 +2,9 @@
 
 Runs at the ambient mpmath precision; callers wrap invocations in
 ``precision.working``. Matrices are lists of row lists holding mpf/mpc.
-``ldl_factor``/``ldl_solve`` work on mpf objects with optional pivoting;
-``ldl_profile`` is the unpivoted fixed-point factorization that yields the
-whole d^2 profile.
+``ldl_factor``/``ldl_solve`` are the pivoted factorization and solve on mpf
+objects; ``ldl_profile`` is the unpivoted fixed-point factorization that
+yields the whole d^2 profile.
 """
 
 from __future__ import annotations
@@ -38,22 +38,23 @@ class LDLFactors:
     perm: list
 
 
-def ldl_factor(A, pivot: bool = True) -> LDLFactors:
+def ldl_factor(A) -> LDLFactors:
+    """P A P^T = L D L^H; each step pivots on the largest remaining diagonal
+    entry."""
     n = _check_square(A)
     M = [list(row) for row in A]
     perm = list(range(n))
     L = [[mpf(1) if i == j else mpf(0) for j in range(n)] for i in range(n)]
     d = [mpf(0)] * n
     for j in range(n):
-        if pivot:
-            p = max(range(j, n), key=lambda i: _real(M[i][i]))
-            if p != j:
-                M[j], M[p] = M[p], M[j]
-                for row in M:
-                    row[j], row[p] = row[p], row[j]
-                perm[j], perm[p] = perm[p], perm[j]
-                for c in range(j):
-                    L[j][c], L[p][c] = L[p][c], L[j][c]
+        p = max(range(j, n), key=lambda i: _real(M[i][i]))
+        if p != j:
+            M[j], M[p] = M[p], M[j]
+            for row in M:
+                row[j], row[p] = row[p], row[j]
+            perm[j], perm[p] = perm[p], perm[j]
+            for c in range(j):
+                L[j][c], L[p][c] = L[p][c], L[j][c]
         dj = _real(M[j][j])
         d[j] = dj
         if dj == 0:

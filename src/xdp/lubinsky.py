@@ -184,7 +184,7 @@ def min_norm(n: int, t: Sequence, bits: Optional[int] = None,
     bits = resolve_bits(bits)
     km = kernel_matrix(n, t, bits=bits)
     with working(bits):
-        f = ldl_factor(km.H, pivot=True)
+        f = ldl_factor(km.H)
         for i, d in enumerate(f.d):
             if not d > 0:
                 raise NSingular(i, d)

@@ -2,13 +2,13 @@
 
 All numeric output is written as decimal strings carrying enough digits to
 recover the binary value exactly when re-parsed at the same precision; this
-is what makes cached Gram systems and rerun outputs byte-identical. The
+is what makes cached profiles and rerun outputs byte-identical. The
 helpers are careful never to push existing mpf/mpc values through a
 constructor at ambient precision, which would silently re-round them.
 """
 
 import mpmath
-from mpmath import mp, mpc, mpf
+from mpmath import mp, mpf
 
 from .precision import decimal_digits, resolve_bits, working
 
@@ -24,20 +24,3 @@ def mp_to_str(x, bits=None) -> str:
 def str_to_mp(s: str, bits=None) -> mpf:
     with working(bits):
         return mpf(s.strip())
-
-
-def mpc_to_pair(z, bits=None):
-    if isinstance(z, mpc):
-        re, im = z.real, z.imag
-    elif isinstance(z, mpf):
-        re, im = z, mpf(0)
-    else:
-        with working(bits):
-            w = mp.mpmathify(z)
-        return mpc_to_pair(w, bits)
-    return [mp_to_str(re, bits), mp_to_str(im, bits)]
-
-
-def pair_to_mpc(pair, bits=None) -> mpc:
-    with working(bits):
-        return mpc(str_to_mp(pair[0], bits), str_to_mp(pair[1], bits))

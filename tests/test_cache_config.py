@@ -1,71 +1,91 @@
-"""Gram cache persistence and experiment configuration."""
+"""Profile cache persistence and experiment configuration."""
 
 import json
 import os
 from fractions import Fraction
 
 import pytest
-from mpmath import mp, mpf
 
 from xdp.cache import cache_gc, cache_path, load_gram, store_gram
 from xdp.config import (DEFAULT_SCHEDULE, ExperimentConfig, config_from_json,
                         geometric_schedule, parse_rect, parse_schedule)
-from xdp.distance import _build_gram
+from xdp.distance import _audited_profile
 from xdp.dpcore import DirichletPolynomial
-from xdp.precision import working
 from xdp.zeros import Rectangle
 
 P_BASE = DirichletPolynomial.parse("1:1,2:-1")
 
 
-def _build(n, bits=128):
-    return _build_gram(P_BASE, 0, n, bits)
+def _profile(n, r=0, bits=128):
+    return _audited_profile(P_BASE, r, n, bits)[2]
 
 
 def test_store_load_roundtrip(tmp_path):
-    G, g = _build(3)
-    path = store_gram(tmp_path, P_BASE, 0, 128, 3, G, g, 128)
+    prof = _profile(3)
+    path = store_gram(tmp_path, P_BASE, 0, 128, prof, 128)
     assert path.exists()
     payload = json.loads(path.read_text())
-    assert payload["version"] == 1
+    assert payload["version"] == 2
     assert payload["poly"] == "1:1,2:-1"
     assert payload["r"] == "0"
     assert payload["n"] == 3
     assert payload["precision_bits"] == 128
-    assert isinstance(payload["G"][0][0][0], str)
+    assert payload["dropped"] == 0
+    assert len(payload["d_squared"]) == len(payload["pivots"]) == 3
+    assert isinstance(payload["d_squared"][0], str)
 
-    loaded = load_gram(tmp_path, P_BASE, 0, 128, n_min=2)
-    assert loaded is not None
-    assert loaded.n == 3
-    assert loaded.precision_bits == 128
-    with working(128):
-        for i in range(3):
-            assert loaded.g[i] == g[i]
-            for j in range(3):
-                assert loaded.G[i][j] == G[i][j]
+    loaded, bits = load_gram(tmp_path, P_BASE, 0, 128, n_min=2)
+    assert bits == 128
+    assert loaded == prof            # every value bit for bit, band None
+
+
+def test_store_escalated_profile(tmp_path):
+    # stored under the requested precision, with the precision it used
+    prof = _profile(4, bits=256)
+    store_gram(tmp_path, P_BASE, 0, 128, prof, 256)
+    loaded, bits = load_gram(tmp_path, P_BASE, 0, 128, n_min=4)
+    assert bits == 256 and loaded == prof
+    assert load_gram(tmp_path, P_BASE, 0, 256, n_min=1) is None
 
 
 def test_load_misses(tmp_path):
     assert load_gram(tmp_path, P_BASE, 0, 128, n_min=1) is None
-    G, g = _build(2)
-    store_gram(tmp_path, P_BASE, 0, 128, 2, G, g, 128)
+    path = store_gram(tmp_path, P_BASE, 0, 128, _profile(2), 128)
     # stored n too small for the request
     assert load_gram(tmp_path, P_BASE, 0, 128, n_min=3) is None
     # key differs in r and in precision
     assert load_gram(tmp_path, P_BASE, Fraction(1, 2), 128, n_min=1) is None
     assert load_gram(tmp_path, P_BASE, 0, 256, n_min=1) is None
     assert load_gram(tmp_path, P_BASE, 0, 128, n_min=2) is not None
+    # a file of the older Gram format at the same path is a miss
+    old = json.loads(path.read_text())
+    old.update(version=1, G=[], g=[])
+    path.write_text(json.dumps(old))
+    assert load_gram(tmp_path, P_BASE, 0, 128, n_min=1) is None
+    # a truncated list or a value that is not a number is a miss, not an error
+    for key, val in (("pivots", old["pivots"][:1]), ("d_squared", ["0.5", "abc"])):
+        path.write_text(json.dumps({**old, "version": 2, key: val}))
+        assert load_gram(tmp_path, P_BASE, 0, 128, n_min=1) is None
 
 
 def test_load_touches_mtime_and_tolerates_corruption(tmp_path):
-    G, g = _build(2)
-    path = store_gram(tmp_path, P_BASE, 0, 128, 2, G, g, 128)
+    path = store_gram(tmp_path, P_BASE, 0, 128, _profile(2), 128)
     os.utime(path, (1_000_000, 1_000_000))
     assert load_gram(tmp_path, P_BASE, 0, 128, n_min=1) is not None
     assert path.stat().st_mtime > 1_000_000
 
     path.write_text("{ not json")
     assert load_gram(tmp_path, P_BASE, 0, 128, n_min=1) is None
+
+
+def test_cache_file_holds_order_n_numbers(tmp_path):
+    n = 256
+    path = store_gram(tmp_path, P_BASE, Fraction(1, 2), 256,
+                      _profile(n, Fraction(1, 2), 256), 256)
+    payload = json.loads(path.read_text())
+    assert len(payload["d_squared"]) == len(payload["pivots"]) == n
+    assert set(payload) == {"version", "poly", "r", "n", "precision_bits",
+                            "dropped", "d_squared", "pivots"}
 
 
 def test_key_separates_polynomials(tmp_path):
@@ -77,19 +97,14 @@ def test_key_separates_polynomials(tmp_path):
 
 def test_cache_gc(tmp_path):
     assert cache_gc(tmp_path, 10_000) == 0
-    G, g = _build(2)
-    p_old = store_gram(tmp_path, P_BASE, 0, 128, 2, G, g, 128)
-    p_new = store_gram(tmp_path, P_BASE, Fraction(1, 2), 128, 2,
-                       *_build_pair_for_r_half(), 128)
+    p_old = store_gram(tmp_path, P_BASE, 0, 128, _profile(2), 128)
+    p_new = store_gram(tmp_path, P_BASE, Fraction(1, 2), 128,
+                       _profile(2, Fraction(1, 2)), 128)
     os.utime(p_old, (1_000_000, 1_000_000))
     limit = p_new.stat().st_size + 1
     assert cache_gc(tmp_path, limit) == 1
     assert p_new.exists() and not p_old.exists()
     assert cache_gc(tmp_path, limit) == 0
-
-
-def _build_pair_for_r_half():
-    return _build_gram(P_BASE, Fraction(1, 2), 2, 128)
 
 
 def test_config_defaults_and_validation():

@@ -33,6 +33,17 @@ def test_distance_writes_csv(tmp_path):
     assert rows[1][1].startswith("0.85355339059327376220")
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_distance_stdout_matches_out_file(fmt, tmp_path, capsys):
+    argv = ["distance", "--poly", "1:1,2:-1", "--r", "1/2", "--schedule", "1,3",
+            "--precision", "128", "--format", fmt]
+    out = tmp_path / f"d.{fmt}"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(argv) == 0
+    assert capsys.readouterr().out == out.read_text()
+
+
 def test_distance_bad_poly_exits_1(tmp_path):
     assert main(["distance", "--poly", "0:1", "--r", "0",
                  "--out", str(tmp_path / "x.csv")]) == 1
@@ -192,12 +203,16 @@ def test_config_file_with_flag_override(tmp_path):
     {"line_tol": {}}, {"output": 5}, {"cache_dir": 5}, {"r": "1/0"},
     {"r": float("inf")}, {"r": float("nan")}, {"T": float("inf")},
     {"rect": [0, 1, 0, float("inf")]}, {"rect": [float("nan"), 1, 0, 1]},
+    {"r": "abc"}, {"line_tol": "1/0"},
 ])
-def test_config_value_of_wrong_type_exits_1(entry, tmp_path):
+def test_config_value_of_wrong_type_exits_1(entry, tmp_path, capsys):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"poly": "1:1,2:-1", **entry}))
-    assert _assert_exit_contract(["distance", "--config", str(cfg_file),
-                                  "--n-max", "2"]) == 1
+    assert main(["distance", "--config", str(cfg_file), "--n-max", "2"]) == 1
+    # one "xdp:" line, and it names the setting
+    (key,) = entry
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"xdp: {key} "), lines
 
 
 @pytest.mark.parametrize("argv", [

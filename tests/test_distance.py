@@ -1,4 +1,4 @@
-"""Inner products, Gram systems, and approximation distances.
+"""Inner products, Gram data, and approximation distances.
 
 Pinned closed forms (derived by hand, checked against quadrature here):
 for P = 1 - 2^{-s} at r = 0 the single-generator data is
@@ -26,7 +26,6 @@ from xdp.distance import (
     approximant_distance,
     distance_profile,
     distance_squared,
-    gram_system,
     mellin_identity_residual,
 )
 from xdp.errors import PrecisionExhausted
@@ -138,30 +137,32 @@ def test_indicator_inner_pinned_and_mellin_at_one():
                     assert abs(got - want) < mpf(10) ** -70
 
 
-def test_gram_system_reciprocal_max_structure():
+def test_build_gram_reciprocal_max_structure():
     # P == 1: rho_k is the indicator of (0, 1/k], so G[j][k] = 1/max(j+1,k+1)
     # (0-indexed) and g[k] = 1/(k+1)
-    gs = gram_system(P_ONE, 0, 6, bits=256)
-    assert gs.n == 6
-    assert gs.dropped == 0
-    assert gs.min_pivot > 0
-    assert gs.precision_bits == 256
+    G, g, prof, used = distance._audited_profile(P_ONE, 0, 6, 256)
+    assert len(G) == len(g) == 6
+    assert prof.dropped == 0
+    assert min(prof.pivots) > 0
+    assert used == 256
     with working(256):
         for i in range(6):
             for j in range(6):
-                assert abs(gs.G[i][j] - mpf(1) / max(i + 1, j + 1)) < mpf(2) ** -250
+                assert abs(G[i][j] - mpf(1) / max(i + 1, j + 1)) < mpf(2) ** -250
         for k in range(6):
-            assert abs(gs.g[k] - mpf(1) / (k + 1)) < mpf(2) ** -250
+            assert abs(g[k] - mpf(1) / (k + 1)) < mpf(2) ** -250
 
 
-def test_gram_system_hermitian_psd():
-    gs = gram_system(P_MIX, 0, 8, bits=192)
+def test_build_gram_hermitian_psd():
+    G, g = _build_gram(P_MIX, 0, 8, 192)
     with working(192):
         for i in range(8):
-            assert abs(mp.im(gs.G[i][i])) < mpf(2) ** -180
+            assert abs(mp.im(G[i][i])) < mpf(2) ** -180
             for j in range(8):
-                assert abs(gs.G[i][j] - mp.conj(gs.G[j][i])) < mpf(2) ** -180
-        assert gs.min_pivot > 0
+                assert abs(G[i][j] - mp.conj(G[j][i])) < mpf(2) ** -180
+        prof = ldl_profile(G, g)
+    assert prof.dropped == 0 and prof.band is None
+    assert min(prof.pivots) > 0
 
 
 def test_distance_squared_pinned():
@@ -220,7 +221,7 @@ def test_profile_matches_projection_complex():
 
 
 def test_profile_mpc_twin_identical():
-    # the cache returns every entry as mpc; zero imaginary parts change nothing
+    # an entry held as an mpc with zero imaginary part changes nothing
     G, g = _build_gram(P_BASE, 0, 16, 256)
     with working(256):
         twin = ldl_profile([[mpc(x, 0) for x in row] for row in G],
@@ -256,10 +257,13 @@ def test_build_gram_exact_matches_per_pair_build():
 @pytest.mark.parametrize("bits", [128, 256])
 def test_mpf_gram_entries_within_one_ulp(bits):
     # irrational kappa profiles, e.g. (1, 1 - sqrt 2) for 1 - 2^{-s} at r = 0:
-    # each entry is summed exactly from the rounded steps and rounded once
+    # each entry is summed exactly from the steps, whose irrational powers
+    # carry 32 guard bits, and rounded once; (1 - 2^{1/6})^2 at r = 1/3 for
+    # (1 - 2^{-s})^2 cancels to about 0.015
     n = 48
     for poly, r in (("1:1,2:-1", 0), ("1:1,2:1i,3:-1/2", 0),
-                    ("1:1,2:1/2+1/2i,3:-1/3i", Fraction(1, 3))):
+                    ("1:1,2:1/2+1/2i,3:-1/3i", Fraction(1, 3)),
+                    ("1:1,2:-2,4:1", Fraction(1, 3))):
         P = DirichletPolynomial.parse(poly)
         assert not kappa_partial_sums(P, r, bits=bits).exact
         G, g = _build_gram(P, r, n, bits)
@@ -283,27 +287,29 @@ def _band_gram(bits):
 def test_profile_escalates_then_exhausts(monkeypatch):
     calls = []
 
-    def real_build(P, r, n, bits):
+    def band_at_128(P, r, n, bits):
         calls.append(bits)
-        return _build_gram(P, r, n, bits)
+        return _band_gram(bits) if bits == 128 else _build_gram(P, r, n, bits)
 
     def band_build(P, r, n, bits):
         calls.append(bits)
         return _band_gram(bits)
 
-    # an indeterminate cached system is rebuilt at doubled precision
-    monkeypatch.setattr(distance, "_build_gram", real_build)
-    _, _, prof, used = distance._audited_profile(P_BASE, 0, 2, 128, *_band_gram(128))
-    assert used == 256 and calls == [256]
+    # an indeterminate system is rebuilt at doubled precision
+    monkeypatch.setattr(distance, "_build_gram", band_at_128)
+    _, _, prof, used = distance._audited_profile(P_BASE, 0, 2, 128)
+    assert used == 256 and calls == [128, 256]
+    monkeypatch.undo()
     assert prof.d_squared == [res.d_squared for res in distance_profile(P_BASE, 0, 2, bits=256)]
-    # three doublings, then PrecisionExhausted
-    calls.clear()
+    # three doublings, then PrecisionExhausted, on every d^2 path
     monkeypatch.setattr(distance, "_build_gram", band_build)
+    for method in ("det-ratio", "projection"):
+        calls.clear()
+        with pytest.raises(PrecisionExhausted):
+            distance_squared(P_BASE, 0, 2, method=method, bits=128)
+        assert calls == [128, 256, 512, 1024]
     with pytest.raises(PrecisionExhausted):
         distance_profile(P_BASE, 0, 2, bits=128)
-    assert calls == [128, 256, 512, 1024]
-    with pytest.raises(PrecisionExhausted):
-        distance_squared(P_BASE, 0, 2, bits=128)
 
 
 def test_profile_reports_escalated_precision(monkeypatch):
@@ -317,6 +323,9 @@ def test_profile_reports_escalated_precision(monkeypatch):
     assert [res.precision_bits for res in prof] == [256, 256]
     assert [res.d_squared for res in prof] == [mpf(3) / 4, mpf(1) / 2]
     assert distance_squared(P_BASE, 0, 2, bits=128).precision_bits == 256
+    proj = distance_squared(P_BASE, 0, 2, method="projection", bits=128)
+    assert proj.precision_bits == 256
+    assert proj.d_squared == mpf(1) / 2
 
 
 def test_approximant_distance_pinned():
@@ -364,6 +373,6 @@ def test_input_validation():
     with pytest.raises(ValueError):
         distance_squared(P_BASE, 0, 3, method="nope")
     with pytest.raises(ValueError):
-        gram_system(P_BASE, 0, 0)
+        distance_squared(P_BASE, 0, 0, method="projection")
     with pytest.raises(ValueError):
         approximant_distance(P_BASE, 0, [])

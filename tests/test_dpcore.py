@@ -149,9 +149,9 @@ def test_kappa_partial_sums_pinned():
 
     prof = kappa_partial_sums(P_BASE, 0, bits=256)
     assert not prof.exact
+    assert prof.S[0] == 1                       # 1^e is rational: exact
     with mp.workprec(256):
-        assert abs(prof.S[0] - 1) < mpf(2) ** -250
-        assert abs(prof.S[1] - (1 - mp.sqrt(2))) < mpf(2) ** -250
+        assert abs(to_mp(prof.S[1]) - (1 - mp.sqrt(2))) < mpf(2) ** -250
 
 
 def test_kappa_tail_is_dp_value():
@@ -189,8 +189,8 @@ def test_kappa_eval_steps_and_jumps():
 def test_kappa_eval_inexact_profile():
     prof = kappa_partial_sums(P_BASE, 0, bits=256)
     with mp.workprec(256):
-        assert abs(kappa_at(prof, 2) - (1 - mp.sqrt(2))) < mpf(2) ** -250
-        assert abs(kappa_at(prof, 100) - (1 - mp.sqrt(2))) < mpf(2) ** -250
+        assert abs(to_mp(kappa_at(prof, 2)) - (1 - mp.sqrt(2))) < mpf(2) ** -250
+        assert abs(to_mp(kappa_at(prof, 100)) - (1 - mp.sqrt(2))) < mpf(2) ** -250
         assert kappa_at(prof, 0.5) == 0
 
 

@@ -93,7 +93,22 @@ def test_sweep_reports_escalated_precision(tmp_path, monkeypatch):
     assert [s["precision_bits"] for s in stored] == [256]
     cold = out.read_bytes()
     assert list(csv.reader(out.open()))[1][3] == "256"
-    run_distance_sweep(cfg)                       # warm: factors the stored system
+    run_distance_sweep(cfg)                       # warm: reads the stored profile
+    assert out.read_bytes() == cold
+
+
+def test_warm_sweep_builds_and_factors_nothing(tmp_path, monkeypatch):
+    out = tmp_path / "sweep.json"
+    cfg = _cfg(r=Fraction(1, 3), n_schedule=(1, 4, 16), output=str(out),
+               format="json", cache_dir=str(tmp_path / "cache"))
+    run_distance_sweep(cfg)
+    cold = out.read_bytes()
+
+    def spy(*args, **kwargs):
+        raise AssertionError("warm sweep recomputed the profile")
+    monkeypatch.setattr(distance, "_build_gram", spy)
+    monkeypatch.setattr(distance, "ldl_profile", spy)
+    run_distance_sweep(cfg)
     assert out.read_bytes() == cold
 
 

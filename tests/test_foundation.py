@@ -11,7 +11,7 @@ from mpmath import mp, mpf
 
 import xdp
 from xdp.exact import GaussianRational, as_fraction, fraction_to_mpf, to_mp
-from xdp.numio import mp_to_str, mpc_to_pair, pair_to_mpc, str_to_mp
+from xdp.numio import mp_to_str, str_to_mp
 from xdp.precision import (
     DEFAULT_PRECISION_BITS,
     get_default_precision,
@@ -109,11 +109,12 @@ def test_decimal_roundtrip_exact(man, exp, neg):
     assert str_to_mp(s, 256) == x
 
 
-def test_pair_roundtrip():
+def test_irrational_and_zero_roundtrip():
     with working(256):
-        z = mpmath.mpc(mpf(2) ** mpf("0.5"), -mpf(3) ** mpf("0.5"))
-    pair = mpc_to_pair(z, 256)
-    assert pair_to_mpc(pair, 256) == z
+        values = (mpf(2) ** mpf("0.5"), -mpf(3) ** mpf("0.5"),
+                  mpf(2) ** mpf("0.5") * mpf(2) ** -3000)
+    for x in values:
+        assert str_to_mp(mp_to_str(x, 256), 256) == x
     assert mp_to_str(mpf(0)) == "0.0"
     assert str_to_mp(mp_to_str(mpf(0))) == 0
 

@@ -1,4 +1,4 @@
-"""Pivoted/unpivoted LDL^H on mpmath matrices, solves, determinants, and the
+"""Pivoted LDL^H on mpmath matrices, solves, determinants, and the
 fixed-point profile factorization.
 
 Oracle values: exact Hilbert-matrix determinant, hand-computed 2x2 Hermitian
@@ -49,12 +49,11 @@ def reconstruct(f):
 def test_hand_hermitian_2x2():
     with working(256):
         A = [[mpf(2), mpc(0, 1)], [mpc(0, -1), mpf(2)]]
-        f = ldl_factor(A, pivot=False)
-        assert f.perm == [0, 1]
+        f = ldl_factor(A)
+        # det A = 4 - |i|^2 = 3 and det A_1 = 2, whatever the pivot order
+        assert abs(product(f.d) - 3) < mpf(2) ** -248
         assert abs(f.d[0] - 2) < mpf(2) ** -250
         assert abs(f.d[1] - mpf(3) / 2) < mpf(2) ** -250
-        assert abs(f.L[1][0] - mpc(0, -0.5)) < mpf(2) ** -250
-        assert abs(product(f.d) - 3) < mpf(2) ** -248
         # A^{-1} [1, 0]^T = [2/3, i/3]
         x = ldl_solve(f, [mpf(1), mpf(0)])
         assert abs(x[0] - mpf(2) / 3) < mpf(2) ** -248
@@ -63,12 +62,13 @@ def test_hand_hermitian_2x2():
 
 def test_hilbert_determinant():
     with working(256):
-        f = ldl_factor(hilbert(4), pivot=False)
         exact = mpf(1) / 6048000
+        # pivoting reorders but keeps the determinant
+        f = ldl_factor(hilbert(4))
         assert abs(product(f.d) - exact) / exact < mpf(2) ** -230
-        # pivoted factorization reorders but keeps the determinant
-        g = ldl_factor(hilbert(4), pivot=True)
-        assert abs(product(g.d) - exact) / exact < mpf(2) ** -230
+        # leading minors, det H_3 = 1/2160 and det H_2 = 1/12
+        assert abs(product(ldl_factor(hilbert(3)).d) - mpf(1) / 2160) < mpf(2) ** -240
+        assert abs(product(ldl_factor(hilbert(2)).d) - mpf(1) / 12) < mpf(2) ** -240
 
 
 def test_pivoting_picks_max_diagonal():
@@ -76,7 +76,7 @@ def test_pivoting_picks_max_diagonal():
         A = [[mpf(1), mpf("0.1"), mpf("0.1")],
              [mpf("0.1"), mpf(5), mpf("0.1")],
              [mpf("0.1"), mpf("0.1"), mpf(3)]]
-        f = ldl_factor(A, pivot=True)
+        f = ldl_factor(A)
         assert f.perm[0] == 1
         R = reconstruct(f)
         for i in range(3):
@@ -94,7 +94,7 @@ def test_random_hermitian_roundtrip():
               for j in range(n)] for i in range(n)]
         for i in range(n):
             A[i][i] = A[i][i] + 1
-        f = ldl_factor(A, pivot=True)
+        f = ldl_factor(A)
         R = reconstruct(f)
         scale = max(abs(A[i][j]) for i in range(n) for j in range(n))
         for i in range(n):
@@ -144,14 +144,17 @@ def test_profile_matches_solve_and_determinant_ratio():
         assert f.dropped == 0 and f.band is None
         for m in range(1, n + 1):
             sub = [row[:m] for row in A[:m]]
-            x = ldl_solve(ldl_factor(sub, pivot=True), g[:m])
+            x = ldl_solve(ldl_factor(sub), g[:m])
             want = 1 - mp.re(mp.fsum(mp.conj(gv) * xv for gv, xv in zip(g, x)))
             assert abs(f.d_squared[m - 1] - want) < mpf(2) ** -240
             low = [[sub[i][j] - g[i] * mp.conj(g[j]) for j in range(m)]
                    for i in range(m)]
-            ratio = product(ldl_factor(low, pivot=False).d) / product(ldl_factor(sub, pivot=False).d)
+            det = product(ldl_factor(sub).d)
+            ratio = product(ldl_factor(low).d) / det
             assert abs(f.d_squared[m - 1] - ratio) < mpf(2) ** -230
-            assert abs(f.pivots[m - 1] - ldl_factor(sub, pivot=False).d[m - 1]) < mpf(2) ** -240
+            # pivots[m - 1] = det A_m / det A_{m-1}
+            prev = product(ldl_factor([row[:m - 1] for row in A[:m - 1]]).d) if m > 1 else 1
+            assert abs(f.pivots[m - 1] - det / prev) < mpf(2) ** -230
 
 
 def test_profile_drops_and_flags_band_pivots():
@@ -196,7 +199,7 @@ def test_profile_validation():
 
 def test_singular_solve_raises():
     with working(128):
-        f = ldl_factor([[mpf(1), mpf(1)], [mpf(1), mpf(1)]], pivot=False)
+        f = ldl_factor([[mpf(1), mpf(1)], [mpf(1), mpf(1)]])
         with pytest.raises(NSingular) as exc:
             ldl_solve(f, [mpf(1), mpf(0)])
         assert exc.value.index == 1

@@ -265,7 +265,7 @@ def _old_min_norm(n, t):
     for i in range(l):
         for j in range(i):
             H[i][j] = mp.conj(H[j][i])
-    x = ldl_solve(ldl_factor(H, pivot=True), [mpf(1)] * l)
+    x = ldl_solve(ldl_factor(H), [mpf(1)] * l)
     coeffs = [mp.fsum(mp.conj(psi[i]) * x[i] for i in range(l))
               for psi in _old_psi_rows(n, t)]
     return H, mp.re(mp.fsum(x)), coeffs
