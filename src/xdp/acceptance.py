@@ -19,7 +19,8 @@ from .distance import (distance_profile, distance_squared,
 from .dpcore import DirichletPolynomial
 from .exact import GaussianRational
 from .experiments import run_decay_fit
-from .lubinsky import kernel_asymptotics_report, min_norm, psi_inner_max_deviation
+from .lubinsky import (_kernel_matrices, _solve_min_norm, kernel_asymptotics_report,
+                       psi_inner_max_deviation)
 from .numio import mp_to_str
 from .precision import working
 from .zeros import Rectangle, constant_C, find_zeros
@@ -112,8 +113,9 @@ def criterion_5() -> AcceptanceResult:
         ords = (mpf(0), step, 2 * step)
         prof = distance_profile(P_BASE, 0, 128, bits=BITS)
         worst = None
-        for n in (4, 8, 16, 32, 64, 128):
-            bound = min_norm(2 * n, ords, bits=BITS).value
+        ns = (4, 8, 16, 32, 64, 128)
+        for n, km in zip(ns, _kernel_matrices([2 * n for n in ns], ords, BITS)):
+            bound = _solve_min_norm(km, BITS).value
             margin = prof[n - 1].d_squared - bound
             if worst is None or margin < worst:
                 worst = margin

@@ -20,7 +20,7 @@ from .distance import DistanceResult, _audited_profile
 from .dpcore import DirichletPolynomial, StripBounds, strip_bounds
 from .errors import NSingular
 from .exact import fraction_to_mpf
-from .lubinsky import min_norm
+from .lubinsky import _kernel_matrices, _solve_min_norm
 from .numio import mp_to_str
 from .precision import working
 from .zeros import ConstantC, ZeroSet, constant_C, find_zeros
@@ -209,9 +209,10 @@ def run_criterion_report(cfg: ExperimentConfig) -> CriterionReport:
         else:
             theorem2 = True
             worst = None
-            for row in rows:
+            kms = _kernel_matrices([P.m * row.n for row in rows], C.ordinates, bits)
+            for row, km in zip(rows, kms):
                 try:
-                    bound = min_norm(P.m * row.n, C.ordinates, bits=bits).value
+                    bound = _solve_min_norm(km, bits).value
                 except NSingular:
                     continue
                 gap = row.d_squared - bound

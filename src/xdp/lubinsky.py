@@ -14,10 +14,13 @@ value 1^T H^{-1} 1 lower-bounds the approximation distances computed in
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from mpmath import bernfrac, mp, mpc, mpf
+from mpmath.libmp import (from_int, from_man_exp, mpf_cos_sin, mpf_log, mpf_mul,
+                          mpf_shift, round_nearest, to_int)
 
 from .errors import DuplicateOrdinates, NSingular, RemainderNotProven
 from .exact import to_mp
@@ -41,20 +44,140 @@ def psi_eval(n: int, t, bits: Optional[int] = None):
         return mp.power(n, w) - mp.power(n - 1, w)
 
 
-def _psi_columns(n: int, ts):
-    """[psi_k(t) for t in ts] for k = 1..n, at the caller's precision.
+# Kernel sums run in fixed point: every quantity is an integer times 2^-P with
+# P = bits + _GUARD, and sums of products are exact Python ints, rounded once
+# per entry at the end. P depends on bits alone, so K_n(u, v) is the same
+# integer whichever other ordinates or grid points share a pass.
+#
+# Error of the stream, in units 2^-P (the proof of the guard). A prime phase
+# is cos/sin of t log p, correct to 2^-(P+6) before rounding, so
+# |e_p - p^-it| <= 1. A composite k = p m takes round(e_p e_m), whose error
+# is at most |e_p - p^-it| + |e_m - m^-it| + 1 (up to O(2^-P) terms); by
+# induction on the number of prime factors, |e_k - k^-it| <= 2 log2 k. With
+# floor(sqrt(k) 2^P) and one rounding, A_k = round(sqrt(k) e_k) is within
+# 2 (log2 k + 1) sqrt(k) of sqrt(k) k^-it, so psi_k = A_k - A_{k-1} is within
+# eta_k = 4 (log2 n + 1) sqrt(k): fixed-point subtraction adds nothing, at
+# t = 0 too. Summed, ||eta||_2 <= 2 sqrt(2) (log2 n + 1) sqrt(n (n+1)) <= e
+# with e = 3 (log2 n + 3) n. As psi_1 = 1, ||psi(t)||^2 = K_n(t, t) >= 1, and
+# Cauchy-Schwarz bounds the error of a computed K_n(u, v) by
+# (2 eps + eps^2) sqrt(K_n(u, u) K_n(v, v)), eps = e 2^-P. _GUARD = 64 keeps
+# that below 2^-(bits+7) for n up to 2^48.
+_GUARD = 64
 
-    psi_k(0) is the real 1/(sqrt(k) + sqrt(k-1)), free of the cancellation in
-    sqrt(k) - sqrt(k-1); other ordinates difference consecutive powers k^w,
-    w = 1/2 - it. Every kernel sum reads this one stream.
+
+def _spf_sieve(n: int) -> array:
+    """spf[k] = the smallest prime factor of composite k <= n; 0 elsewhere."""
+    spf = array("I", bytes(4 * (n + 1)))
+    if n < 4:
+        return spf
+    r = math.isqrt(n)
+    small = _spf_sieve(r)
+    for p in reversed([p for p in range(2, r + 1) if not small[p]]):
+        spf[p * p::p] = array("I", [p]) * len(range(p * p, n + 1, p))
+    return spf
+
+
+def _prime_phase(t, p: int, P: int):
+    """p^{-it} * 2^P rounded to Gaussian integers; t is a raw mpf.
+
+    t log p is formed at P + 8 bits beyond its own magnitude (log p < 2^6
+    for p < e^64), so cos/sin see it to 2^-(P+7) however large t is.
     """
-    ws = [None if t == 0 else mpc(mpf(1) / 2, -t) for t in ts]
-    prev = [mpf(0)] * len(ts)
+    _, man, exp, bc = t
+    if not man:
+        return 1 << P, 0
+    wp = P + 8 + max(0, exp + bc + 6)
+    theta = mpf_mul(t, mpf_log(from_int(p), wp, round_nearest), wp, round_nearest)
+    c, s = mpf_cos_sin(theta, P + 8, round_nearest)
+    return (to_int(mpf_shift(c, P), round_nearest),
+            -to_int(mpf_shift(s, P), round_nearest))
+
+
+def _phases(n: int, t, P: int, spf):
+    """e_k = k^{-it} * 2^P as Gaussian integers (re, im), k = 1..n.
+
+    Primes (and k = 1) take _prime_phase; a composite k = p m, p = spf[k],
+    takes e_p e_m rounded once. m <= n // 2 and p <= sqrt(n), so the table
+    keeps e_m for m <= n // 2 only.
+    """
+    keep = n // 2
+    half = 1 << (P - 1)
+    re, im = [0], [0]
     for k in range(1, n + 1):
-        cur = [mp.sqrt(k) if w is None else mp.power(k, w) for w in ws]
-        yield [1 / (c + p) if w is None else c - p
-               for c, p, w in zip(cur, prev, ws)]
+        p = spf[k]
+        if not p:
+            x, y = _prime_phase(t, k, P)
+        else:
+            a, b, c, d = re[p], im[p], re[k // p], im[k // p]
+            x = (a * c - b * d + half) >> P
+            y = (a * d + b * c + half) >> P
+        if k <= keep:
+            re.append(x)
+            im.append(y)
+        yield x, y
+
+
+def _psi_stream(n: int, ts, P: int):
+    """[psi_k(t) * 2^P for t in ts] for k = 1..n, as Gaussian integers.
+
+    psi_k = A_k - A_{k-1} with A_k = round(sqrt(k) e_k), and sqrt(k) * 2^P
+    is isqrt(k << 2P). At t = 0, e_k = 2^P exactly. Every kernel sum reads
+    this one stream.
+    """
+    spf = _spf_sieve(n)
+    half = 1 << (P - 1)
+    prev = [(0, 0)] * len(ts)
+    for k, es in enumerate(zip(*[_phases(n, t._mpf_, P, spf) for t in ts]), 1):
+        s = math.isqrt(k << (2 * P))
+        cur = [((s * x + half) >> P, (s * y + half) >> P) for x, y in es]
+        yield [(a - c, b - d) for (a, b), (c, d) in zip(cur, prev)]
         prev = cur
+
+
+def _rounded(man: int, exp: int, bits: int):
+    """Raw mpf of man * 2^exp, rounded once, to nearest, at bits."""
+    return from_man_exp(man, exp, bits, round_nearest)
+
+
+def _kernel_sums(grid: Sequence[int], ts, bits: int):
+    """(n, H_n) with H_n[i][j] = K_n(t_i, t_j) at each n of an increasing
+    grid, from one pass of the stream.
+
+    Entries are Sigma (a_r b_r + a_i b_i) and Sigma (a_i b_r - a_r b_i) over
+    the stream, summed exactly and rounded once, to nearest, at bits; the
+    diagonal is the real Sigma (a_r^2 + a_i^2).
+    """
+    P = bits + _GUARD
+    l = len(ts)
+    re = [[0] * l for _ in range(l)]
+    im = [[0] * l for _ in range(l)]
+    targets = iter(grid)
+    target = next(targets)
+    for k, psi in enumerate(_psi_stream(grid[-1], ts, P), 1):
+        for i, (ar, ai) in enumerate(psi):
+            rr, ri = re[i], im[i]
+            rr[i] += ar * ar + ai * ai
+            for j in range(i + 1, l):
+                br, bi = psi[j]
+                rr[j] += ar * br + ai * bi
+                ri[j] += ai * br - ar * bi
+        if k == target:
+            H = [[None] * l for _ in range(l)]
+            for i in range(l):
+                H[i][i] = mp.make_mpf(_rounded(re[i][i], -2 * P, bits))
+                for j in range(i + 1, l):
+                    r = _rounded(re[i][j], -2 * P, bits)
+                    H[i][j] = mp.make_mpc((r, _rounded(im[i][j], -2 * P, bits)))
+                    H[j][i] = mp.make_mpc((r, _rounded(-im[i][j], -2 * P, bits)))
+            yield k, H
+            target = next(targets, None)
+
+
+def _ordinate(x):
+    t = to_mp(x)
+    if isinstance(t, mpc):
+        raise ValueError(f"ordinates must be real, got {t}")
+    return t
 
 
 def _gram_terms(keys):
@@ -117,13 +240,10 @@ def kernel(n: int, u, v, bits: Optional[int] = None):
         raise ValueError(f"need n >= 1, got {n}")
     bits = resolve_bits(bits)
     with working(bits):
-        u_mp = to_mp(u)
-        v_mp = to_mp(v)
-        diag = u_mp == v_mp
-        acc = mpf(0)
-        for psi in _psi_columns(n, [u_mp] if diag else [u_mp, v_mp]):
-            acc = acc + (abs(psi[0]) ** 2 if diag else psi[0] * mp.conj(psi[1]))
-        return acc
+        u_mp, v_mp = _ordinate(u), _ordinate(v)
+        if u_mp == v_mp:
+            return next(_kernel_sums([n], [u_mp], bits))[1][0][0]
+        return next(_kernel_sums([n], [u_mp, v_mp], bits))[1][0][1]
 
 
 @dataclass(frozen=True)
@@ -133,36 +253,31 @@ class KernelMatrix:
     H: list
 
 
-def kernel_matrix(n: int, t: Sequence, bits: Optional[int] = None) -> KernelMatrix:
-    """H[i][j] = K_n(t_i, t_j) over distinct real ordinates."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+def _kernel_matrices(grid: Sequence[int], t: Sequence, bits: int):
+    """KernelMatrix at each n of an increasing grid, from one pass.
+
+    Each is == kernel_matrix(n, t, bits): the stream does not depend on
+    where it stops.
+    """
+    if not grid or grid[0] < 1 or any(a >= b for a, b in zip(grid, grid[1:])):
+        raise ValueError("n grid must be strictly increasing with entries >= 1")
     if not t:
         raise ValueError("ordinate list is empty")
-    bits = resolve_bits(bits)
     with working(bits):
-        t_mp = [to_mp(x) for x in t]
-        for x in t_mp:
-            if isinstance(x, mpc):
-                raise ValueError(f"ordinates must be real, got {x}")
+        t_mp = tuple(_ordinate(x) for x in t)
         guard = mpf(_DUPLICATE_GUARD)
-        l = len(t_mp)
-        for i in range(l):
-            for j in range(i + 1, l):
+        for i in range(len(t_mp)):
+            for j in range(i + 1, len(t_mp)):
                 if abs(t_mp[i] - t_mp[j]) < guard:
                     raise DuplicateOrdinates(
                         f"ordinates {i} and {j} closer than {_DUPLICATE_GUARD}")
-        H = [[mpf(0)] * l for _ in range(l)]
-        for psi in _psi_columns(n, t_mp):
-            conj = [mp.conj(p) for p in psi]
-            for i in range(l):
-                row, p = H[i], psi[i]
-                for j in range(i, l):
-                    row[j] = row[j] + p * conj[j]
-        for i in range(l):
-            for j in range(i):
-                H[i][j] = mp.conj(H[j][i])
-        return KernelMatrix(n=n, t=tuple(t_mp), H=H)
+    for n, H in _kernel_sums(grid, t_mp, bits):
+        yield KernelMatrix(n=n, t=t_mp, H=H)
+
+
+def kernel_matrix(n: int, t: Sequence, bits: Optional[int] = None) -> KernelMatrix:
+    """H[i][j] = K_n(t_i, t_j) over distinct real ordinates."""
+    return next(_kernel_matrices([n], t, resolve_bits(bits)))
 
 
 @dataclass(frozen=True)
@@ -171,6 +286,41 @@ class MinNormSolution:
     coeffs: Optional[list]
     n: int
     t: tuple
+
+
+def _man_exp(x):
+    sign, man, exp, _ = x._mpf_
+    return (-man if sign else man), exp
+
+
+def _solve_min_norm(km: KernelMatrix, bits: int,
+                    with_coeffs: bool = False) -> MinNormSolution:
+    """min_norm from its kernel matrix; raises NSingular on a pivot <= 0.
+
+    Each coefficient conj(psi_k) . x is summed exactly against the stream,
+    with x aligned to one binary exponent, and rounded once.
+    """
+    with working(bits):
+        f = ldl_factor(km.H)
+        for i, d in enumerate(f.d):
+            if not d > 0:
+                raise NSingular(i, d)
+        x = ldl_solve(f, [mpf(1)] * len(km.t))
+        value = mp.re(mp.fsum(x))
+    coeffs = None
+    if with_coeffs:
+        parts = [_man_exp(y) for xi in x for y in (mp.re(xi), mp.im(xi))]
+        e = min((ex for m, ex in parts if m), default=0)
+        ints = [m << (ex - e) for m, ex in parts]
+        xs = list(zip(ints[::2], ints[1::2]))
+        P = bits + _GUARD
+        coeffs = []
+        for psi in _psi_stream(km.n, km.t, P):
+            cr = sum(pr * xr + pi * xi for (pr, pi), (xr, xi) in zip(psi, xs))
+            ci = sum(pr * xi - pi * xr for (pr, pi), (xr, xi) in zip(psi, xs))
+            coeffs.append(mp.make_mpc((_rounded(cr, e - P, bits),
+                                       _rounded(ci, e - P, bits))))
+    return MinNormSolution(value=value, coeffs=coeffs, n=km.n, t=km.t)
 
 
 def min_norm(n: int, t: Sequence, bits: Optional[int] = None,
@@ -182,20 +332,7 @@ def min_norm(n: int, t: Sequence, bits: Optional[int] = None,
     zeros and H is the corresponding kernel matrix.
     """
     bits = resolve_bits(bits)
-    km = kernel_matrix(n, t, bits=bits)
-    with working(bits):
-        f = ldl_factor(km.H)
-        for i, d in enumerate(f.d):
-            if not d > 0:
-                raise NSingular(i, d)
-        ones = [mpf(1)] * len(km.t)
-        x = ldl_solve(f, ones)
-        value = mp.re(mp.fsum(x))
-        coeffs = None
-        if with_coeffs:
-            coeffs = [mp.fsum(mp.conj(p) * xi for p, xi in zip(psi, x))
-                      for psi in _psi_columns(n, km.t)]
-        return MinNormSolution(value=value, coeffs=coeffs, n=n, t=km.t)
+    return _solve_min_norm(kernel_matrix(n, t, bits=bits), bits, with_coeffs)
 
 
 # K_n(0, 0) = sum_{k<=n} f(k) with f(x) = (sqrt(x) - sqrt(x-1))^2: terms up to
@@ -299,11 +436,11 @@ def kernel_asymptotics_report(u, n_grid: Sequence[int],
         rows.append(KernelAsymptoticsRow(n=k, value=value, ratio=value / (mp.log(k) / 4)))
 
     with working(bits):
-        u_mp = to_mp(u)
+        u_mp = _ordinate(u)
         head = grid[-1] if u_mp != 0 else min(grid[-1], _em_start(bits))
-        acc = mpf(0)
-        for k, (x,) in enumerate(_psi_columns(head, [u_mp]), 1):
-            acc = acc + abs(x) ** 2
+        for k, H in _kernel_sums(sorted({n for n in grid if n < head} | {head}),
+                                 [u_mp], bits):
+            acc = H[0][0]
             if k in targets:
                 add_row(k, acc)
         for n in grid:

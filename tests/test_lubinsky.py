@@ -6,6 +6,8 @@ The weight is (1/2pi) dt / (1/4 + t^2). Pinned values:
 which coincides with d^2_{1,0} of 1 - 2^{-s}: the lower bound is tight there.
 """
 
+import math
+
 import pytest
 from mpmath import mp, mpc, mpf
 
@@ -13,7 +15,6 @@ from xdp import lubinsky
 from xdp.errors import DuplicateOrdinates, NSingular, RemainderNotProven
 from xdp.lubinsky import (
     _EM_START,
-    _em_tail,
     _laurent_sum,
     kernel,
     kernel_asymptotics_report,
@@ -23,7 +24,6 @@ from xdp.lubinsky import (
     psi_inner,
     psi_inner_max_deviation,
 )
-from xdp.linalg import ldl_factor, ldl_solve
 from xdp.precision import working
 
 
@@ -224,88 +224,141 @@ def test_kernel_asymptotics_report_raises_without_proven_remainder(monkeypatch):
         kernel_asymptotics_report(0, [_EM_START + 10], bits=256)
 
 
-# The loops each kernel sum ran before they shared one psi stream. Where no
-# ordinate is 0, or both kernel arguments are, the stream must give the same
-# bits.
-
-def _old_kernel(n, u, v):
-    if u == 0 and v == 0:
-        acc = prev = mpf(0)
-        for k in range(1, n + 1):
-            s = mp.sqrt(k)
-            d = 1 / (s + prev)
-            acc = acc + d * d
-            prev = s
-        return acc
-    wu, wv = mpc(mpf(1) / 2, -u), mpc(mpf(1) / 2, -v)
-    acc = pu = pv = mpf(0)
-    for k in range(1, n + 1):
-        cu, cv = mp.power(k, wu), mp.power(k, wv)
-        acc = acc + (abs(cu - pu) ** 2 if u == v else (cu - pu) * mp.conj(cv - pv))
-        pu, pv = cu, cv
-    return acc
+# The kernels benchmark's min_norm inputs: 16 lattice ordinates k 2pi/log 2
+# of 1 - 2^{-s}, at n = 512.
+_LATTICE_KS = (-31, -28, -26, -25, -23, -17, -15, -13, -7, -3, 12, 17, 18, 21, 30, 32)
 
 
-def _old_psi_rows(n, t):
-    ws = [mpc(mpf(1) / 2, -x) for x in t]
-    prev = [mpf(0)] * len(t)
-    for k in range(1, n + 1):
-        cur = [mp.power(k, w) for w in ws]
-        yield [cur[i] - prev[i] for i in range(len(t))]
-        prev = cur
-
-
-def _old_min_norm(n, t):
-    l = len(t)
-    H = [[mpf(0)] * l for _ in range(l)]
-    for psi in _old_psi_rows(n, t):
-        for i in range(l):
-            for j in range(i, l):
-                H[i][j] = H[i][j] + psi[i] * mp.conj(psi[j])
-    for i in range(l):
-        for j in range(i):
-            H[i][j] = mp.conj(H[j][i])
-    x = ldl_solve(ldl_factor(H), [mpf(1)] * l)
-    coeffs = [mp.fsum(mp.conj(psi[i]) * x[i] for i in range(l))
-              for psi in _old_psi_rows(n, t)]
-    return H, mp.re(mp.fsum(x)), coeffs
-
-
-@pytest.mark.parametrize("n", [1, 2, 17, 60])
-def test_psi_stream_matches_the_old_loops(n):
-    bits = 256
-    t = [mpf("9.06"), mpf("-0.3"), mpf("18.13")]
+def _lattice_step(bits):
     with working(bits):
-        for u, v in [(0, 0), (t[0], t[0]), (t[1], t[1]), (t[0], t[1]), (t[2], t[1])]:
-            assert kernel(n, u, v, bits=bits) == _old_kernel(n, u, v), (u, v)
-        grid = [k for k in (2, 3, 16, 17, 59, 60) if k <= n]
-        for u in (0, t[0], t[1]) if grid else ():
-            rows = kernel_asymptotics_report(u, grid, bits=bits)
-            assert [row.n for row in rows] == grid
-            for row in rows:
-                want = _old_kernel(row.n, u, u)
-                assert row.value == want
-                assert row.ratio == want / (mp.log(row.n) / 4)
-        H, value, coeffs = _old_min_norm(n, t[:min(n, 3)])
-        assert kernel_matrix(n, t[:min(n, 3)], bits=bits).H == H
-        sol = min_norm(n, t[:min(n, 3)], bits=bits, with_coeffs=True)
-        assert sol.value == value
-        assert sol.coeffs == coeffs
+        return 2 * mp.pi / mp.log(2)
 
 
-def test_psi_stream_report_beyond_em_start_matches_old_head():
-    # the direct head up to _EM_START feeds the unchanged Euler-Maclaurin tail
-    bits = 256
-    rows = kernel_asymptotics_report(0, [_EM_START, 1500], bits=bits)
+@pytest.mark.parametrize("bits", [128, 256])
+def test_kernel_matrix_and_min_norm_against_a_finer_build(bits):
+    # exact sums with one rounding per entry: H within 2^-(bits-2) of the
+    # largest diagonal entry, the min-norm value within 2^-(bits-4) relative
+    step = _lattice_step(bits)
     with working(bits):
-        head = _old_kernel(_EM_START, 0, 0)
-        assert rows[0].value == head
-        assert rows[1].value == head + _em_tail(head, _EM_START, 1500, bits)
+        t = [k * step for k in _LATTICE_KS]
+    H = kernel_matrix(512, t, bits=bits).H
+    fine = kernel_matrix(512, t, bits=bits + 128).H
+    value = min_norm(512, t, bits=bits).value
+    want = min_norm(512, t, bits=bits + 128).value
+    with working(bits + 128):
+        scale = max(abs(fine[i][i]) for i in range(len(t)))
+        worst = max(abs(H[i][j] - fine[i][j])
+                    for i in range(len(t)) for j in range(len(t)))
+        assert worst <= mpf(2) ** -(bits - 2) * scale
+        assert abs(value - want) <= mpf(2) ** -(bits - 4) * want
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_report_rows_off_zero_against_a_finer_build(bits):
+    step = _lattice_step(bits)
+    grid = [1000, 3000, 10000]
+    rows = kernel_asymptotics_report(step, grid, bits=bits)
+    fine = kernel_asymptotics_report(step, grid, bits=bits + 128)
+    with working(bits + 128):
+        for row, want in zip(rows, fine):
+            assert abs(row.value - want.value) <= mpf(2) ** -(bits - 2) * want.value, row.n
+            assert abs(row.ratio - want.ratio) <= mpf(2) ** -(bits - 2) * want.ratio, row.n
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_large_ordinates_keep_every_digit(bits):
+    # t log k is formed beyond the magnitude of t: 10^30 and 10^30 + 1 are
+    # exact at both precisions, so a finer build is the same problem
+    with working(bits):
+        u = mpf(10) ** 30
+        v = u + 1
+    tol = mpf(2) ** -(bits - 2)
+    got = kernel(50, u, u, bits=bits)
+    want = kernel(50, u, u, bits=bits + 512)
+    value = min_norm(8, [u, v], bits=bits).value
+    fine = min_norm(8, [u, v], bits=bits + 512).value
+    with working(bits + 512):
+        assert abs(got - want) <= tol * want
+        # the order-2 solve at bits adds a bit or two; the value is in (0, 1]
+        assert abs(value - fine) <= tol
+
+
+def test_spf_sieve():
+    n = 2000
+    spf = lubinsky._spf_sieve(n)
+    for k in range(n + 1):
+        least = next((p for p in range(2, math.isqrt(k) + 1) if k % p == 0), 0)
+        assert spf[k] == least, k
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_phases_from_prime_phases(bits):
+    # e_k = k^{-it} 2^P within 2 log2 k units (the bound in lubinsky's guard
+    # derivation), against mp.power at P + 32, past the magnitude of t log k;
+    # e == 1 at t = 0
+    n = 2000
+    P = bits + lubinsky._GUARD
+    spf = lubinsky._spf_sieve(n)
+    with working(bits):
+        ts = [mpf(0), 2 * mp.pi / mp.log(2), mpf(-10) ** 4]
+    for t in ts:
+        gen = lubinsky._phases(n, t._mpf_, P, spf)
+        with working(P + 32):
+            for k, (x, y) in enumerate(gen, 1):
+                # spy: the product table never holds more than m <= n // 2
+                table = gen.gi_frame.f_locals
+                assert len(table["re"]) - 1 <= n // 2
+                assert len(table["im"]) - 1 <= n // 2
+                if t == 0:
+                    assert (x, y) == (1 << P, 0)
+                    continue
+                want = mp.power(k, mpc(0, -t)) * mpf(2) ** P
+                err = abs(mpc(x, y) - want)
+                assert err <= max(1, 2 * math.log2(k)), (t, k, err)
+
+
+def test_kernel_grid_is_one_pass_of_separate_calls(monkeypatch):
+    t = [0, mpf("2.5"), mpf("-7"), mpf("9.06")]
+    grid = [1, 2, 5, 17, 40]
+    bits = 192
+    # the scale of the stream depends on bits alone, not on n or ordinates
+    scales = []
+    stream = lubinsky._psi_stream
+
+    def spy(n, ts, P):
+        scales.append(P)
+        return stream(n, ts, P)
+    monkeypatch.setattr(lubinsky, "_psi_stream", spy)
+    kms = list(lubinsky._kernel_matrices(grid, t, bits))
+    assert [km.n for km in kms] == grid
+    for km in kms:
+        alone = kernel_matrix(km.n, t, bits=bits)
+        assert km.H == alone.H
+        for i, u in enumerate(t):
+            for j, v in enumerate(t):
+                assert kernel(km.n, u, v, bits=bits) == km.H[i][j], (km.n, i, j)
+        try:
+            want = min_norm(km.n, t, bits=bits).value
+        except NSingular:
+            with pytest.raises(NSingular):
+                lubinsky._solve_min_norm(km, bits)
+        else:
+            assert lubinsky._solve_min_norm(km, bits).value == want
+    # K_n(u, v) does not depend on which other ordinates share the pass
+    assert kernel_matrix(17, t[1:3], bits=bits).H[0][1] == kms[3].H[1][2]
+    with pytest.raises(ValueError):
+        list(lubinsky._kernel_matrices([5, 5], t, bits))
+    assert set(scales) == {bits + lubinsky._GUARD}
+    # and the stream does not depend on where it stops
+    with working(bits):
+        ts = [mpf(x) for x in t]
+    assert list(stream(17, ts, 256)) == list(stream(40, ts, 256))[:17]
 
 
 @pytest.mark.parametrize("bits", [128, 256])
 def test_zero_ordinate_next_to_nonzero_ones(bits):
-    # psi_k(0) is the real 1/(sqrt(k) + sqrt(k-1)) beside complex columns
+    # the real psi_k(0) = sqrt(k) - sqrt(k-1) in fixed point beside complex
+    # columns
     n = 300
     t = [0, mpf("2.5"), mpf("-7")]
     H = kernel_matrix(n, t, bits=bits).H
