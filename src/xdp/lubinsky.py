@@ -65,6 +65,92 @@ def psi_eval(n: int, t, bits: Optional[int] = None):
 _GUARD = 64
 
 
+def _sqrt_fixed(k: int, P: int) -> int:
+    """floor(sqrt(k) * 2^P), the sqrt(k) of the stream and of the audit."""
+    return math.isqrt(k << (2 * P))
+
+
+def _inner_terms(keys, P: int):
+    """term(a, b) = sqrt(a) sqrt(b) <(a/b)^{it}>_w * 2^{4P} in integers.
+
+    The weighted inner <x^{it}>_w = min(x, 1/x)^{1/2} enters as s_lo inv_hi,
+    with s_k = _sqrt_fixed(k, P) and inv_k = 2^{2P} // s_k, so
+    term(a, b) = s_a s_b s_lo inv_hi = c_hi q_lo with c_k = s_k inv_k and
+    q_k = s_k^2: min(a, b) * 2^{4P} up to rounding, symmetric and exact, and
+    <psi_n, psi_m> 2^{4P}
+        = term(n, m) - term(n, m-1) - term(n-1, m) + term(n-1, m-1).
+    """
+    c, q = {0: 0}, {0: 0}
+    for k in keys:
+        if k > 0:
+            s = _sqrt_fixed(k, P)
+            c[k], q[k] = s * ((1 << 2 * P) // s), s * s
+
+    def term(a, b):
+        return c[a] * q[b] if a >= b else c[b] * q[a]
+    return term
+
+
+def psi_inner(n: int, m: int, bits: Optional[int] = None):
+    """<psi_n, psi_m> in the weighted space; delta_{nm} up to rounding.
+
+    The four terms are summed exactly and rounded once, to nearest, at bits.
+    """
+    if n < 1 or m < 1:
+        raise ValueError(f"need indices >= 1, got ({n}, {m})")
+    bits = resolve_bits(bits)
+    P = bits + _GUARD
+    term = _inner_terms({n, m, n - 1, m - 1}, P)
+    val = term(n, m) - term(n, m - 1) - term(n - 1, m) + term(n - 1, m - 1)
+    return mp.make_mpf(_rounded(val, -4 * P, bits))
+
+
+def psi_inner_max_deviation(n_max: int, bits: Optional[int] = None):
+    """max_{n,m <= n_max} |<psi_n, psi_m> - delta_{nm}| on the stream's sqrt(k).
+
+    Every pair is summed exactly from _inner_terms at P = bits + _GUARD, and
+    the largest deviation is rounded once, to nearest, at bits. Exact
+    arithmetic on exact square roots would give 0, so the value is how far
+    the stream's fixed-point sqrt(k) keeps the psi_k from orthonormal.
+
+    Bound. Write S = 2^P, s_k = sqrt(k) S - e_k with 0 <= e_k < 1, and
+    c_k = s_k (S^2 // s_k) = S^2 - g_k with g_k = S^2 mod s_k, so
+    0 <= g_k < s_k <= sqrt(k) S (s_k and inv_k are each within one unit).
+    Rows n and n-1 share q_m = s_m^2 for m < n, so off the diagonal
+        <psi_n, psi_m> S^4 = (g_{n-1} - g_n) (q_m - q_{m-1}),
+    with |g_{n-1} - g_n| < sqrt(n) S and 0 < q_m - q_{m-1} <= S^2 + 2 sqrt(m) S:
+    the deviation is below sqrt(n) 2^-P (1 + 2 sqrt(m) 2^-P). On the diagonal
+        (<psi_n, psi_n> - 1) S^4 = S^2 (q_n - q_{n-1} - S^2)
+                                   - g_n (q_n - q_{n-1}) + (g_n - g_{n-1}) q_{n-1},
+    with |q_n - q_{n-1} - S^2| < 2 sqrt(n) S + 1 and q_{n-1} <= (n-1) S^2,
+    so the deviation is below (n + 2) sqrt(n) 2^-P + 3n 2^-2P. Both are
+    below 4 n_max^{3/2} 2^-P. The last diagonal term grows as n^{3/2}, and
+    it dominates: at 256 bits the audit reads about 2^-308.5 at n_max = 250
+    and 2^-307.0 at n_max = 500, against bounds 2^-306.0 and 2^-304.5.
+    """
+    if n_max < 1:
+        raise ValueError(f"need n_max >= 1, got {n_max}")
+    bits = resolve_bits(bits)
+    P = bits + _GUARD
+    term = _inner_terms(range(n_max + 1), P)
+    one = 1 << (4 * P)
+    # Row n of the four-term formula reads term(n, 0..n) and
+    # term(n-1, 0..n); by symmetry the previous row plus
+    # term(n-1, n) = term(n, n-1) covers the second half.
+    worst = 0
+    prev = [0]
+    for n in range(1, n_max + 1):
+        cur = [term(n, m) for m in range(n + 1)]
+        prev.append(cur[n - 1])
+        for m in range(1, n + 1):
+            val = cur[m] - cur[m - 1] - prev[m] + prev[m - 1]
+            dev = abs(val - one) if n == m else abs(val)
+            if dev > worst:
+                worst = dev
+        prev = cur
+    return mp.make_mpf(_rounded(worst, -4 * P, bits))
+
+
 def _spf_sieve(n: int) -> array:
     """spf[k] = the smallest prime factor of composite k <= n; 0 elsewhere."""
     spf = array("I", bytes(4 * (n + 1)))
@@ -121,14 +207,14 @@ def _psi_stream(n: int, ts, P: int):
     """[psi_k(t) * 2^P for t in ts] for k = 1..n, as Gaussian integers.
 
     psi_k = A_k - A_{k-1} with A_k = round(sqrt(k) e_k), and sqrt(k) * 2^P
-    is isqrt(k << 2P). At t = 0, e_k = 2^P exactly. Every kernel sum reads
+    is _sqrt_fixed(k, P). At t = 0, e_k = 2^P exactly. Every kernel sum reads
     this one stream.
     """
     spf = _spf_sieve(n)
     half = 1 << (P - 1)
     prev = [(0, 0)] * len(ts)
     for k, es in enumerate(zip(*[_phases(n, t._mpf_, P, spf) for t in ts]), 1):
-        s = math.isqrt(k << (2 * P))
+        s = _sqrt_fixed(k, P)
         cur = [((s * x + half) >> P, (s * y + half) >> P) for x, y in es]
         yield [(a - c, b - d) for (a, b), (c, d) in zip(cur, prev)]
         prev = cur
@@ -180,60 +266,6 @@ def _ordinate(x):
     return t
 
 
-def _gram_terms(keys):
-    """term(a, b) = sqrt(a) sqrt(b) <(a/b)^{it}>_w for a, b in keys.
-
-    The weighted inner <x^{it}>_w = min(x, 1/x)^{1/2} enters as
-    sq[lo] * inv[hi], so term(a, b) is min(a, b) up to rounding, and
-    <psi_n, psi_m> = term(n, m) - term(n, m-1) - term(n-1, m) + term(n-1, m-1).
-    term is symmetric bit for bit: the first product rounds the same in
-    either order.
-    """
-    sq = {k: mp.sqrt(k) for k in keys if k > 0}
-    inv = {k: 1 / s for k, s in sq.items()}
-
-    def term(a, b):
-        if a == 0 or b == 0:
-            return mpf(0)
-        lo, hi = (a, b) if a <= b else (b, a)
-        return sq[a] * sq[b] * sq[lo] * inv[hi]
-    return term
-
-
-def psi_inner(n: int, m: int, bits: Optional[int] = None):
-    """<psi_n, psi_m> in the weighted space; delta_{nm} up to rounding."""
-    if n < 1 or m < 1:
-        raise ValueError(f"need indices >= 1, got ({n}, {m})")
-    bits = resolve_bits(bits)
-    with working(bits):
-        term = _gram_terms({n, m, n - 1, m - 1})
-        return term(n, m) - term(n, m - 1) - term(n - 1, m) + term(n - 1, m - 1)
-
-
-def psi_inner_max_deviation(n_max: int, bits: Optional[int] = None):
-    """max_{n,m <= n_max} |<psi_n, psi_m> - delta_{nm}|, one shared sqrt table."""
-    if n_max < 1:
-        raise ValueError(f"need n_max >= 1, got {n_max}")
-    bits = resolve_bits(bits)
-    with working(bits):
-        term = _gram_terms(range(n_max + 1))
-        # Row n of the four-term formula reads term(n, 0..n) and
-        # term(n-1, 0..n); by symmetry the previous row plus
-        # term(n-1, n) = term(n, n-1) covers the second half.
-        worst = mpf(0)
-        prev = [mpf(0)]
-        for n in range(1, n_max + 1):
-            cur = [term(n, m) for m in range(n + 1)]
-            prev.append(cur[n - 1])
-            for m in range(1, n + 1):
-                val = cur[m] - cur[m - 1] - prev[m] + prev[m - 1]
-                dev = abs(val - 1) if n == m else abs(val)
-                if dev > worst:
-                    worst = dev
-            prev = cur
-        return worst
-
-
 def kernel(n: int, u, v, bits: Optional[int] = None):
     """K_n(u, v) = sum_{k<=n} psi_k(u) conj(psi_k(v))."""
     if n < 1:
@@ -277,6 +309,8 @@ def _kernel_matrices(grid: Sequence[int], t: Sequence, bits: int):
 
 def kernel_matrix(n: int, t: Sequence, bits: Optional[int] = None) -> KernelMatrix:
     """H[i][j] = K_n(t_i, t_j) over distinct real ordinates."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     return next(_kernel_matrices([n], t, resolve_bits(bits)))
 
 

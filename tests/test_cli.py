@@ -121,6 +121,13 @@ def test_min_norm_json(tmp_path):
                  "--out", str(tmp_path / "m2.json")]) == 2
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_min_norm_order_below_one_exits_1(n, capsys):
+    # a single n is not a grid, and the message says so
+    assert main(["min-norm", f"--n={n}", "--t", "1"]) == 1
+    assert capsys.readouterr().err == f"xdp: need n >= 1, got {n}\n"
+
+
 def test_lubinsky_csv(tmp_path):
     out = tmp_path / "l.csv"
     assert main(["lubinsky", "--u", "0", "--n-grid", "4,8",

@@ -7,14 +7,17 @@ which coincides with d^2_{1,0} of 1 - 2^{-s}: the lower bound is tight there.
 """
 
 import math
+from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_rational, round_nearest
 
 from xdp import lubinsky
 from xdp.errors import DuplicateOrdinates, NSingular, RemainderNotProven
 from xdp.lubinsky import (
     _EM_START,
+    _GUARD,
     _laurent_sum,
     kernel,
     kernel_asymptotics_report,
@@ -57,29 +60,46 @@ def test_psi_inner_bulk_deviation():
 
 
 @pytest.mark.parametrize("n_max", [1, 2, 17, 60])
-def test_psi_inner_max_deviation_matches_four_term_loop(n_max):
-    # the row-reusing loop against the four evaluations per pair it replaced
+def test_psi_inner_max_deviation_matches_exact_fractions(n_max):
+    # the row-reusing integer loop against four exact Fraction terms per pair,
+    # on the stream's own fixed-point sqrt(k), rounded once at the end
     bits = 256
+    P = bits + _GUARD
     got = psi_inner_max_deviation(n_max, bits=bits)
-    with working(bits):
-        sq = [mpf(0)] + [mp.sqrt(k) for k in range(1, n_max + 1)]
-        inv = [mpf(0)] + [1 / sq[k] for k in range(1, n_max + 1)]
+    s = [math.isqrt(k << (2 * P)) for k in range(n_max + 1)]
+    assert s == [lubinsky._sqrt_fixed(k, P) for k in range(n_max + 1)]
 
-        def term(a, b):
-            if a == 0 or b == 0:
-                return mpf(0)
-            lo, hi = (a, b) if a <= b else (b, a)
-            return sq[a] * sq[b] * sq[lo] * inv[hi]
+    def term(a, b):
+        if a == 0 or b == 0:
+            return Fraction(0)
+        lo, hi = (a, b) if a <= b else (b, a)
+        return Fraction(s[a] * s[b] * s[lo] * ((1 << 2 * P) // s[hi]), 1 << (4 * P))
 
-        want = mpf(0)
-        for n in range(1, n_max + 1):
-            for m in range(1, n + 1):
-                val = term(n, m) - term(n, m - 1) - term(n - 1, m) + term(n - 1, m - 1)
-                dev = abs(val - 1) if n == m else abs(val)
-                if dev > want:
-                    want = dev
+    def rounded(x):
+        return from_rational(x.numerator, x.denominator, bits, round_nearest)
+
+    want = Fraction(0)
+    for n in range(1, n_max + 1):
+        for m in range(1, n_max + 1):
+            val = term(n, m) - term(n, m - 1) - term(n - 1, m) + term(n - 1, m - 1)
+            want = max(want, abs(val - (n == m)))
+            if n == n_max:
+                # psi_inner is the one-pair form of the same terms
+                assert psi_inner(n, m, bits=bits)._mpf_ == rounded(val)
     assert isinstance(got, mpf)
-    assert got == want
+    assert got._mpf_ == rounded(want)
+    if n_max > 1:
+        assert got > 0
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_psi_inner_max_deviation_within_documented_bound(bits):
+    # docstring bound 4 n_max^{3/2} 2^-P; the diagonal grows as n^{3/2}
+    n_max = 500
+    dev = psi_inner_max_deviation(n_max, bits=bits)
+    with working(bits + 64):
+        bound = 4 * mpf(n_max) ** 1.5 * mpf(2) ** -(bits + _GUARD)
+        assert 0 < dev < bound
 
 
 def test_kernel_pinned_and_symmetry():
@@ -115,7 +135,7 @@ def test_kernel_matrix_structure():
                 assert abs(km.H[i][j] - want) < mpf(2) ** -180
     with pytest.raises(DuplicateOrdinates):
         kernel_matrix(8, [0, mpf("1e-10")], bits=192)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need n >= 1, got 0"):
         kernel_matrix(0, [0], bits=192)
 
 
