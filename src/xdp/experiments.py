@@ -261,6 +261,7 @@ def constant_c_json(C: ConstantC, bits: int) -> dict:
         "tail_bound": mp_to_str(C.tail_bound, bits),
         "line_tolerance": str(C.line_tolerance),
         "ordinates": [mp_to_str(t, bits) for t in C.ordinates],
+        "multiplicities": list(C.multiplicities),
     }
 
 

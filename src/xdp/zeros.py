@@ -1,30 +1,32 @@
 """Zero location by the argument principle, and the spectral constant.
 
-A contour is a list of arcs (rectangle edges, or one small circle for a
-multiplicity), integrated with composite 12-point Gauss-Legendre panels
-whose count doubles until the winding number pins to the same integer on
-consecutive levels. One integrator serves every contour in numpy doubles
-and one in mpmath. The winding number is an integer, so:
+A rectangle's winding number is integrated with composite 12-point
+Gauss-Legendre panels on each edge, whose count doubles until the count
+pins to the same integer on consecutive levels (``_stabilized``). One
+function, ``_windings``, winds a list of rectangles, and ``winding_count``
+is its one-rectangle case:
 
-* a rectangle runs in doubles whenever coefficient and exponent sizes keep
-  the terms in double range (``_Poly.numpy_safe``), and in mpmath otherwise;
-* a multiplicity circle about c runs in doubles from b_k = a_k k^-c formed
-  in mpmath, so that their rounding does not grow with |c|, when in
-  addition the smallest |P| sampled on it exceeds 2^20 times that rounding,
-  eps (1 + r log m) sum_k |b_k| k^r (see ``_double_floor``). A circle about
-  a multiple zero fails this test, since |P| there is of order
-  radius^multiplicity, and is wound in mpmath.
+* in numpy doubles whenever coefficient and exponent sizes keep the terms
+  in double range (``_Poly.numpy_safe``), in blocks of _BLOCK rectangles:
+  one contact-sample evaluation for the block, then per level one
+  evaluation of P'/P at the nodes of every rectangle not yet settled, each
+  with its own panels, contact test, resolution test and stabilization
+  (``_np_windings``);
+* in mpmath, one rectangle at a time, otherwise (``_winding_mp``).
 
 One engine, ``_zeros_in``, locates zeros for both callers: ``find_zeros``
 runs it on its rectangle and ``constant_C`` on its whole strip. A cell is
 cut on a jittered grid (``_split_cell``: 2 x 2, or a long cell across its
-long side into pieces of about a third of a zero each) until it holds one
-zero or is no wider than _COARSE, and is then polished (``_polish``):
-Newton from its centre to within _NEWTON_STOP of a zero, a circle count
-for the multiplicity, and Newton with that multiplicity in mpmath to the
-requested tolerance; only the converged iterate must lie in the cell. One
-Newton loop runs over either evaluator of P, and P is prepared once per
-call in both forms (``_Poly``).
+long side into pieces of about a third of a zero each), all children of a
+cut wound in one ``_windings`` call, until it holds one zero or is no wider
+than _COARSE, and is then polished (``_polish``): Newton from its centre to
+within _NEWTON_STOP of a zero; a Rouché certificate that exactly as many
+zeros as the cell holds lie within a small radius of that point, from the
+Taylor coefficients of P there (``_certify``); and Newton with that
+multiplicity in mpmath to the requested tolerance. Only the converged
+iterate must lie in the cell. No contour is wound about a zero. One Newton
+loop runs over either evaluator of P, and P is prepared once per call in
+both forms (``_Poly``).
 """
 
 from __future__ import annotations
@@ -50,13 +52,15 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(12)
 _CHUNK = 1 << 16
 _COARSE = Fraction(1, 4)          # polish cells once no edge exceeds this
 _CLUSTER_FLOOR = Fraction(1, 10 ** 5)
-_MULT_RADIUS = "1e-6"
-_NEWTON_STOP = 1e-6 / 64          # a start this close keeps the circle on its zero
+_RHO = 1e-6                       # first radius of the local count (_certify)
+_SHRINK = 0.7                     # and its ratio from one radius to the next
+_NEWTON_STOP = 1e-6 / 64          # a start this close keeps its zero well inside
 _NEWTON_STEPS = 200
 _SAFE_LOG = 600.0                 # terms up to e^600 stay in double range
 _CACHED_PANELS = 256              # largest node table kept in _NODE_TABLES
 _NODE_TABLES: dict = {}           # panels -> _unit_nodes table
-_DOUBLE_MARGIN = 2.0 ** 20 * 2.0 ** -52   # 20 bits above double rounding
+_CONTACT = 128                    # contact samples per rectangle edge
+_BLOCK = _CHUNK // (4 * _CONTACT)     # rectangles wound together in doubles
 _RESOLVE = 1 / 16                 # nearest zero / panel length a level resolves
 _DOUBLE_MAX = Fraction(sys.float_info.max)   # contours are laid out in doubles
 
@@ -166,56 +170,44 @@ class _Poly:
 # contour integration
 # =========================================================================
 
+def _np_terms(a, logk, s):
+    """(log k, a_k k^-s at the nodes s) term by term; k = 1 needs no exp."""
+    for ak, lk in zip(a.tolist(), logk.tolist()):
+        yield lk, (np.exp(-lk * s) * ak if lk else ak)
+
+
 def _np_values(a, logk, s):
-    out = np.empty(len(s), dtype=np.complex128)
+    """P at the nodes, _CHUNK of them at a time."""
+    out = np.zeros(len(s), dtype=np.complex128)
     for lo in range(0, len(s), _CHUNK):
-        block = s[lo:lo + _CHUNK]
-        out[lo:lo + _CHUNK] = np.exp(-np.multiply.outer(block, logk)) @ a
+        for _, t in _np_terms(a, logk, s[lo:lo + _CHUNK]):
+            out[lo:lo + _CHUNK] += t
     return out
 
 
 def _np_ratio(a, logk, s):
-    """P'/P at the nodes; raises on an exact hit."""
-    num = np.empty(len(s), dtype=np.complex128)
-    den = np.empty(len(s), dtype=np.complex128)
-    al = a * logk
+    """P'/P at the nodes, _CHUNK of them at a time; raises on an exact hit."""
+    num = np.zeros(len(s), dtype=np.complex128)
+    den = np.zeros(len(s), dtype=np.complex128)
     for lo in range(0, len(s), _CHUNK):
-        E = np.exp(-np.multiply.outer(s[lo:lo + _CHUNK], logk))
-        den[lo:lo + _CHUNK] = E @ a
-        num[lo:lo + _CHUNK] = -(E @ al)
+        for lk, t in _np_terms(a, logk, s[lo:lo + _CHUNK]):
+            den[lo:lo + _CHUNK] += t
+            if lk:
+                num[lo:lo + _CHUNK] -= lk * t
     if not np.all(den != 0):
         raise ContourTooClose("contour node hit a zero exactly")
-    return num / den
+    return np.divide(num, den, out=num)
 
 
-@dataclass(frozen=True)
-class _Arc:
-    """One smooth piece z(tau), 0 <= tau <= 1, of a closed contour: the
-    segment from a to b, or with circle=True the circle of radius b about a,
-    once counter-clockwise. Level L integrates it with base << L panels."""
-
-    a: object
-    b: object
-    base: int
-    circle: bool = False
-
-    def length(self, lib):
-        return 2 * lib.pi * abs(self.b) if self.circle else abs(self.b - self.a)
-
-    def at(self, tau, lib):
-        """z(tau) and dz/dtau in numpy (lib=np, tau an array) or mpmath (lib=mp)."""
-        if self.circle:
-            e = self.b * lib.exp(2j * lib.pi * tau)
-            return self.a + e, 2j * lib.pi * e
-        return self.a + tau * (self.b - self.a), self.b - self.a
-
-
-def _rect_arcs(corners, base):
-    return [_Arc(corners[i], corners[(i + 1) % 4], base[i]) for i in range(4)]
-
-
-def _circle(center, radius):
-    return _Arc(center, radius, 4, circle=True)
+def _layout(rects):
+    """Corners (counter-clockwise from re_lo + i im_lo), edge vectors and
+    lengths of the rectangles in doubles, one row each, and each edge's base
+    panel count: about one panel per 1.5 of length."""
+    corners = np.array([r.corners_complex() for r in rects], dtype=np.complex128)
+    edges = np.roll(corners, -1, axis=1) - corners
+    lengths = np.abs(edges)
+    base = [tuple(max(1, math.ceil(L / 1.5)) for L in row) for row in lengths.tolist()]
+    return corners, edges, lengths, base
 
 
 def _unit_nodes(panels: int):
@@ -236,14 +228,10 @@ def _unit_nodes(panels: int):
     return table
 
 
-def _np_samples(arcs, n: int):
-    """n equispaced points on each arc; an arc's end is the next one's start."""
-    tau = np.arange(n) / n
-    return np.concatenate([arc.at(tau, np)[0] for arc in arcs])
-
-
-def _stabilized(levels):
-    """Drive (level, winding, resolved) triples to a stable integer.
+def _stabilized(prev, w, resolved):
+    """One level of the rule that drives a contour's windings to a stable
+    integer: (the count, or None while it is not settled, and the value the
+    next level compares with).
 
     Two consecutive levels must round to the same integer, and the second
     must resolve every zero it passes: a contour closer to a zero than its
@@ -252,75 +240,148 @@ def _stabilized(levels):
     distance to the nearest zero over its multiplicity; a level resolves
     when no node comes within _RESOLVE of a panel length by that estimate.
     """
-    prev = None
-    for level, w, resolved in levels:
-        r = int(round(w.real))
-        ok = abs(w.real - r) <= 0.25 and abs(w.imag) <= 0.25
-        if ok and resolved and prev == r:
-            if r < 0:
-                raise QuadratureNotConverged(f"negative winding {r}")
-            return r
-        prev = r if ok else None
-    raise QuadratureNotConverged("winding did not stabilize on an integer")
+    r = int(round(w.real))
+    ok = abs(w.real - r) <= 0.25 and abs(w.imag) <= 0.25
+    if ok and resolved and prev == r:
+        if r < 0:
+            raise QuadratureNotConverged(f"negative winding {r}")
+        return r, r
+    return None, (r if ok else None)
 
 
-def _winding_np(a, logk, arcs, max_levels: int):
-    """Winding number of P's image along the arcs, in doubles; each level
-    evaluates P'/P at all of its nodes in one call."""
+def _np_windings(a, logk, rects) -> list:
+    """Winding numbers of a block of rectangles in doubles; a rectangle
+    whose count does not settle gets its QuadratureNotConverged in place of
+    a count.
 
-    def levels():
-        for level in range(max_levels):
-            nodes, wdz, near = [], [], []
-            for arc in arcs:
-                panels = arc.base << level
-                if panels * 12 > 4_000_000:
-                    raise QuadratureNotConverged("contour refinement exploded")
-                tau, w = _unit_nodes(panels)
-                z, dz = arc.at(tau, np)
-                nodes.append(z)
-                wdz.append(w * dz)
-                near.append(_RESOLVE * arc.length(np) / panels)
-            ratio = _np_ratio(a, logk, np.concatenate(nodes))
-            resolved = (np.abs(ratio) * np.repeat(near, [z.size for z in nodes])).max() <= 1
-            yield level, ratio @ np.concatenate(wdz) / (2j * np.pi), resolved
+    One evaluation of |P| at _CONTACT equispaced samples per edge tests
+    every rectangle; ContourTooClose is raised at once if one dips below
+    1e-12 of its largest sample. Then each level evaluates P'/P in one call
+    at the nodes of every rectangle not yet settled, for up to 13 levels. A
+    rectangle keeps its own base << level panels per edge, resolution test
+    and stabilization; rectangles with the same base panels are laid out as
+    one array.
+    """
+    corners, edges, lengths, base = _layout(rects)
+    tau = np.arange(_CONTACT) / _CONTACT
+    sv = np.abs(_np_values(a, logk, (corners[..., None] + tau * edges[..., None]).ravel()))
+    sv = sv.reshape(len(rects), -1)
+    amax = sv.max(axis=1)
+    if not np.all(amax > 0) or np.any(sv.min(axis=1) < amax * 1e-12):
+        raise ContourTooClose("polynomial nearly vanishes on the contour")
+    counts = [None] * len(rects)
+    prev = [None] * len(rects)
+    active = list(range(len(rects)))
+    for level in range(13):
+        if not active:
+            break
+        groups = {}
+        for i in active:
+            groups.setdefault(base[i], []).append(i)
+        laid = []
+        for key, rows in groups.items():
+            panels = [b << level for b in key]
+            if max(panels) * 12 > 4_000_000:
+                for i in rows:
+                    counts[i] = QuadratureNotConverged("contour refinement exploded")
+                continue
+            nodes = [_unit_nodes(p) for p in panels]
+            c, e = corners[rows], edges[rows]
+            z = np.concatenate([c[:, j, None] + t * e[:, j, None]
+                                for j, (t, _) in enumerate(nodes)], axis=1)
+            wdz = np.concatenate([wt * e[:, j, None] for j, (_, wt) in enumerate(nodes)],
+                                 axis=1)
+            near = np.repeat(_RESOLVE * lengths[rows] / panels,
+                             [t.size for t, _ in nodes], axis=1)
+            laid.append((rows, z, wdz, near))
+        if laid:
+            ratio = _np_ratio(a, logk, np.concatenate([z.ravel() for _, z, _, _ in laid]))
+        lo = 0
+        for rows, z, wdz, near in laid:
+            r = ratio[lo:lo + z.size].reshape(z.shape)
+            lo += z.size
+            ws = np.einsum("ij,ij->i", r, wdz) / (2j * np.pi)
+            resolved = (np.abs(r) * near).max(axis=1) <= 1
+            for i, w, res in zip(rows, ws.tolist(), resolved.tolist()):
+                try:
+                    counts[i], prev[i] = _stabilized(prev[i], w, res)
+                except QuadratureNotConverged as exc:
+                    counts[i] = exc
+        active = [i for i in active if counts[i] is None]
+    for i in active:
+        counts[i] = QuadratureNotConverged("winding did not stabilize on an integer")
+    return counts
 
-    return _stabilized(levels())
 
-
-def _winding_mp(f: _Poly, arcs, samples: int, max_levels: int):
-    """The winding number at f.bits, after checking |P| at `samples` points
-    per arc against 2^-(bits/2) of its largest sampled value."""
-    bits = f.bits
+def _winding_mp(f: _Poly, rect: Rectangle) -> int:
+    """The rectangle's winding number at f.bits, after checking |P| at 32
+    points per edge against 2^-(bits/2) of its largest sampled value; the
+    same panels and stabilization as in doubles, up to 9 levels."""
+    bits, samples = f.bits, 32
+    base = _layout([rect])[3][0]
     with working(bits):
-        vals = [abs(f.mp_pair(arc.at(mpf(q) / samples, mp)[0])[0])
-                for arc in arcs for q in range(samples)]
+        c = [mpc(fraction_to_mpf(x), fraction_to_mpf(y))
+             for (x, y) in [(rect.re_lo, rect.im_lo), (rect.re_hi, rect.im_lo),
+                            (rect.re_hi, rect.im_hi), (rect.re_lo, rect.im_hi)]]
+        edges = [(c[i], c[(i + 1) % 4] - c[i], base[i]) for i in range(4)]
+        vals = [abs(f.mp_pair(a + mpf(q) / samples * d)[0])
+                for a, d, _ in edges for q in range(samples)]
         amax = max(vals)
         if not amax > 0 or min(vals) < amax * mpf(2) ** (-(bits // 2)):
             raise ContourTooClose("polynomial nearly vanishes on the contour")
         gx = [mpf(float(x)) for x in _GL_X]
         gw = [mpf(float(w)) for w in _GL_W]
+        prev = None
+        for level in range(9):
+            total = mpf(0)
+            resolved = True
+            for a, d, b in edges:
+                panels = b << level
+                if panels * 12 > 40_000:
+                    raise QuadratureNotConverged("contour refinement exploded")
+                near = _RESOLVE * float(abs(d)) / panels
+                for pnl in range(panels):
+                    for x, wq in zip(gx, gw):
+                        p, dp = f.mp_pair(a + (pnl + (x + 1) / 2) / panels * d)
+                        if p == 0:
+                            raise ContourTooClose("contour node hit a zero")
+                        q = dp / p
+                        resolved = resolved and abs(complex(q)) * near <= 1
+                        total = total + q * d * (wq / (2 * panels))
+            count, prev = _stabilized(prev, complex(total / (2j * mp.pi)), resolved)
+            if count is not None:
+                return count
+    raise QuadratureNotConverged("winding did not stabilize on an integer")
 
-        def levels():
-            for level in range(max_levels):
-                total = mpf(0)
-                resolved = True
-                for arc in arcs:
-                    panels = arc.base << level
-                    if panels * 12 > 40_000:
-                        raise QuadratureNotConverged("contour refinement exploded")
-                    near = _RESOLVE * float(arc.length(mp)) / panels
-                    for pnl in range(panels):
-                        for x, wq in zip(gx, gw):
-                            z, dz = arc.at((pnl + (x + 1) / 2) / panels, mp)
-                            p, d = f.mp_pair(z)
-                            if p == 0:
-                                raise ContourTooClose("contour node hit a zero")
-                            q = d / p
-                            resolved = resolved and abs(complex(q)) * near <= 1
-                            total = total + q * dz * (wq / (2 * panels))
-                yield level, complex(total / (2j * mp.pi)), resolved
 
-        return _stabilized(levels())
+def _windings(f: _Poly, rects) -> list:
+    """Each rectangle's winding number, as ``winding_count`` gives it.
+
+    Rectangles whose terms fit in doubles are wound in blocks of _BLOCK
+    (``_np_windings``), the others one at a time in mpmath. Raises
+    ContourTooClose if any rectangle's count would, else
+    QuadratureNotConverged if any count does not settle.
+    """
+    if f.P.m == 1:
+        return [0] * len(rects)
+    counts = [None] * len(rects)
+    safe = [i for i, r in enumerate(rects)
+            if f.numpy_safe(max(abs(float(r.re_lo)), abs(float(r.re_hi))))]
+    for lo in range(0, len(safe), _BLOCK):
+        rows = safe[lo:lo + _BLOCK]
+        block = _np_windings(f.a, f.logk, [rects[i] for i in rows])
+        for i, count in zip(rows, block):
+            counts[i] = count
+    for i, rect in enumerate(rects):
+        if counts[i] is None:
+            try:
+                counts[i] = _winding_mp(f, rect)
+            except QuadratureNotConverged as exc:
+                counts[i] = exc
+    for count in counts:
+        if isinstance(count, QuadratureNotConverged):
+            raise count
+    return counts
 
 
 def winding_count(P, rect, bits: Optional[int] = None) -> int:
@@ -329,84 +390,90 @@ def winding_count(P, rect, bits: Optional[int] = None) -> int:
     P is a DirichletPolynomial, or the _Poly that the zero engine prepared
     once for all of its windings; its precision then replaces ``bits``.
     """
-    rect = _as_rect(rect)
     f = P if isinstance(P, _Poly) else _Poly(P, resolve_bits(bits))
-    if f.P.m == 1:
-        return 0
-    corners = rect.corners_complex()
-    lengths = [abs(corners[(i + 1) % 4] - corners[i]) for i in range(4)]
-    base = [max(1, math.ceil(L / 1.5)) for L in lengths]
-    sigma_max = max(abs(float(rect.re_lo)), abs(float(rect.re_hi)))
-    if f.numpy_safe(sigma_max):
-        arcs = _rect_arcs(corners, base)
-        sv = np.abs(_np_values(f.a, f.logk, _np_samples(arcs, 128)))
-        amax = sv.max()
-        if not amax > 0 or sv.min() < amax * 1e-12:
-            raise ContourTooClose("polynomial nearly vanishes on the contour")
-        return _winding_np(f.a, f.logk, arcs, max_levels=13)
-    with working(f.bits):
-        mcorners = [mpc(fraction_to_mpf(x), fraction_to_mpf(y))
-                    for (x, y) in [(rect.re_lo, rect.im_lo), (rect.re_hi, rect.im_lo),
-                                   (rect.re_hi, rect.im_hi), (rect.re_lo, rect.im_hi)]]
-    return _winding_mp(f, _rect_arcs(mcorners, base), samples=32, max_levels=9)
+    return _windings(f, [_as_rect(rect)])[0]
 
 
-def _double_floor(b, logk, m: int, radius: float) -> float:
-    """Smallest |P| on a circle about c that a double evaluation resolves.
+# =========================================================================
+# local counts
+# =========================================================================
 
-    The doubles evaluate P(c + u) = sum_k b_k exp(-u log k), |u| = radius,
-    from b_k = a_k k^-c formed in mpmath (``_shifted``), so the phase they
-    round is u log k, not c log k, and their error does not grow with |c|.
-    Each b_k carries a rounding of eps = 2^-52, u log k an absolute error
-    of about eps radius log k that exp turns into a relative error of the
-    term, and the product and the sum add a few eps more. So
-    |fl(P) - P| <~ eps (1 + radius log m) sum_k |b_k| k^radius. Asking |P|
-    to be 2^20 times that keeps about 20 correct bits of |P| along the
-    circle, which pins its argument and leaves room for the small constants
-    and the number of terms.
+def _certify(f: _Poly, z, w: int):
+    """(P(z), P'(z)) at f.bits if exactly w zeros of P lie within rho of z,
+    for one of the radii rho = 10^-6 0.7^i, i = 0..4; else None.
+
+    With b_k = a_k k^-z, formed once, and p_j = rho^j sum_k b_k (-log k)^j / j!,
+    the test is
+
+        |p_w| > (sum_{j<w} |p_j| + sum_k |b_k| k^rho ((rho log k)^{w+1} / (w+1)! + delta))
+                * (1 + 2^-(bits/2)),
+
+    delta = 2^(3 - bits) ((|Re z| + |Im z|) log m + n + w + 4) for n terms
+    a_k, k <= m. The sums behind p_0 and p_1 / rho, which are P(z) and
+    P'(z), run over the b_k in ``_mp_pair``'s order and equal it bit for bit.
+
+    Proof. P(z + rho x) = sum_k b_k e^{-x rho log k} = sum_j p_j x^j for all
+    x. On |x| = 1, |P(z + rho x) - p_w x^w| <= sum_{j != w} |p_j|. With
+    u = rho log k and (w+1+i)! >= (w+1)! i!,
+
+        sum_{j>w} u^j / j! = u^{w+1} sum_i u^i / (w+1+i)!
+                          <= u^{w+1} / (w+1)! sum_i u^i / i! = u^{w+1} k^rho / (w+1)!,
+
+    so sum_{j>w} |p_j| <= sum_k |b_k| (rho log k)^{w+1} k^rho / (w+1)!. When
+    the exact p_j make |p_w| exceed sum_{j<w} |p_j| plus that bound, Rouché's
+    theorem against p_w x^w gives P(z + rho x) exactly w zeros in |x| < 1,
+    counted with multiplicity, and none on |x| = 1.
+
+    Rounding. Each computed b_k is the exact one times 1 + d_k with
+    |d_k| <= (3 |z| log k + 7) 2^-bits: a_k and log k are rounded, so the
+    exponent z log k carries an absolute error up to 3 |z| log k 2^-bits,
+    and exp and the product add a few roundings. Forming p_j adds at most
+    (n + 2j + 4) 2^-bits relative to each of its terms. So each computed
+    p_j, j <= w, is within e rho^j sum_k |b_k| (log k)^j / j! of the exact
+    one, e = (3 |z| log m + n + 2w + 11) 2^-bits, and these errors sum to at
+    most e sum_k |b_k| k^rho over j <= w. Taking the tail from the computed
+    |b_k| costs at most another (3 |z| log m + 7) 2^-bits sum_k |b_k| k^rho.
+    delta is above both together, so the delta term covers them. The factor
+    1 + 2^-(bits/2) covers the rounding of the two sides themselves: each is
+    a sum of at most n + w products of at most w + 4 rounded factors, so
+    within (n + 2w + 8) 2^-bits of itself, far inside the factor while
+    n + 2w + 8 < 2^(bits/2 - 2).
+
+    The factor alone would cover the rounding of the b_k only at moderate
+    |z|. Near a zero p_0 is all cancellation, so its error is relative to
+    sum_k |b_k|, not to the right side, which can be as small as the tail
+    term, about (rho log 2)^{w+1} / (w+1)! times sum_{k>1} |b_k|. The factor
+    covers it while (|z| log m + n) 2^(4 - bits/2) stays below that: for a
+    simple zero and rho = 10^-6, |z| log m up to about 3 10^5 at 128 bits
+    and 5 10^24 at 256. Beyond, the delta term does it, and it stays far
+    below |p_w|, of order (rho log k)^w |a_k|, until |z| nears 2^bits.
     """
-    size = float(np.abs(b) @ np.exp(radius * logk))
-    return _DOUBLE_MARGIN * (1.0 + radius * math.log(m)) * size
-
-
-def _shifted(f: _Poly, center) -> np.ndarray:
-    """b_k = a_k k^-center from the mpmath terms, rounded to doubles. Their
-    own error, about |center| log k 2^-bits, stays below the doubles'
-    rounding while |center| < 2^(bits - 60)."""
     with working(f.bits):
-        c = mpc(center)
-        return np.array([complex(a * mp.exp(-c * logk) if logk else a)
-                         for a, logk in f.terms], dtype=np.complex128)
-
-
-def _winding_circle(f: _Poly, center, radius) -> int:
-    """Zeros inside the circle: in doubles about the centre when they resolve
-    |P| on it (see _double_floor), otherwise at f.bits."""
-    r = float(radius)
-    if f.numpy_safe(abs(float(mp.re(center))) + r):
-        b = _shifted(f, center)
-        circle = _circle(0j, r)
-        # the floor is at least 2^-32 sum_k |b_k|, so a circle that clears
-        # it also clears _winding_mp's contact test at any bits >= 64
-        sv = np.abs(_np_values(b, f.logk, _np_samples([circle], 64)))
-        if sv.min() >= _double_floor(b, f.logk, f.P.m, r):
-            try:
-                return _winding_np(b, f.logk, [circle], max_levels=7)
-            except (ContourTooClose, QuadratureNotConverged):
-                pass        # doubles did not settle it: mpmath decides
-    return _winding_mp(f, [_circle(center, radius)], samples=64, max_levels=7)
-
-
-def _multiplicity(f: _Poly, z) -> int:
-    """Circle count around a converged location; shrinks on contact."""
-    with working(f.bits):
-        z, radius = mpc(z), mpf(_MULT_RADIUS)
+        b = [a * mp.exp(-z * logk) if logk else a for a, logk in f.terms]
+        s = [mpf(0)] * (w + 1)          # s_j = sum_k b_k (-log k)^j
+        for bk, (_, logk) in zip(b, f.terms):
+            s[0] += bk
+            if logk:
+                t = bk
+                for j in range(1, w + 1):
+                    t = -logk * t
+                    s[j] += t
+        size = [(abs(bk), logk) for bk, (_, logk) in zip(b, f.terms)]
+        coeff = [abs(s[j]) / math.factorial(j) for j in range(w + 1)]
+        top = math.factorial(w + 1)
+        log_m = max(logk for _, logk in f.terms)
+        delta = mp.ldexp((abs(z.real) + abs(z.imag)) * log_m + len(b) + w + 4, 3 - f.bits)
+        margin = 1 + mp.ldexp(1, -(f.bits // 2))
+        rho = mpf(_RHO)
         for _ in range(5):
-            try:
-                return _winding_circle(f, z, radius)
-            except (ContourTooClose, QuadratureNotConverged):
-                radius = radius * mpf("0.7")
-    raise NonConvergent(f"multiplicity circle kept touching zeros near {z}")
+            lower = sum(c * rho ** j for j, c in enumerate(coeff[:w]))
+            rest = sum(sk * (mp.exp(rho * logk) * ((rho * logk) ** (w + 1) / top + delta)
+                             if logk else delta)
+                       for sk, logk in size)
+            if coeff[w] * rho ** w > (lower + rest) * margin:
+                return s[0], s[1]
+            rho = rho * _SHRINK
+    return None
 
 
 # =========================================================================
@@ -485,7 +552,7 @@ def _split_cell(f: _Poly, cell: Rectangle, w_parent: int):
         children = [Rectangle(x0, x1, y0, y1)
                     for y0, y1 in zip(ys, ys[1:]) for x0, x1 in zip(xs, xs[1:])]
         try:
-            ws = [winding_count(f, c) for c in children]
+            ws = _windings(f, children)
         except (ContourTooClose, QuadratureNotConverged):
             continue
         if sum(ws) == w_parent:
@@ -498,9 +565,10 @@ def _polish(f: _Poly, cell: Rectangle, w: int, tol):
 
     Newton from the centre settles within _NEWTON_STOP of a zero: in doubles
     where the terms fit and doubles resolve s that finely, else, or when
-    they do not settle, in mpmath. The circle count there must equal w.
-    Newton with that multiplicity then polishes in mpmath until a step is
-    at most tol/4.
+    they do not settle, in mpmath. ``_certify`` must then show that exactly
+    w zeros lie within a small radius of it. Newton with multiplicity w
+    polishes in mpmath until a step is at most tol/4, its first step from
+    the certificate's (P, P').
     """
     edges = (cell.re_lo, cell.re_hi, cell.im_lo, cell.im_hi)
     start = complex(*map(float, cell.center))
@@ -515,11 +583,12 @@ def _polish(f: _Poly, cell: Rectangle, w: int, tol):
             z = _newton(f.mp_pair, mpc(start), 1, box, _NEWTON_STOP)
             if z is None:
                 return None
-        mult = _multiplicity(f, z)
-        if mult != w:
+        z0 = mpc(z)
+        first = _certify(f, z0, w)
+        if first is None:
             return None
-        z = _newton(f.mp_pair, mpc(z), mult, box, tol / 4)
-    return None if z is None else (z, mult)
+        z = _newton(lambda s: first if s is z0 else f.mp_pair(s), z0, w, box, tol / 4)
+    return None if z is None else (z, w)
 
 
 def _zeros_in(f: _Poly, rect: Rectangle, w_total: int, tol) -> list:
@@ -574,14 +643,20 @@ def find_zeros(P: DirichletPolynomial, rect, tol=None,
                    residuals=residuals)
 
 
-def zeros_on_line(zs: ZeroSet, r, line_tol) -> list:
-    """Ordinates of the zeros whose real part is within line_tol of r."""
+def _on_line(zeros, r, line_tol) -> list:
+    """(ordinate, multiplicity) of the (zero, multiplicity) pairs whose real
+    part is within line_tol of r, by height."""
     r_q = as_fraction(r)
     with working(resolve_bits(None)):
         r_mp = fraction_to_mpf(r_q)
         tol = to_mp(line_tol)
-        out = [mp.im(z) for (z, _) in zs.zeros if abs(mp.re(z) - r_mp) <= tol]
-    return sorted(out, key=float)
+        out = [(mp.im(z), m) for (z, m) in zeros if abs(mp.re(z) - r_mp) <= tol]
+    return sorted(out, key=lambda tm: float(tm[0]))
+
+
+def zeros_on_line(zs: ZeroSet, r, line_tol) -> list:
+    """Ordinates of the zeros whose real part is within line_tol of r."""
+    return [t for t, _ in _on_line(zs.zeros, r, line_tol)]
 
 
 # =========================================================================
@@ -596,17 +671,20 @@ class ConstantC:
     tail_bound: mpf
     line_tolerance: Fraction
     ordinates: tuple
+    multiplicities: tuple       # of the zero at each ordinate
 
 
 def constant_C(P: DirichletPolynomial, r, T, line_tol, bits: Optional[int] = None) -> ConstantC:
-    """Partial sum of 1/(1/4 + t^2) over distinct on-line zeros up to |t| <= T,
-    plus a density tail bound for everything above.
+    """Partial sum of 1/(1/4 + t^2) over the distinct on-line zeros up to
+    |t| <= T, each weighted once whatever its multiplicity, plus a tail
+    estimate for everything above.
 
     The strip [alpha - 1/2, beta + 1/2] x [-T - pad, T + pad] is wound once
     and goes through the zero engine as find_zeros does, zeros polished to
-    2^-(bits/2); ``zeros_on_line`` keeps those within line_tol of Re = r.
-    A strip whose contour the engine cannot settle is retried with the next
-    pad.
+    2^-(bits/2); those within line_tol of Re = r are kept with their
+    multiplicities. A strip whose contour the engine cannot settle is
+    retried with the next pad. The tail estimate is 2/T times the average
+    zero density log m / (2 pi) with a factor 3/2: not a proven bound.
     """
     if not T > 0:
         raise ValueError(f"need T > 0, got {T}")
@@ -615,7 +693,7 @@ def constant_C(P: DirichletPolynomial, r, T, line_tol, bits: Optional[int] = Non
     line_tol_q = as_fraction(line_tol)
     if P.m == 1:
         return ConstantC(r=r_q, partial=mpf(0), T=T, tail_bound=mpf(0),
-                         line_tolerance=line_tol_q, ordinates=())
+                         line_tolerance=line_tol_q, ordinates=(), multiplicities=())
     f = _Poly(P, bits)
     with working(bits):
         tol = mpf(2) ** (-(bits // 2))
@@ -633,14 +711,13 @@ def constant_C(P: DirichletPolynomial, r, T, line_tol, bits: Optional[int] = Non
         except (ContourTooClose, QuadratureNotConverged, NonConvergent) as exc:
             last_error = exc
             continue
-        zs = ZeroSet(zeros=tuple(found), rectangle=strip, total_count=w,
-                     residual=None, residuals=())
         with working(bits):
             T_mp = fraction_to_mpf(T_f)
-            ts = [t for t in zeros_on_line(zs, r_q, line_tol_q) if abs(t) <= T_mp]
-            partial = mp.fsum(1 / (mpf(1) / 4 + t * t) for t in ts)
+            on = [(t, m) for t, m in _on_line(found, r_q, line_tol_q) if abs(t) <= T_mp]
+            partial = mp.fsum(1 / (mpf(1) / 4 + t * t) for t, _ in on)
             density = mpf(3) / 2 * mp.log(P.m) / (2 * mp.pi)
             tail = density * 2 / T_mp
         return ConstantC(r=r_q, partial=partial, T=T, tail_bound=tail,
-                         line_tolerance=line_tol_q, ordinates=tuple(ts))
+                         line_tolerance=line_tol_q, ordinates=tuple(t for t, _ in on),
+                         multiplicities=tuple(m for _, m in on))
     raise QuadratureNotConverged(f"strip scan kept failing: {last_error}")

@@ -98,6 +98,7 @@ def test_constant_c_json(tmp_path):
     assert code == 0
     payload = json.loads(out.read_text())
     assert len(payload["ordinates"]) == 5
+    assert payload["multiplicities"] == [1] * 5
     assert payload["line_tolerance"] == "1/1000000000"
     with working(128):
         partial = mpf(payload["partial"])

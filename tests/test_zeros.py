@@ -8,14 +8,17 @@ Frozen facts used as oracles:
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
 from xdp.cli import main
 from xdp.dpcore import DirichletPolynomial, dp_eval
-from xdp.errors import ContourTooClose
+from xdp.errors import ContourTooClose, QuadratureNotConverged
 from xdp import zeros
 from xdp.precision import working
 from xdp.zeros import (
@@ -31,6 +34,7 @@ P_SQ = DirichletPolynomial.parse("1:1,2:-2,4:1")
 P_CPLX = DirichletPolynomial.parse("1:1,2:-1-1i")
 P_ONE = DirichletPolynomial.parse("1:1")
 P_CUBE = DirichletPolynomial.parse("1:1,2:-3,4:3,8:-1")    # (1 - 2^{-s})^3
+P_THREE = DirichletPolynomial.parse("1:1,2:-2/3-1/3i,3:-2/3+1/3i")
 
 
 def lattice_t(k, bits=256):
@@ -90,70 +94,115 @@ def test_contour_through_zero_raises():
 
 
 def _spy_mp_windings(monkeypatch):
-    """Record, per mpmath winding, whether its contour was a circle."""
+    """Record every rectangle wound in mpmath."""
     calls = []
     real = zeros._winding_mp
 
-    def spy(f, arcs, *args, **kwargs):
-        calls.append(arcs[0].circle)
-        return real(f, arcs, *args, **kwargs)
+    def spy(f, rect, *args, **kwargs):
+        calls.append(rect)
+        return real(f, rect, *args, **kwargs)
 
     monkeypatch.setattr(zeros, "_winding_mp", spy)
     return calls
 
 
-def test_double_circle_matches_mp_on_simple_zeros(monkeypatch):
+def _lattice_point(k, bits):
+    with working(bits):
+        return mpc(0, lattice_t(k, bits))
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+@pytest.mark.parametrize("k0", [0, 110318, 110317800077])     # heights 0, 1e6, 1e12
+def test_certificate_counts_simple_lattice_zeros(k0, bits, monkeypatch):
     calls = _spy_mp_windings(monkeypatch)
-    with working(256):
-        centers = [(P_BASE, complex(mp.mpc(0, lattice_t(k)))) for k in range(12)]
-        centers.append((P_CPLX, complex(mp.mpc(mpf(1) / 2, mp.pi / (4 * mp.log(2))))))
-        radius = mpf("1e-6")
-        for P, c in centers:
-            f = zeros._Poly(P, 256)
-            center = mpc(c.real, c.imag)
-            assert zeros._winding_circle(f, center, radius) == 1, c
-            assert calls == [], c          # the guard let doubles wind it
-            mp_count = zeros._winding_mp(f, [zeros._circle(center, radius)],
-                                         samples=64, max_levels=7)
-            assert mp_count == 1, c
-            calls.clear()
+    f = zeros._Poly(P_BASE, bits)
+    for k in range(k0, k0 + 12):
+        z = _lattice_point(k, bits)
+        assert zeros._certify(f, z, 1) is not None, k
+        with working(bits):
+            nearby = z + mpc(mpf(10) ** -8, -mpf(10) ** -8)   # a Newton start
+        assert zeros._certify(f, nearby, 1) is not None, k
+        assert zeros._certify(f, z, 2) is None, k
+    assert calls == []
+
+
+def _cplx_zero(bits):
+    with working(bits):
+        return mpc(mpf(1) / 2, mp.pi / (4 * mp.log(2)))
+
+
+@pytest.mark.parametrize("P, bits, w, zero", [
+    (P_BASE, 256, 1, lambda bits: _lattice_point(3, bits)),
+    (P_SQ, 128, 2, lambda bits: _lattice_point(3, bits)),
+    (P_CUBE, 256, 3, lambda bits: _lattice_point(3, bits)),
+    (P_CPLX, 192, 1, _cplx_zero),
+])
+def test_certificate_pair_is_mp_pair_bit_for_bit(P, bits, w, zero):
+    # the polish's first Newton step takes (P, P') from the certificate
+    f = zeros._Poly(P, bits)
+    with working(bits):
+        far = mpc(mpf(1) / 7, mp.pi / 3)        # no zero within 1e-6
+    assert all(zeros._certify(f, far, k) is None for k in (1, 2, 3))
+    z0 = zero(bits)
+    got = zeros._certify(f, z0, w)
+    with working(bits):
+        want = f.mp_pair(z0)
+    assert got is not None
+    assert (got[0]._mpc_, got[1]._mpc_) == (want[0]._mpc_, want[1]._mpc_)
 
 
 @pytest.mark.parametrize("P, mult", [(P_SQ, 2), (P_CUBE, 3)])
-def test_guard_sends_multiple_zeros_to_mp(P, mult, monkeypatch):
-    # |P| ~ (1e-6 log 2)^mult on the circle: below what doubles resolve
+def test_certificate_counts_multiple_zeros(P, mult, monkeypatch):
     calls = _spy_mp_windings(monkeypatch)
-    assert zeros._multiplicity(zeros._Poly(P, 256), mpc(0, 0)) == mult
-    assert calls == [True]
+    for bits in (128, 256):
+        f = zeros._Poly(P, bits)
+        z = _lattice_point(0, bits)
+        assert zeros._certify(f, z, mult) is not None
+        for wrong in range(1, 6):
+            if wrong != mult:
+                assert zeros._certify(f, z, wrong) is None, wrong
+        z = _lattice_point(5, bits)
+        assert zeros._certify(f, z, mult) is not None
+    assert calls == []
+
+
+def test_certificate_counts_two_close_simple_zeros():
+    # 1 - (2 + e) 2^{-s} + (1 + e) 4^{-s} = (1 - 2^{-s})(1 - (1 + e) 2^{-s})
+    # vanishes at 0 and at log2(1 + e) ~ 1.4e-7, both simple: inside every
+    # radius the certificate tries, so it counts 2 there and never 1
+    P = DirichletPolynomial.parse("1:1,2:-20000001/10000000,4:10000001/10000000")
+    f = zeros._Poly(P, 256)
+    z = _lattice_point(0, 256)
+    assert zeros._certify(f, z, 2) is not None
+    assert zeros._certify(f, z, 1) is None
+    assert zeros._certify(f, z, 3) is None
+    with working(256):
+        far = mpc(mp.log(1 + mpf(10) ** -7) / mp.log(2), 0)
+    assert zeros._certify(f, far, 2) is not None
+    assert zeros._certify(f, far, 1) is None
 
 
 def test_find_zeros_high_on_the_line(monkeypatch):
-    # wound about their centre, the circles' double phase error no longer
-    # grows with |s| ~ 1e6: they run in doubles and agree with mpmath
+    # doubles locate the zeros at |s| ~ 1e6 and the certificate counts each
+    # once, with no mpmath winding
     calls = _spy_mp_windings(monkeypatch)
     rect = Rectangle(-1, 1, 10 ** 6 + Fraction(1, 3), 10 ** 6 + 40)
     zs = find_zeros(P_BASE, rect, bits=256)
     assert zs.total_count == 5
     assert [m for (_, m) in zs.zeros] == [1] * 5
     assert calls == []
-    monkeypatch.setattr(zeros, "_DOUBLE_MARGIN", math.inf)
-    assert find_zeros(P_BASE, rect, bits=256) == zs
-    assert calls == [True] * 5
     with working(256):
         step = 2 * mp.pi / mp.log(2)
         for k, (z, _) in enumerate(zs.zeros, start=110318):
             assert abs(z - mp.mpc(0, k * step)) < mpf("1e-20"), k
 
 
-def test_find_zeros_double_circles_match_forced_mp(monkeypatch):
-    rect = Rectangle(-1, 1, Fraction(1, 2), Fraction(201, 2))
+def test_constant_c_double_zeros_wind_no_mp_contour(monkeypatch):
     calls = _spy_mp_windings(monkeypatch)
-    fast = find_zeros(P_BASE, rect, tol=Fraction(1, 10 ** 30), bits=256)
-    assert calls == []                     # every contour ran in doubles
-    monkeypatch.setattr(zeros, "_DOUBLE_MARGIN", math.inf)
-    forced = find_zeros(P_BASE, rect, tol=Fraction(1, 10 ** 30), bits=256)
-    assert calls == [True] * 11
-    assert forced == fast
+    c = constant_C(P_SQ, 0, 200, Fraction(1, 10 ** 9), bits=128)
+    assert len(c.ordinates) == 45
+    assert c.multiplicities == (2,) * 45
+    assert calls == []
 
 
 def test_find_zeros_single_simple():
@@ -216,26 +265,73 @@ def test_find_zeros_residuals_match_dp_eval():
 
 def test_split_cell_cuts_a_long_cell_into_thirds_of_a_zero(monkeypatch):
     # a strip of height 100 and width 2 with 11 zeros: 3 (11 + 1) = 36
-    # pieces, fewer than 100 // 2 = 50; a square cell is cut 2 x 2
+    # pieces, fewer than 100 // 2 = 50, wound in one batch; a square cell is
+    # cut 2 x 2
     f = zeros._Poly(P_BASE, 128)
-    wound = []
-    real = zeros.winding_count
+    batches = []
+    real = zeros._windings
 
-    def spy(P, rect, *args):
-        wound.append(rect)
-        return real(P, rect, *args)
+    def spy(f, rects):
+        batches.append(list(rects))
+        return real(f, rects)
 
-    monkeypatch.setattr(zeros, "winding_count", spy)
+    monkeypatch.setattr(zeros, "_windings", spy)
     strip = Rectangle(-1, 1, Fraction(1, 2), Fraction(201, 2))
     kept = zeros._split_cell(f, strip, 11)
+    wound, = batches
     assert len(wound) == 36
     assert all(c.re_lo == -1 and c.re_hi == 1 for c in wound)
     assert [c.im_lo for c in wound[1:]] == [c.im_hi for c in wound[:-1]]
     assert (wound[0].im_lo, wound[-1].im_hi) == (strip.im_lo, strip.im_hi)
     assert sorted(w for _, w in kept) == [1] * 11
-    wound.clear()
+    batches.clear()
     zeros._split_cell(f, Rectangle(-1, 1, -1, 2), 1)
+    wound, = batches
     assert len(wound) == 4
+
+
+def _one_by_one(f, rects):
+    """Each rectangle's own winding_count, or the exception it raised."""
+    out = []
+    for rect in rects:
+        try:
+            out.append(winding_count(f, rect))
+        except (ContourTooClose, QuadratureNotConverged) as exc:
+            out.append(type(exc))
+    return out
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(P=st.sampled_from([P_BASE, P_SQ, P_CPLX, P_THREE]),
+       nx=st.integers(1, 4), ny=st.integers(1, 12), seed=st.integers(0, 10 ** 6),
+       through_zero=st.booleans(), block=st.sampled_from([1, 5, zeros._BLOCK]))
+def test_batch_matches_each_rectangles_own_count(P, nx, ny, seed, through_zero, block):
+    # jittered cuts as _split_cell makes them; with through_zero, extra cuts
+    # on Re = 0 and Im = 0 put a corner on the zero of P_BASE and P_SQ at 0,
+    # in a cell too short for those edges to pass another zero
+    f = zeros._Poly(P, 128)
+    rng = random.Random(seed)
+    cell = Rectangle(-1, 1, Fraction(-1, 3), 8 if through_zero else 40)
+    xs = zeros._cuts(cell.re_lo, cell.re_hi, nx, rng)
+    ys = zeros._cuts(cell.im_lo, cell.im_hi, ny, rng)
+    if through_zero:
+        xs = sorted(set(xs) | {Fraction(0)})
+        ys = sorted(set(ys) | {Fraction(0)})
+    rects = [Rectangle(x0, x1, y0, y1)
+             for y0, y1 in zip(ys, ys[1:]) for x0, x1 in zip(xs, xs[1:])]
+    own = _one_by_one(f, rects)
+    saved, zeros._BLOCK = zeros._BLOCK, block
+    try:
+        if ContourTooClose in own:
+            with pytest.raises(ContourTooClose):
+                zeros._windings(f, rects)
+        elif QuadratureNotConverged in own:
+            with pytest.raises(QuadratureNotConverged):
+                zeros._windings(f, rects)
+        else:
+            assert zeros._windings(f, rects) == own
+    finally:
+        zeros._BLOCK = saved
 
 
 def test_zeros_on_line():
@@ -256,6 +352,7 @@ def test_constant_c_trivial_polynomial():
     assert c.partial == 0
     assert c.tail_bound == 0
     assert c.ordinates == ()
+    assert c.multiplicities == ()
 
 
 def test_constant_c_small_height():
@@ -286,6 +383,17 @@ def test_constant_c_counts_double_zeros_once():
     assert abs(simple.partial - double.partial) < eps
     with working(bits):
         assert abs(double.partial - mpf("4.0378")) < mpf("1e-4")
+    assert simple.multiplicities == (1,) * 23
+    assert double.multiplicities == (2,) * 23
+
+
+def test_constant_c_partial_weights_each_zero_once():
+    # multiplicities ride along; partial stays the sum over distinct zeros
+    c = constant_C(P_SQ, 0, 100, Fraction(1, 10 ** 9), bits=128)
+    with working(128):
+        want = mp.fsum(1 / (mpf(1) / 4 + t * t) for t in c.ordinates)
+    assert c.partial == want
+    assert len(c.multiplicities) == len(c.ordinates)
 
 
 def test_constant_c_double_zeros_high_up_exit_0(capsys):
@@ -303,7 +411,7 @@ def test_constant_c_ordinates_carry_working_precision():
 
 def test_find_zeros_near_height_1e12(capsys):
     # a double Newton holds s there only to about 1e-4, more than the
-    # multiplicity circle's radius: the start runs in mpmath instead
+    # certificate's radius: the start runs in mpmath instead
     rect = Rectangle(-1, 1, Fraction(3000000000001, 3), 1000000000040)
     zs = find_zeros(P_BASE, rect, bits=128)
     assert zs.total_count == 4
@@ -390,6 +498,31 @@ def test_polish_keeps_zero_when_first_step_leaves_cell():
         z, mult = hit
         assert mult == 1
         assert abs(z - mpc(0, lattice_t(1, 128))) < mpf(2) ** -60
+
+
+@pytest.mark.parametrize("P, w", [(P_BASE, 1), (P_SQ, 2)])
+def test_polish_first_step_uses_the_certificate_pair(P, w, monkeypatch):
+    # the polish must end where mpmath Newton from the certified start ends,
+    # bit for bit; a loose tolerance stops it after a step or two, so a wrong
+    # first (P, P') would show
+    f = zeros._Poly(P, 256)
+    cell = Rectangle(Fraction(-1, 2), Fraction(1, 2), 5, 12)
+    starts = []
+    real = zeros._certify
+
+    def spy(f, z, w):
+        starts.append(z)
+        return real(f, z, w)
+
+    monkeypatch.setattr(zeros, "_certify", spy)
+    with working(256):
+        tol = mpf(2) ** -40
+        hit = zeros._polish(f, cell, w, tol)
+        z0, = starts
+        box = (-mpf(1) / 2, mpf(1) / 2, mpf(5), mpf(12))
+        want = zeros._newton(f.mp_pair, z0, w, box, tol / 4)
+    assert hit is not None and hit[1] == w
+    assert hit[0]._mpc_ == want._mpc_
 
 
 def test_validation():
