@@ -17,10 +17,10 @@ from .config import ExperimentConfig
 from .distance import (distance_profile, distance_squared,
                        mellin_identity_residual)
 from .dpcore import DirichletPolynomial
+from .errors import NSingular
 from .exact import GaussianRational
 from .experiments import run_decay_fit
-from .lubinsky import (_kernel_matrices, _solve_min_norm, kernel_asymptotics_report,
-                       psi_inner_max_deviation)
+from .lubinsky import _min_norms, kernel_asymptotics_report, psi_inner_max_deviation
 from .numio import mp_to_str
 from .precision import working
 from .zeros import Rectangle, constant_C, find_zeros
@@ -114,9 +114,10 @@ def criterion_5() -> AcceptanceResult:
         prof = distance_profile(P_BASE, 0, 128, bits=BITS)
         worst = None
         ns = (4, 8, 16, 32, 64, 128)
-        for n, km in zip(ns, _kernel_matrices([2 * n for n in ns], ords, BITS)):
-            bound = _solve_min_norm(km, BITS).value
-            margin = prof[n - 1].d_squared - bound
+        for n, sol in zip(ns, _min_norms([2 * n for n in ns], ords, BITS)):
+            if isinstance(sol, NSingular):
+                raise sol
+            margin = prof[n - 1].d_squared - sol.value
             if worst is None or margin < worst:
                 worst = margin
         ok = worst >= -(mpf(10) ** -20)

@@ -22,7 +22,7 @@ from .exact import as_fraction
 from .linalg import LDLProfile
 from .numio import mp_to_str, str_to_mp
 
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 
 
 def _key(P: DirichletPolynomial, r, bits: int) -> str:

@@ -6,17 +6,20 @@ partition, and it is summed exactly in Python integers on every profile: a
 step height S_a is a Gaussian rational (``kappa_partial_sums``), so
 S_a = s_a/Q with s_a a Gaussian integer; over D = j k lcm(1..m)
 every breakpoint 1/(j a), 1/(k b) is an integer. Each Gram entry is then one
-rational number, rounded once, to nearest, at the working precision.
+rational number. It is rounded once, to an integer at the factorization's
+fixed point, 2^-(bits + 64) relative to the largest diagonal entry G_11, and
+never to an mpf at the working precision on the way.
 
 d_{n,r}^2 = min_b || 1 - sum_{k<=n} b_k rho_k ||^2 = 1 - g* G^{-1} g. One
 unpivoted LDL^H of G that carries z = L^{-1} g along gives the whole profile
 n = 1..n_max as d_n^2 = 1 - sum_{i<=n} |z_i|^2 / p_i, which by the Schur
 complement is the determinant ratio det(G_n - g g*)/det(G_n). The
-factorization (``linalg.ldl_profile``) runs in fixed-point integers and
-carries the one pivot audit: negligible pivots are dropped, and an
-indeterminate one rebuilds the Gram data at doubled precision. The pivoted
-``projection`` solve takes the Gram data at the precision the audit settled
-on and stays, in its own arithmetic, the independent check.
+factorization (``linalg.ldl_profile``) takes those integers as they are and
+carries the one pivot audit (``linalg.audited_profile``): negligible pivots
+are dropped, and an indeterminate one rebuilds the Gram data at doubled
+precision. The pivoted ``projection`` solve rounds the same integers to mpf
+at the precision the audit settled on, only when asked for, and stays, in
+its own arithmetic, the independent check.
 
 Since rho_a and rho_b live on (0, 1/max(a, b)], substituting y = d x gives
 <rho_{da}, rho_{db}> = <rho_a, rho_b>/d and <1, rho_k> = <1, rho_1>/k, so
@@ -25,21 +28,18 @@ only coprime pairs are integrated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_rational, mpf_neg, mpf_shift, round_nearest
+from mpmath.libmp import from_man_exp, round_nearest
 
 from .dpcore import DirichletPolynomial, KappaProfile, dp_eval, kappa_partial_sums
-from .errors import PrecisionExhausted
 from .exact import as_fraction, fraction_to_mpf, to_mp
-from .linalg import ldl_factor, ldl_profile, ldl_solve
+from .linalg import _GUARD_BITS, audited_profile, ldl_factor, ldl_solve
 from .precision import resolve_bits, working
-
-_ESCALATION_LIMIT = 3
 
 
 # =========================================================================
@@ -86,24 +86,14 @@ def _indicator_numerator(s, L: int):
             sum(v * c for (_, v), c in zip(s, w)))
 
 
-def _round_part(num: int, den: int, bits: int):
-    """num/den rounded once to nearest at ``bits``, as an mpf tuple. Powers
-    of two leave the quotient by an exact shift, which spares mpmath from
-    stripping them off long integers."""
-    tn = (num & -num).bit_length() - 1 if num else 0
-    td = (den & -den).bit_length() - 1
-    return mpf_shift(from_rational(num >> tn, den >> td, bits, round_nearest), tn - td)
-
-
-def _rounded(re: int, im: int, den: int, bits: int):
-    """(re + i im)/den and its conjugate, each part rounded once; mpf when
-    im == 0, else mpc."""
-    x = _round_part(re, den, bits)
-    if not im:
-        v = mp.make_mpf(x)
-        return v, v
-    y = _round_part(im, den, bits)
-    return mp.make_mpc((x, y)), mp.make_mpc((x, mpf_neg(y)))
+def _fix(re: int, im: int, den: int, shift: int):
+    """(re + i im)/den * 2^shift as a Gaussian integer, each part rounded
+    once, to nearest (ties up)."""
+    if shift >= 0:
+        re, im = re << shift, im << shift
+    else:
+        den <<= -shift
+    return (2 * re + den) // (2 * den), (2 * im + den) // (2 * den)
 
 
 # =========================================================================
@@ -111,27 +101,51 @@ def _rounded(re: int, im: int, den: int, bits: int):
 # =========================================================================
 
 def _build_gram(P: DirichletPolynomial, r, n: int, bits: int):
-    """(G, g), each entry one exact rational rounded once at ``bits``.
+    """(G, g, scale): the Gram data at ldl_profile's fixed point for ``bits``.
 
+    G[k][j] = <rho_j, rho_k> and g[k] = <1, rho_k> as Gaussian integers
+    (re, im), each one exact rational rounded once: G times
+    2^(bits + 64 - scale) and g times 2^(bits + 64 - scale/2). The even
+    ``scale`` puts G_11 in [1/4, 2); G_11 is the largest diagonal entry,
+    as G_jj = G_11 / j, and its numerator is summed before the rest.
     Only coprime pairs are summed; <rho_{dj}, rho_{dk}> is the same
     numerator over d times the denominator, and <1, rho_k> that of
     <1, rho_1> over k times it.
     """
     Q, L, s, prods = _integer_profile(kappa_partial_sums(P, r, bits=bits))
+    coprime = {(1, 1): _pair_numerator(prods, L, 1, 1)}
+    top = coprime[1, 1][0].bit_length() - (Q * Q * L).bit_length() + 1
+    scale = top - (top & 1)
+    shift = bits + _GUARD_BITS - scale
     G = [[None] * n for _ in range(n)]
-    coprime = {}
     for j in range(1, n + 1):
         for k in range(j, n + 1):
             d = gcd(j, k)
             a, b = j // d, k // d
-            if d == 1:
-                coprime[j, k] = _pair_numerator(prods, L, j, k)
-            re, im = coprime[a, b]
+            if (a, b) not in coprime:
+                coprime[a, b] = _pair_numerator(prods, L, a, b)
+            x, y = _fix(*coprime[a, b], Q * Q * a * b * L * d, shift)
             # G[row k][col j] = <rho_j, rho_k>, and its conjugate mirrored
-            G[k - 1][j - 1], G[j - 1][k - 1] = _rounded(re, im, Q * Q * a * b * L * d, bits)
+            G[k - 1][j - 1], G[j - 1][k - 1] = (x, y), (x, -y)
     re, im = _indicator_numerator(s, L)
-    g = [_rounded(re, im, Q * L * k, bits)[1] for k in range(1, n + 1)]   # <1, rho_k>
-    return G, g
+    g = [(x, -y) for x, y in (_fix(re, im, Q * L * k, shift + scale // 2)   # <1, rho_k>
+                              for k in range(1, n + 1))]
+    return G, g, scale
+
+
+def _rounded_gram(G, g, scale: int, bits: int):
+    """The fixed-point Gram data of _build_gram at ``bits`` as mpf (mpc
+    where the imaginary part is nonzero), each part rounded once, to
+    nearest, at ``bits``; only the projection check and
+    approximant_distance take this form."""
+    frac = bits + _GUARD_BITS
+
+    def entry(x, y, exp):
+        re = from_man_exp(x, exp, bits, round_nearest)
+        return mp.make_mpc((re, from_man_exp(y, exp, bits, round_nearest))) if y \
+            else mp.make_mpf(re)
+    return ([[entry(x, y, scale - frac) for x, y in row] for row in G],
+            [entry(x, y, scale // 2 - frac) for x, y in g])
 
 
 # =========================================================================
@@ -157,43 +171,38 @@ def _clamp01(x):
 
 
 def _audited_profile(P: DirichletPolynomial, r, n: int, bits: int):
-    """(G, g, LDLProfile, bits used) for the first n generators.
+    """((G, g, scale), LDLProfile, bits used) for the first n generators.
 
-    Builds the Gram data at ``bits`` and factors it with ``ldl_profile``. A
-    pivot in the indeterminate band rebuilds it at doubled precision, at
-    most _ESCALATION_LIMIT times.
+    ``linalg.audited_profile`` factors the Gram data of _build_gram and
+    rebuilds it at doubled precision while a pivot is in the indeterminate
+    band. The pivots come back in the units of G, and the profile lets go
+    of its integer factor.
     """
-    cur = bits
-    for _ in range(_ESCALATION_LIMIT + 1):
-        G, g = _build_gram(P, r, n, cur)
-        with working(cur):
-            prof = ldl_profile(G, g)
-        if prof.band is None:
-            return G, g, prof, cur
-        cur *= 2
-    raise PrecisionExhausted(
-        f"profile pivots stayed in the indeterminate band up to {cur // 2} bits")
+    system, prof, used = audited_profile(lambda p: _build_gram(P, r, n, p), bits)
+    pivots = [mp.ldexp(v, system[2]) for v in prof.pivots]
+    return system, replace(prof, pivots=pivots, solve=None), used
 
 
 def distance_squared(P: DirichletPolynomial, r, n: int, method: str = "det-ratio",
                      bits: Optional[int] = None) -> DistanceResult:
     """d^2 for the first n generators at the audited precision.
 
-    ``projection`` solves G x = g with a pivoted LDL^H of the same Gram data,
-    dropping components whose pivot is below 2^{-p/2} of the largest.
+    ``projection`` rounds the same Gram data to mpf and solves G x = g with
+    a pivoted LDL^H, dropping components whose pivot is below 2^{-p/2} of
+    the largest.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if method not in ("det-ratio", "projection"):
         raise ValueError(f"unknown method {method!r}")
     r_q = as_fraction(r)
-    G, g, prof, used = _audited_profile(P, r, n, resolve_bits(bits))
+    system, prof, used = _audited_profile(P, r, n, resolve_bits(bits))
     if method == "det-ratio":
         return DistanceResult(n=n, r=r_q, d_squared=prof.d_squared[-1], method=method,
                               coeffs=None, precision_bits=used)
     with working(used):
-        f = ldl_factor(G)
-        x = ldl_solve(f, g, drop_at=max(f.d) * mpf(2) ** (-(used // 2)))
+        G, g = _rounded_gram(*system, used)
+        x = ldl_solve(ldl_factor(G), g)
         inner = mp.fsum(mp.conj(gv) * xv for gv, xv in zip(g, x))
         d2 = _clamp01(mp.re(mpf(1) - inner))
     return DistanceResult(n=n, r=r_q, d_squared=d2, method=method,
@@ -207,7 +216,7 @@ def distance_profile(P: DirichletPolynomial, r, n_max: int,
         raise ValueError(f"need n_max >= 1, got {n_max}")
     bits = resolve_bits(bits)
     r_q = as_fraction(r)
-    _, _, prof, used = _audited_profile(P, r, n_max, bits)
+    _, prof, used = _audited_profile(P, r, n_max, bits)
     return [DistanceResult(n=i + 1, r=r_q, d_squared=v, method="det-ratio",
                            coeffs=None, precision_bits=used)
             for i, v in enumerate(prof.d_squared)]
@@ -221,7 +230,7 @@ def approximant_distance(P: DirichletPolynomial, r, b: Sequence,
     bits = resolve_bits(bits)
     n = len(b)
     with working(bits):
-        G, g = _build_gram(P, r, n, bits)
+        G, g = _rounded_gram(*_build_gram(P, r, n, bits), bits)
         bv = [to_mp(x) for x in b]
         cross = mp.fsum(mp.conj(bv[k]) * g[k] for k in range(n))
         quad = mp.fsum(mp.conj(bv[j]) * G[j][k] * bv[k]

@@ -31,8 +31,11 @@ class PrecisionExhausted(XdpError):
 
 
 class NSingular(XdpError):
-    """Kernel matrix not positive definite; carries the failing pivot.
+    """Kernel matrix numerically singular; carries the failing pivot.
 
+    Raised when a pivot of the audited factorization falls below 2^{-p/2}
+    of the largest, p the working precision (where d^2 would drop the
+    generator), or when the largest diagonal entry is not positive.
     Legitimate for small kernel order: the nonsingularity threshold in the
     underlying theory is nonconstructive, so we surface the pivot instead of
     guessing the threshold.
@@ -41,7 +44,7 @@ class NSingular(XdpError):
     def __init__(self, index, pivot):
         self.index = index
         self.pivot = pivot
-        super().__init__(f"kernel matrix pivot {index} is not positive: {pivot}")
+        super().__init__(f"kernel matrix pivot {index} is not decidedly positive: {pivot}")
 
 
 class DuplicateOrdinates(XdpError):

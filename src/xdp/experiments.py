@@ -20,7 +20,7 @@ from .distance import DistanceResult, _audited_profile
 from .dpcore import DirichletPolynomial, StripBounds, strip_bounds
 from .errors import NSingular
 from .exact import fraction_to_mpf
-from .lubinsky import _kernel_matrices, _solve_min_norm
+from .lubinsky import _min_norms
 from .numio import mp_to_str
 from .precision import working
 from .zeros import ConstantC, ZeroSet, constant_C, find_zeros
@@ -51,7 +51,7 @@ def run_distance_sweep(cfg: ExperimentConfig) -> list:
     if cfg.cache_dir is not None:
         hit = load_gram(cfg.cache_dir, P, cfg.r, cfg.precision_bits, n_min=n_max)
     if hit is None:
-        _, _, prof, used = _audited_profile(P, cfg.r, n_max, cfg.precision_bits)
+        _, prof, used = _audited_profile(P, cfg.r, n_max, cfg.precision_bits)
         if cfg.cache_dir is not None:
             store_gram(cfg.cache_dir, P, cfg.r, cfg.precision_bits, prof, used)
     else:
@@ -209,13 +209,11 @@ def run_criterion_report(cfg: ExperimentConfig) -> CriterionReport:
         else:
             theorem2 = True
             worst = None
-            kms = _kernel_matrices([P.m * row.n for row in rows], C.ordinates, bits)
-            for row, km in zip(rows, kms):
-                try:
-                    bound = _solve_min_norm(km, bits).value
-                except NSingular:
+            sols = _min_norms([P.m * row.n for row in rows], C.ordinates, bits)
+            for row, sol in zip(rows, sols):
+                if isinstance(sol, NSingular):
                     continue
-                gap = row.d_squared - bound
+                gap = row.d_squared - sol.value
                 if worst is None or gap < worst:
                     worst = gap
                 if gap < -tol9:

@@ -1,21 +1,25 @@
-"""Dense Hermitian LDL^H factorizations on mpmath scalars.
+"""Dense Hermitian LDL^H factorizations.
 
-Runs at the ambient mpmath precision; callers wrap invocations in
-``precision.working``. Matrices are lists of row lists holding mpf/mpc.
-``ldl_factor``/``ldl_solve`` are the pivoted factorization and solve on mpf
-objects; ``ldl_profile`` is the unpivoted fixed-point factorization that
-yields the whole d^2 profile.
+``ldl_factor``/``ldl_solve`` are the pivoted factorization and solve on
+matrices of mpf/mpc, at the ambient mpmath precision (callers wrap them in
+``precision.working``). They serve only ``distance_squared(method=
+"projection")``, the independent check on the profile. ``ldl_profile`` is
+the unpivoted factorization in fixed-point Gaussian integers that gives the
+whole d^2 profile and the min-norm value and coefficients, and
+``audited_profile`` runs it under the one pivot audit: an indeterminate
+pivot rebuilds the system at doubled precision.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import mul
-from typing import Optional
+from typing import Callable, Optional
 
-from mpmath import mp, mpc, mpf
+from mpmath import mp, mpf
 
-from .errors import NSingular
+from .errors import NSingular, PrecisionExhausted
+from .precision import working
 
 
 def _real(x):
@@ -69,19 +73,17 @@ def ldl_factor(A) -> LDLFactors:
     return LDLFactors(L=L, d=d, perm=perm)
 
 
-def ldl_solve(f: LDLFactors, b, drop_at=None):
+def ldl_solve(f: LDLFactors, b):
     """Solve A x = b given factors of A.
 
-    A zero pivot raises NSingular. With ``drop_at``, components whose pivot
-    is below it are set to zero instead: their generators are dropped.
+    Components whose pivot is below 2^{-p/2} of the largest, p the ambient
+    precision, are set to zero: their generators are dropped, at the
+    threshold where ``ldl_profile`` drops them.
     """
     n = len(f.d)
     if len(b) != n:
         raise ValueError(f"rhs length {len(b)} does not match order {n}")
-    if drop_at is None:
-        for i, dv in enumerate(f.d):
-            if dv == 0:
-                raise NSingular(i, dv)
+    drop_at = max(f.d) * mpf(2) ** (-(mp.prec // 2))
     y = [b[f.perm[i]] for i in range(n)]
     z = [mpf(0)] * n
     for i in range(n):
@@ -89,8 +91,7 @@ def ldl_solve(f: LDLFactors, b, drop_at=None):
         for k in range(i):
             acc = acc - f.L[i][k] * z[k]
         z[i] = acc
-    w = [z[i] / f.d[i] if drop_at is None or f.d[i] >= drop_at else mpf(0)
-         for i in range(n)]
+    w = [z[i] / f.d[i] if f.d[i] >= drop_at else mpf(0) for i in range(n)]
     x = [mpf(0)] * n
     for i in reversed(range(n)):
         acc = w[i]
@@ -108,6 +109,7 @@ def ldl_solve(f: LDLFactors, b, drop_at=None):
 # =========================================================================
 
 _GUARD_BITS = 64
+_ESCALATION_LIMIT = 3
 
 
 @dataclass(frozen=True)
@@ -122,58 +124,47 @@ class LDLProfile:
     [2^{-p/2}, 2^{-p/4}) * max_pivot, where the factorization stops; it is
     None when every pivot was decided. max_pivot is the largest diagonal
     entry, the first pivot a pivoted factorization would take.
+
+    ``inner`` is g* G_n^{-1} g = sum |z_k|^2 / p_k over the kept pivots,
+    unclamped, as an int at the fixed point 2^-(p + 64): d^2 is 1 minus it.
+    ``solve()`` gives x = G_n^{-1} g = L^{-H} D^{-1} z by back-substitution
+    in the same integers, as (re, im) pairs at that fixed point, with 0 for
+    a dropped pivot's component. A profile read back from the cache has
+    neither.
     """
 
     d_squared: list
     pivots: list
     dropped: int
     band: Optional[int]
-
-
-def _fixed(t, shift: int) -> int:
-    """round(x * 2^shift) for the finite mpf tuple t of x, by a mantissa shift."""
-    sign, man, exp, _ = t
-    if not man:
-        if exp:
-            raise ValueError("matrix entries must be finite")
-        return 0
-    e = exp + shift
-    v = man << e if e >= 0 else (man + (1 << (-e - 1))) >> -e
-    return -v if sign else v
-
-
-def _fixed_pair(x, shift: int):
-    if isinstance(x, mpc):
-        re, im = x._mpc_
-        return _fixed(re, shift), _fixed(im, shift)
-    return _fixed(x._mpf_, shift), 0
+    inner: Optional[int] = field(default=None, compare=False)
+    solve: Optional[Callable[[], list]] = field(default=None, repr=False, compare=False)
 
 
 def ldl_profile(G, g) -> LDLProfile:
     """d^2 = 1 - g* G_n^{-1} g for every leading order n of the Hermitian PSD G.
 
-    By the Schur complement this is det(G_n - g g*)/det(G_n). The loop runs
-    on (re, im) pairs of Python ints scaled by 2^(p + 64), p the ambient
-    precision, after G is scaled by an even power of two near its largest
-    diagonal entry and g by half that power, which leaves d^2 unchanged.
-    Entries convert by a mantissa shift, exactly down to 2^-64 of that
-    entry, and results round back to mpf once. Rows are built Crout-style,
-    so every inner product is a C-level dot product of two int lists.
+    By the Schur complement this is det(G_n - g g*)/det(G_n). G and g hold
+    Gaussian integers (re, im) at one fixed point: each stands for itself
+    times 2^-(p + 64), p the ambient precision. Only the lower triangle of G
+    is read. G scaled by 4^e and g by 2^e leave d^2 unchanged, so the caller
+    may place its data at the fixed point relative to any even power of two
+    (near the largest diagonal entry, so that p + 64 bits cover it); the
+    pivots come back in the units of the integers given. The loop is exact
+    but for one floor per product and quotient, and results round to mpf
+    once. Rows are built Crout-style, so every inner product is a C-level
+    dot product of two int lists.
     """
     n = _check_square(G)
     if len(g) != n:
         raise ValueError(f"rhs length {len(g)} does not match order {n}")
     prec = mp.prec
     frac = prec + _GUARD_BITS
-    top = max(_real(G[i][i]) for i in range(n))
+    top = max(G[i][i][0] for i in range(n))
     if not top > 0:
-        raise NSingular(0, top)
-    _, _, exp, bc = top._mpf_
-    scale = exp + bc - ((exp + bc) & 1)
-    shift_G, shift_g = frac - scale, frac - scale // 2
-    top_fixed = _fixed(top._mpf_, shift_G)
-    drop_at = top_fixed >> (prec // 2)
-    band_at = top_fixed >> (prec // 4)
+        raise NSingular(0, mpf((top, -frac)))
+    drop_at = top >> (prec // 2)
+    band_at = top >> (prec // 4)
 
     Lr, Li = [], []                 # Lr[j], Li[j]: row j of L left of the diagonal
     piv = []                        # fixed-point pivots, 0 where dropped
@@ -186,7 +177,7 @@ def ldl_profile(G, g) -> LDLProfile:
         row = G[i]
         cr, ci, lr, li = [], [], [], []     # C[i][k] = L[i][k] d_k, and L[i][k]
         for j in range(i):
-            ar, ai = _fixed_pair(row[j], shift_G)
+            ar, ai = row[j]
             Lrj, Lij = Lr[j], Li[j]
             re = ar - ((sum(map(mul, cr, Lrj)) + sum(map(mul, ci, Lij))) >> frac)
             im = ai - ((sum(map(mul, ci, Lrj)) - sum(map(mul, cr, Lij))) >> frac)
@@ -201,12 +192,11 @@ def ldl_profile(G, g) -> LDLProfile:
                 ci.append(0)
                 lr.append(0)
                 li.append(0)
-        p = _fixed_pair(row[i], shift_G)[0] \
-            - ((sum(map(mul, cr, lr)) + sum(map(mul, ci, li))) >> frac)
-        gr, gi = _fixed_pair(g[i], shift_g)
+        p = row[i][0] - ((sum(map(mul, cr, lr)) + sum(map(mul, ci, li))) >> frac)
+        gr, gi = g[i]
         zr_i = gr - ((sum(map(mul, lr, zr)) - sum(map(mul, li, zi))) >> frac)
         zi_i = gi - ((sum(map(mul, lr, zi)) + sum(map(mul, li, zr))) >> frac)
-        pivots.append(mpf((p, scale - frac)))
+        pivots.append(mpf((p, -frac)))
         if p < drop_at:
             dropped += 1
             p = 0
@@ -226,4 +216,35 @@ def ldl_profile(G, g) -> LDLProfile:
             values.append(mpf(1))
         else:
             values.append(mpf((acc, -frac)))
-    return LDLProfile(d_squared=values, pivots=pivots, dropped=dropped, band=band)
+
+    def solve():
+        xr = [(a << frac) // p if p else 0 for a, p in zip(zr, piv)]
+        xi = [(b << frac) // p if p else 0 for b, p in zip(zi, piv)]
+        for k in reversed(range(len(xr))):
+            a, b = xr[k], xi[k]        # final: every later row is subtracted
+            for j, (lr, li) in enumerate(zip(Lr[k], Li[k])):
+                xr[j] -= (lr * a + li * b) >> frac
+                xi[j] -= (lr * b - li * a) >> frac
+        return list(zip(xr, xi))
+
+    return LDLProfile(d_squared=values, pivots=pivots, dropped=dropped, band=band,
+                      inner=(1 << frac) - acc, solve=solve)
+
+
+def audited_profile(build, bits: int):
+    """(system, LDLProfile, p) for the first p = bits, 2 bits, ... at which
+    ``ldl_profile`` decides every pivot of system = build(p).
+
+    build(p) returns G and g at p's fixed point first; anything after them
+    rides along. A pivot in the indeterminate band rebuilds the system at
+    doubled precision, at most _ESCALATION_LIMIT times, and then raises
+    PrecisionExhausted. Every d^2 and every min-norm value passes here.
+    """
+    for p in (bits << e for e in range(_ESCALATION_LIMIT + 1)):
+        system = build(p)
+        with working(p):
+            prof = ldl_profile(system[0], system[1])
+        if prof.band is None:
+            return system, prof, p
+    raise PrecisionExhausted(
+        f"profile pivots stayed in the indeterminate band up to {p} bits")

@@ -8,7 +8,12 @@ integrate to min(x, 1/x)^{1/2}, and the differenced powers
 form an orthonormal family. K_n is the order-n reproducing kernel; the
 min-norm problem interpolates 1 at a finite set of ordinates and its optimal
 value 1^T H^{-1} 1 lower-bounds the approximation distances computed in
-``distance`` when the ordinates come from zeros on the critical line.
+``distance`` when the ordinates come from zeros on the critical line. H goes
+from its exact kernel sums to ``linalg.ldl_profile`` by one shift, with no
+mpf matrix on the way, and passes the audit that every d^2 passes: a pivot
+in the indeterminate band rebuilds H at doubled precision, and a dropped
+pivot raises NSingular. The value and the coefficients come from the same
+integer factorization.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from mpmath.libmp import (from_int, from_man_exp, mpf_cos_sin, mpf_log, mpf_mul,
 
 from .errors import DuplicateOrdinates, NSingular, RemainderNotProven
 from .exact import to_mp
-from .linalg import ldl_factor, ldl_solve
+from .linalg import _GUARD_BITS, audited_profile
 from .precision import resolve_bits, working
 
 _DUPLICATE_GUARD = "1e-9"
@@ -61,8 +66,10 @@ def psi_eval(n: int, t, bits: Optional[int] = None):
 # with e = 3 (log2 n + 3) n. As psi_1 = 1, ||psi(t)||^2 = K_n(t, t) >= 1, and
 # Cauchy-Schwarz bounds the error of a computed K_n(u, v) by
 # (2 eps + eps^2) sqrt(K_n(u, u) K_n(v, v)), eps = e 2^-P. _GUARD = 64 keeps
-# that below 2^-(bits+7) for n up to 2^48.
-_GUARD = 64
+# that below 2^-(bits+7) for n up to 2^48. It is ldl_profile's guard too, so
+# 2^-P is the factorization's fixed point at bits, and the min-norm system
+# enters it by one shift of the 2^-2P sums.
+_GUARD = _GUARD_BITS
 
 
 def _sqrt_fixed(k: int, P: int) -> int:
@@ -226,12 +233,12 @@ def _rounded(man: int, exp: int, bits: int):
 
 
 def _kernel_sums(grid: Sequence[int], ts, bits: int):
-    """(n, H_n) with H_n[i][j] = K_n(t_i, t_j) at each n of an increasing
-    grid, from one pass of the stream.
+    """(n, S) at each n of an increasing grid, from one pass of the stream.
 
-    Entries are Sigma (a_r b_r + a_i b_i) and Sigma (a_i b_r - a_r b_i) over
-    the stream, summed exactly and rounded once, to nearest, at bits; the
-    diagonal is the real Sigma (a_r^2 + a_i^2).
+    S[i][j] = (re, im) with (re + i im) 2^{-2P} = K_n(t_i, t_j), summed
+    exactly as Sigma (a_r b_r + a_i b_i) and Sigma (a_i b_r - a_r b_i) over
+    the stream; the diagonal is the real Sigma (a_r^2 + a_i^2), and the
+    lower triangle is the conjugate of the upper.
     """
     P = bits + _GUARD
     l = len(ts)
@@ -248,15 +255,28 @@ def _kernel_sums(grid: Sequence[int], ts, bits: int):
                 rr[j] += ar * br + ai * bi
                 ri[j] += ai * br - ar * bi
         if k == target:
-            H = [[None] * l for _ in range(l)]
-            for i in range(l):
-                H[i][i] = mp.make_mpf(_rounded(re[i][i], -2 * P, bits))
-                for j in range(i + 1, l):
-                    r = _rounded(re[i][j], -2 * P, bits)
-                    H[i][j] = mp.make_mpc((r, _rounded(im[i][j], -2 * P, bits)))
-                    H[j][i] = mp.make_mpc((r, _rounded(-im[i][j], -2 * P, bits)))
-            yield k, H
+            yield k, [[(re[i][j], im[i][j]) if i <= j else (re[j][i], -im[j][i])
+                       for j in range(l)] for i in range(l)]
             target = next(targets, None)
+
+
+def _rounded_kernel(S, bits: int):
+    """H[i][j] = K_n(t_i, t_j) from the sums, mpf on the diagonal and mpc
+    off it, each part rounded once, to nearest, at bits."""
+    P = bits + _GUARD
+    return [[mp.make_mpf(_rounded(x, -2 * P, bits)) if i == j
+             else mp.make_mpc((_rounded(x, -2 * P, bits), _rounded(y, -2 * P, bits)))
+             for j, (x, y) in enumerate(row)] for i, row in enumerate(S)]
+
+
+def _fixed_kernel(S, bits: int):
+    """(H, 1) at ldl_profile's fixed point for bits, 2^-P: each part of the
+    sums shifted once, to nearest. H is at least 1 on its diagonal
+    (psi_1 = 1), so 2^-P needs no scale."""
+    P = bits + _GUARD
+    half = 1 << (P - 1)
+    return ([[((x + half) >> P, (y + half) >> P) for x, y in row] for row in S],
+            [(1 << P, 0)] * len(S))
 
 
 def _ordinate(x):
@@ -273,9 +293,8 @@ def kernel(n: int, u, v, bits: Optional[int] = None):
     bits = resolve_bits(bits)
     with working(bits):
         u_mp, v_mp = _ordinate(u), _ordinate(v)
-        if u_mp == v_mp:
-            return next(_kernel_sums([n], [u_mp], bits))[1][0][0]
-        return next(_kernel_sums([n], [u_mp, v_mp], bits))[1][0][1]
+        ts = [u_mp] if u_mp == v_mp else [u_mp, v_mp]
+        return _rounded_kernel(next(_kernel_sums([n], ts, bits))[1], bits)[0][-1]
 
 
 @dataclass(frozen=True)
@@ -285,14 +304,17 @@ class KernelMatrix:
     H: list
 
 
-def _kernel_matrices(grid: Sequence[int], t: Sequence, bits: int):
-    """KernelMatrix at each n of an increasing grid, from one pass.
+def _kernel_grid(grid: Sequence[int], t: Sequence, bits: int):
+    """(ordinates, _kernel_sums over them), once the grid and the ordinates
+    pass their checks.
 
-    Each is == kernel_matrix(n, t, bits): the stream does not depend on
-    where it stops.
+    S at each n of the grid is the one a call for that n alone gives: the
+    stream does not depend on where it stops.
     """
-    if not grid or grid[0] < 1 or any(a >= b for a, b in zip(grid, grid[1:])):
-        raise ValueError("n grid must be strictly increasing with entries >= 1")
+    if grid[0] < 1:
+        raise ValueError(f"need n >= 1, got {grid[0]}")
+    if any(a >= b for a, b in zip(grid, grid[1:])):
+        raise ValueError("n grid must be strictly increasing")
     if not t:
         raise ValueError("ordinate list is empty")
     with working(bits):
@@ -303,15 +325,14 @@ def _kernel_matrices(grid: Sequence[int], t: Sequence, bits: int):
                 if abs(t_mp[i] - t_mp[j]) < guard:
                     raise DuplicateOrdinates(
                         f"ordinates {i} and {j} closer than {_DUPLICATE_GUARD}")
-    for n, H in _kernel_sums(grid, t_mp, bits):
-        yield KernelMatrix(n=n, t=t_mp, H=H)
+    return t_mp, _kernel_sums(grid, t_mp, bits)
 
 
 def kernel_matrix(n: int, t: Sequence, bits: Optional[int] = None) -> KernelMatrix:
     """H[i][j] = K_n(t_i, t_j) over distinct real ordinates."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    return next(_kernel_matrices([n], t, resolve_bits(bits)))
+    bits = resolve_bits(bits)
+    t_mp, sums = _kernel_grid([n], t, bits)
+    return KernelMatrix(n=n, t=t_mp, H=_rounded_kernel(next(sums)[1], bits))
 
 
 @dataclass(frozen=True)
@@ -322,39 +343,41 @@ class MinNormSolution:
     t: tuple
 
 
-def _man_exp(x):
-    sign, man, exp, _ = x._mpf_
-    return (-man if sign else man), exp
+def _min_norms(grid: Sequence[int], t: Sequence, bits: int, with_coeffs: bool = False):
+    """At each n of an increasing grid, from one pass of the stream, what
+    min_norm(n, t, bits) returns, or the NSingular it raises.
 
-
-def _solve_min_norm(km: KernelMatrix, bits: int,
-                    with_coeffs: bool = False) -> MinNormSolution:
-    """min_norm from its kernel matrix; raises NSingular on a pivot <= 0.
-
-    Each coefficient conj(psi_k) . x is summed exactly against the stream,
-    with x aligned to one binary exponent, and rounded once.
+    H enters ``linalg.audited_profile`` as its sums shifted to the fixed
+    point: a pivot in the band rebuilds H from a new pass at doubled
+    precision, and a dropped pivot gives NSingular with the smallest pivot.
+    value = 1^T H^{-1} 1 is the factorization's unclamped sum of
+    |z_i|^2 / p_i, rounded once at bits. Each coefficient conj(psi_k) . x,
+    with x = H^{-1} 1 by back-substitution in the same integers, is summed
+    exactly against the stream at the audited precision and rounded once.
     """
-    with working(bits):
-        f = ldl_factor(km.H)
-        for i, d in enumerate(f.d):
-            if not d > 0:
-                raise NSingular(i, d)
-        x = ldl_solve(f, [mpf(1)] * len(km.t))
-        value = mp.re(mp.fsum(x))
-    coeffs = None
-    if with_coeffs:
-        parts = [_man_exp(y) for xi in x for y in (mp.re(xi), mp.im(xi))]
-        e = min((ex for m, ex in parts if m), default=0)
-        ints = [m << (ex - e) for m, ex in parts]
-        xs = list(zip(ints[::2], ints[1::2]))
-        P = bits + _GUARD
-        coeffs = []
-        for psi in _psi_stream(km.n, km.t, P):
-            cr = sum(pr * xr + pi * xi for (pr, pi), (xr, xi) in zip(psi, xs))
-            ci = sum(pr * xi - pi * xr for (pr, pi), (xr, xi) in zip(psi, xs))
-            coeffs.append(mp.make_mpc((_rounded(cr, e - P, bits),
-                                       _rounded(ci, e - P, bits))))
-    return MinNormSolution(value=value, coeffs=coeffs, n=km.n, t=km.t)
+    ts, sums = _kernel_grid(grid, t, bits)
+    for n, S in sums:
+
+        def build(p):
+            return _fixed_kernel(S if p == bits else next(_kernel_sums([n], ts, p))[1], p)
+
+        _, prof, used = audited_profile(build, bits)
+        if prof.dropped:
+            i = min(range(len(prof.pivots)), key=prof.pivots.__getitem__)
+            yield NSingular(i, prof.pivots[i])
+            continue
+        P = used + _GUARD
+        coeffs = None
+        if with_coeffs:
+            xs = prof.solve()
+            coeffs = []
+            for psi in _psi_stream(n, ts, P):
+                cr = sum(pr * xr + pi * xi for (pr, pi), (xr, xi) in zip(psi, xs))
+                ci = sum(pr * xi - pi * xr for (pr, pi), (xr, xi) in zip(psi, xs))
+                coeffs.append(mp.make_mpc((_rounded(cr, -2 * P, bits),
+                                           _rounded(ci, -2 * P, bits))))
+        yield MinNormSolution(value=mp.make_mpf(_rounded(prof.inner, -P, bits)),
+                              coeffs=coeffs, n=n, t=ts)
 
 
 def min_norm(n: int, t: Sequence, bits: Optional[int] = None,
@@ -363,10 +386,13 @@ def min_norm(n: int, t: Sequence, bits: Optional[int] = None,
 
     The optimum is value = 1^T H^{-1} 1; it lower-bounds the squared
     approximation distances whenever the t_i are ordinates of critical-line
-    zeros and H is the corresponding kernel matrix.
+    zeros and H is the corresponding kernel matrix. H passes the d^2 pivot
+    audit: a pivot below 2^{-p/2} of the largest raises NSingular.
     """
-    bits = resolve_bits(bits)
-    return _solve_min_norm(kernel_matrix(n, t, bits=bits), bits, with_coeffs)
+    sol = next(_min_norms([n], t, resolve_bits(bits), with_coeffs))
+    if isinstance(sol, NSingular):
+        raise sol
+    return sol
 
 
 # K_n(0, 0) = sum_{k<=n} f(k) with f(x) = (sqrt(x) - sqrt(x-1))^2: terms up to
@@ -472,9 +498,9 @@ def kernel_asymptotics_report(u, n_grid: Sequence[int],
     with working(bits):
         u_mp = _ordinate(u)
         head = grid[-1] if u_mp != 0 else min(grid[-1], _em_start(bits))
-        for k, H in _kernel_sums(sorted({n for n in grid if n < head} | {head}),
+        for k, S in _kernel_sums(sorted({n for n in grid if n < head} | {head}),
                                  [u_mp], bits):
-            acc = H[0][0]
+            acc = _rounded_kernel(S, bits)[0][0]
             if k in targets:
                 add_row(k, acc)
         for n in grid:

@@ -2,22 +2,24 @@
 
 import json
 import os
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from xdp.cache import cache_gc, cache_path, load_gram, store_gram
+from xdp.cache import CACHE_VERSION, cache_gc, cache_path, load_gram, store_gram
 from xdp.config import (DEFAULT_SCHEDULE, ExperimentConfig, config_from_json,
                         geometric_schedule, parse_rect, parse_schedule)
 from xdp.distance import _audited_profile
 from xdp.dpcore import DirichletPolynomial
+from xdp.experiments import run_distance_sweep
 from xdp.zeros import Rectangle
 
 P_BASE = DirichletPolynomial.parse("1:1,2:-1")
 
 
 def _profile(n, r=0, bits=128):
-    return _audited_profile(P_BASE, r, n, bits)[2]
+    return _audited_profile(P_BASE, r, n, bits)[1]
 
 
 def test_store_load_roundtrip(tmp_path):
@@ -25,7 +27,7 @@ def test_store_load_roundtrip(tmp_path):
     path = store_gram(tmp_path, P_BASE, 0, 128, prof, 128)
     assert path.exists()
     payload = json.loads(path.read_text())
-    assert payload["version"] == 2
+    assert payload["version"] == CACHE_VERSION == 3
     assert payload["poly"] == "1:1,2:-1"
     assert payload["r"] == "0"
     assert payload["n"] == 3
@@ -64,8 +66,31 @@ def test_load_misses(tmp_path):
     assert load_gram(tmp_path, P_BASE, 0, 128, n_min=1) is None
     # a truncated list or a value that is not a number is a miss, not an error
     for key, val in (("pivots", old["pivots"][:1]), ("d_squared", ["0.5", "abc"])):
-        path.write_text(json.dumps({**old, "version": 2, key: val}))
+        path.write_text(json.dumps({**old, "version": CACHE_VERSION, key: val}))
         assert load_gram(tmp_path, P_BASE, 0, 128, n_min=1) is None
+
+
+def test_version_2_profile_is_a_miss_and_overwritten(tmp_path):
+    # version 2 stored d^2 from Gram entries rounded at the working precision;
+    # since version 3 they are rounded once at the factorization's fixed point,
+    # so the last bits move and an old file must not serve a sweep
+    cache = tmp_path / "cache"
+    cfg = ExperimentConfig(poly="1:1,2:-1", r=Fraction(1, 2), n_schedule=(1, 2, 4),
+                           precision_bits=128, cache_dir=str(cache),
+                           output=str(tmp_path / "cold.csv"))
+    cold = run_distance_sweep(replace(cfg, cache_dir=None))
+    path = cache_path(cache, P_BASE, Fraction(1, 2), 128)
+    cache.mkdir()
+    old = json.loads(store_gram(tmp_path, P_BASE, Fraction(1, 2), 128, _profile(4), 128)
+                     .read_text())
+    old.update(version=2, d_squared=["0.5"] * 4)
+    path.write_text(json.dumps(old))
+    assert load_gram(cache, P_BASE, Fraction(1, 2), 128, n_min=1) is None
+    rows = run_distance_sweep(cfg)
+    assert [row.d_squared for row in rows] == [row.d_squared for row in cold]
+    assert json.loads(path.read_text())["version"] == CACHE_VERSION
+    loaded, _ = load_gram(cache, P_BASE, Fraction(1, 2), 128, n_min=4)
+    assert loaded.d_squared[3] == rows[2].d_squared
 
 
 def test_load_touches_mtime_and_tolerates_corruption(tmp_path):

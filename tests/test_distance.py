@@ -8,13 +8,16 @@ Independent oracles: tanh-sinh quadrature of the step products over their
 breakpoint partition, and k * <rho_k, 1> = P(r + 1/2).
 """
 
+import math
 import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_rational, round_nearest
 
+from fixedpoint import fixed_system
 from xdp import distance
 from xdp.dpcore import DirichletPolynomial, dp_eval, kappa_partial_sums
 from xdp.distance import (
@@ -22,7 +25,7 @@ from xdp.distance import (
     _indicator_numerator,
     _integer_profile,
     _pair_numerator,
-    _rounded,
+    _rounded_gram,
     approximant_distance,
     distance_profile,
     distance_squared,
@@ -30,7 +33,7 @@ from xdp.distance import (
 )
 from xdp.errors import PrecisionExhausted
 from xdp.exact import GaussianRational, to_mp
-from xdp.linalg import ldl_profile
+from xdp.linalg import ldl_factor, ldl_profile, ldl_solve
 from xdp.precision import working
 
 P_ONE = DirichletPolynomial.parse("1:1")
@@ -40,18 +43,30 @@ P_M4 = DirichletPolynomial.parse("1:1,2:-2,4:1")
 P_M6 = DirichletPolynomial.parse("1:1,2:1/3,3:-1/5,4:2,5:1/7-1i,6:-1")   # lcm 60
 
 
+def _rounded(re, im, den, bits):
+    """(re + i im)/den with each part rounded once, to nearest, at bits."""
+    x = mp.make_mpf(from_rational(re, den, bits, round_nearest))
+    return mpc(x, mp.make_mpf(from_rational(im, den, bits, round_nearest))) if im else x
+
+
 def rho_inner(P, r, j, k, bits):
     """<rho_j, rho_k> at the requested precision, from the integer sum."""
     Q, L, _, prods = _integer_profile(kappa_partial_sums(P, r, bits=bits))
     re, im = _pair_numerator(prods, L, j, k)
-    return _rounded(re, im, Q * Q * j * k * L, bits)[0]
+    return _rounded(re, im, Q * Q * j * k * L, bits)
 
 
 def indicator_inner(P, r, k, bits):
     """<rho_k, 1> at the requested precision, from the integer sum."""
     Q, L, s, _ = _integer_profile(kappa_partial_sums(P, r, bits=bits))
     re, im = _indicator_numerator(s, L)
-    return _rounded(re, im, Q * L * k, bits)[0]
+    return _rounded(re, im, Q * L * k, bits)
+
+
+def round_fixed(v, shift):
+    """The Gaussian rational v times 2^shift, each part rounded to nearest
+    with ties up, as _build_gram rounds."""
+    return tuple(math.floor(x * Fraction(2) ** shift + Fraction(1, 2)) for x in (v.re, v.im))
 
 
 def oracle_pair_inner(prof, j, k):
@@ -140,7 +155,8 @@ def test_indicator_inner_pinned_and_mellin_at_one():
 def test_build_gram_reciprocal_max_structure():
     # P == 1: rho_k is the indicator of (0, 1/k], so G[j][k] = 1/max(j+1,k+1)
     # (0-indexed) and g[k] = 1/(k+1)
-    G, g, prof, used = distance._audited_profile(P_ONE, 0, 6, 256)
+    system, prof, used = distance._audited_profile(P_ONE, 0, 6, 256)
+    G, g = _rounded_gram(*system, 256)
     assert len(G) == len(g) == 6
     assert prof.dropped == 0
     assert min(prof.pivots) > 0
@@ -151,15 +167,18 @@ def test_build_gram_reciprocal_max_structure():
                 assert abs(G[i][j] - mpf(1) / max(i + 1, j + 1)) < mpf(2) ** -250
         for k in range(6):
             assert abs(g[k] - mpf(1) / (k + 1)) < mpf(2) ** -250
+        # pivots in the units of G: det G_k / det G_{k-1} = 1/k^2
+        for k in range(6):
+            assert abs(prof.pivots[k] - mpf(1) / (k + 1) ** 2) < mpf(2) ** -250
 
 
 def test_build_gram_hermitian_psd():
-    G, g = _build_gram(P_MIX, 0, 8, 192)
+    G, g, scale = _build_gram(P_MIX, 0, 8, 192)
+    for i in range(8):
+        assert G[i][i][1] == 0
+        for j in range(8):
+            assert G[i][j] == (G[j][i][0], -G[j][i][1])
     with working(192):
-        for i in range(8):
-            assert abs(mp.im(G[i][i])) < mpf(2) ** -180
-            for j in range(8):
-                assert abs(G[i][j] - mp.conj(G[j][i])) < mpf(2) ** -180
         prof = ldl_profile(G, g)
     assert prof.dropped == 0 and prof.band is None
     assert min(prof.pivots) > 0
@@ -221,36 +240,43 @@ def test_profile_matches_projection_complex():
 
 
 def test_profile_mpc_twin_identical():
-    # an entry held as an mpc with zero imaginary part changes nothing
-    G, g = _build_gram(P_BASE, 0, 16, 256)
+    # an entry held as an mpc with zero imaginary part changes nothing on the
+    # pivoted projection path, the one that still takes mpf entries
+    G, g = _rounded_gram(*_build_gram(P_BASE, 0, 16, 256), 256)
+    assert not any(isinstance(x, mpc) for row in G for x in row)
     with working(256):
-        twin = ldl_profile([[mpc(x, 0) for x in row] for row in G],
-                           [mpc(x, 0) for x in g])
-        plain = ldl_profile(G, g)
-    assert twin.d_squared == plain.d_squared
-    assert twin.pivots == plain.pivots
+        twin = ldl_solve(ldl_factor([[mpc(x, 0) for x in row] for row in G]),
+                         [mpc(x, 0) for x in g])
+        plain = ldl_solve(ldl_factor(G), g)
+    assert twin == plain
 
 
 def test_build_gram_exact_matches_per_pair_build():
     # the integer build rounds each entry once, as the Gaussian-rational
-    # oracle does: every entry is ==, and the helpers agree with it
+    # oracle rounded once to the fixed point gives it: every entry is ==,
+    # and the helpers agree with the oracle at the working precision
     n = 24
     for bits in (128, 256):
+        frac = bits + 64
         for P in (P_BASE, P_MIX, P_M4, P_M6):
             prof = kappa_partial_sums(P, Fraction(1, 2), bits=bits)
             assert prof.exact
-            G, g = _build_gram(P, Fraction(1, 2), n, bits)
+            G, g, scale = _build_gram(P, Fraction(1, 2), n, bits)
+            top = oracle_pair_inner(prof, 1, 1).re * Fraction(2) ** -scale
+            assert Fraction(1, 4) <= top < 2
             with working(bits):
                 for j in range(1, n + 1):
                     for k in range(j, n + 1):
                         v = oracle_pair_inner(prof, j, k)
                         assert isinstance(v, GaussianRational)
-                        assert G[k - 1][j - 1] == to_mp(v), (P.to_text(), bits, j, k)
-                        assert G[j - 1][k - 1] == mp.conj(to_mp(v)), (P.to_text(), bits, j, k)
+                        x, y = round_fixed(v, frac - scale)
+                        assert G[k - 1][j - 1] == (x, y), (P.to_text(), bits, j, k)
+                        assert G[j - 1][k - 1] == (x, -y), (P.to_text(), bits, j, k)
                         if gcd(j, k) == 1:
                             assert rho_inner(P, Fraction(1, 2), j, k, bits) == to_mp(v)
                     w = oracle_indicator_inner(prof, j)
-                    assert g[j - 1] == mp.conj(to_mp(w))
+                    x, y = round_fixed(w, frac - scale // 2)
+                    assert g[j - 1] == (x, -y)
                     assert indicator_inner(P, Fraction(1, 2), j, bits) == to_mp(w)
 
 
@@ -258,16 +284,17 @@ def test_build_gram_exact_matches_per_pair_build():
 def test_mpf_gram_entries_within_one_ulp(bits):
     # irrational kappa profiles, e.g. (1, 1 - sqrt 2) for 1 - 2^{-s} at r = 0:
     # each entry is summed exactly from the steps, whose irrational powers
-    # carry 32 guard bits, and rounded once; (1 - 2^{1/6})^2 at r = 1/3 for
-    # (1 - 2^{-s})^2 cancels to about 0.015
+    # carry 32 guard bits, rounded once to 2^-(bits+64) of G_11 and, in the
+    # projection's mpf form, once more at bits; (1 - 2^{1/6})^2 at r = 1/3
+    # for (1 - 2^{-s})^2 cancels to about 0.015
     n = 48
     for poly, r in (("1:1,2:-1", 0), ("1:1,2:1i,3:-1/2", 0),
                     ("1:1,2:1/2+1/2i,3:-1/3i", Fraction(1, 3)),
                     ("1:1,2:-2,4:1", Fraction(1, 3))):
         P = DirichletPolynomial.parse(poly)
         assert not kappa_partial_sums(P, r, bits=bits).exact
-        G, g = _build_gram(P, r, n, bits)
-        ref, ref_g = _build_gram(P, r, n, 700)
+        G, g = _rounded_gram(*_build_gram(P, r, n, bits), bits)
+        ref, ref_g = _rounded_gram(*_build_gram(P, r, n, 700), 700)
         with working(700):
             tol = mpf(2) ** -(bits - 1)
             for j in range(n):
@@ -276,12 +303,23 @@ def test_mpf_gram_entries_within_one_ulp(bits):
                 assert abs(g[j] - ref_g[j]) <= tol * abs(ref_g[j]), (poly, j)
 
 
+@pytest.mark.parametrize("bits", [128, 256])
+def test_profile_against_a_768_bit_build(bits):
+    # with the exact sums rounded once at 2^-(bits+64) of G_11 and no mpf
+    # Gram on the way, every d^2_n, n <= 48, is within 2^-(bits-2) relative
+    P = DirichletPolynomial.parse("1:1,2:1/2+1/2i,3:-1/3i")
+    prof = distance_profile(P, Fraction(1, 3), 48, bits=bits)
+    ref = distance_profile(P, Fraction(1, 3), 48, bits=768)
+    with working(768):
+        for res, want in zip(prof, ref):
+            assert abs(res.d_squared - want.d_squared) <= mpf(2) ** -(bits - 2) * want.d_squared, res.n
+
+
 def _band_gram(bits):
     # pivot 2^{-3 bits / 8} sits in [2^{-bits/2}, 2^{-bits/4}) at every precision
-    with working(bits):
-        z = mpf(0)
-        return ([[mpf(1), z], [z, mpf(2) ** -(3 * bits // 8)]],
-                [mpf(1) / 2, mpf(2) ** -(3 * bits // 16)])
+    G, g = fixed_system([[1, 0], [0, Fraction(1, 2 ** (3 * bits // 8))]],
+                        [Fraction(1, 2), Fraction(1, 2 ** (3 * bits // 16))], bits)
+    return G, g, 0
 
 
 def test_profile_escalates_then_exhausts(monkeypatch):
@@ -297,7 +335,7 @@ def test_profile_escalates_then_exhausts(monkeypatch):
 
     # an indeterminate system is rebuilt at doubled precision
     monkeypatch.setattr(distance, "_build_gram", band_at_128)
-    _, _, prof, used = distance._audited_profile(P_BASE, 0, 2, 128)
+    _, prof, used = distance._audited_profile(P_BASE, 0, 2, 128)
     assert used == 256 and calls == [128, 256]
     monkeypatch.undo()
     assert prof.d_squared == [res.d_squared for res in distance_profile(P_BASE, 0, 2, bits=256)]
@@ -315,9 +353,9 @@ def test_profile_escalates_then_exhausts(monkeypatch):
 def test_profile_reports_escalated_precision(monkeypatch):
     # 2^-48 is indeterminate at 128 bits and decided at 256
     def fake(P, r, n, bits):
-        with working(bits):
-            z = mpf(0)
-            return [[mpf(1), z], [z, mpf(2) ** -48]], [mpf(1) / 2, mpf(2) ** -25]
+        G, g = fixed_system([[1, 0], [0, Fraction(1, 2 ** 48)]],
+                            [Fraction(1, 2), Fraction(1, 2 ** 25)], bits)
+        return G, g, 0
     monkeypatch.setattr(distance, "_build_gram", fake)
     prof = distance_profile(P_BASE, 0, 2, bits=128)
     assert [res.precision_bits for res in prof] == [256, 256]

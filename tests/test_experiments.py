@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
-from xdp import distance
+from fixedpoint import fixed_system
+from xdp import distance, linalg
 from xdp.config import ExperimentConfig
 from xdp.experiments import (CriterionReport, run_criterion_report,
                              run_decay_fit, run_distance_sweep)
@@ -77,9 +78,9 @@ def test_sweep_cache_slice_matches_fresh(tmp_path):
 def test_sweep_reports_escalated_precision(tmp_path, monkeypatch):
     # a pivot of 2^-48 is indeterminate at 128 bits and decided at 256
     def fake(P, r, n, bits):
-        with working(bits):
-            z = mpf(0)
-            return [[mpf(1), z], [z, mpf(2) ** -48]], [mpf(1) / 2, mpf(2) ** -25]
+        G, g = fixed_system([[1, 0], [0, Fraction(1, 2 ** 48)]],
+                            [Fraction(1, 2), Fraction(1, 2 ** 25)], bits)
+        return G, g, 0
     monkeypatch.setattr(distance, "_build_gram", fake)
     out = tmp_path / "sweep.csv"
     cache = tmp_path / "cache"
@@ -107,7 +108,7 @@ def test_warm_sweep_builds_and_factors_nothing(tmp_path, monkeypatch):
     def spy(*args, **kwargs):
         raise AssertionError("warm sweep recomputed the profile")
     monkeypatch.setattr(distance, "_build_gram", spy)
-    monkeypatch.setattr(distance, "ldl_profile", spy)
+    monkeypatch.setattr(linalg, "ldl_profile", spy)
     run_distance_sweep(cfg)
     assert out.read_bytes() == cold
 

@@ -1,5 +1,5 @@
 """Pivoted LDL^H on mpmath matrices, solves, determinants, and the
-fixed-point profile factorization.
+fixed-point profile factorization (fed through ``fixedpoint.fixed_system``).
 
 Oracle values: exact Hilbert-matrix determinant, hand-computed 2x2 Hermitian
 factorizations, reconstruction residuals checked against the inputs, and
@@ -12,6 +12,9 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpc, mpf
 
+from fixedpoint import fixed_system
+from xdp.distance import _audited_profile, _build_gram
+from xdp.dpcore import DirichletPolynomial
 from xdp.errors import NSingular
 from xdp.linalg import ldl_factor, ldl_profile, ldl_solve
 from xdp.precision import working
@@ -111,18 +114,18 @@ def test_random_hermitian_roundtrip():
 def test_profile_pivots_leading_minor_ratios():
     with working(128):
         A = [[mpf(2), mpf(1)], [mpf(1), mpf(3)]]
-        s = ldl_profile(A, [mpf(0), mpf(0)]).pivots
+        s = ldl_profile(*fixed_system(A, [0, 0], 128)).pivots
         assert abs(s[0] - 2) < mpf(2) ** -120
         assert abs(s[1] - mpf(5) / 2) < mpf(2) ** -120
         # rank-1 matrix: second pivot exactly zero, and that generator is dropped
-        f = ldl_profile([[mpf(1), mpf(1)], [mpf(1), mpf(1)]], [mpf(1), mpf(1)])
+        f = ldl_profile(*fixed_system([[1, 1], [1, 1]], [1, 1], 128))
         assert len(f.pivots) == 2
         assert f.pivots[0] == 1
         assert f.pivots[1] == 0
         assert f.dropped == 1 and f.band is None
         assert f.d_squared == [0, 0]
         # Hilbert pivots are the classical minor ratios: det H_3 / det H_2
-        s = ldl_profile(hilbert(3), [mpf(0)] * 3).pivots
+        s = ldl_profile(*fixed_system(hilbert(3), [0] * 3, 128)).pivots
         d3, d2 = mpf(1) / 2160, mpf(1) / 12
         assert abs(s[2] - d3 / d2) < mpf(2) ** -110
 
@@ -140,7 +143,7 @@ def test_profile_matches_solve_and_determinant_ratio():
             A[i][i] = A[i][i] + 4
         g = [mpc(mpf(rng.randint(-4, 4)) / 7, mpf(rng.randint(-4, 4)) / 7)
              for _ in range(n)]
-        f = ldl_profile(A, g)
+        f = ldl_profile(*fixed_system(A, g, 256))
         assert f.dropped == 0 and f.band is None
         for m in range(1, n + 1):
             sub = [row[:m] for row in A[:m]]
@@ -155,6 +158,13 @@ def test_profile_matches_solve_and_determinant_ratio():
             # pivots[m - 1] = det A_m / det A_{m-1}
             prev = product(ldl_factor([row[:m - 1] for row in A[:m - 1]]).d) if m > 1 else 1
             assert abs(f.pivots[m - 1] - det / prev) < mpf(2) ** -230
+        # the integers give g* A^{-1} g unclamped, and x = A^{-1} g by
+        # back-substitution
+        frac = 256 + 64
+        assert abs(mpf((f.inner, -frac)) - (1 - f.d_squared[-1])) < mpf(2) ** -240
+        x = ldl_solve(ldl_factor(A), g)
+        for (xr, xi), want in zip(f.solve(), x):
+            assert abs(mpc(mpf((xr, -frac)), mpf((xi, -frac))) - want) < mpf(2) ** -230
 
 
 def test_profile_drops_and_flags_band_pivots():
@@ -162,49 +172,59 @@ def test_profile_drops_and_flags_band_pivots():
     with working(128):
         one, tiny, mid = mpf(1), mpf(2) ** -100, mpf(2) ** -40
         z = mpf(0)
-        f = ldl_profile([[one, z], [z, tiny]], [mpf(1) / 2, mpf(2) ** -50])
+        f = ldl_profile(*fixed_system([[one, z], [z, tiny]], [mpf(1) / 2, mpf(2) ** -50], 128))
         assert f.dropped == 1 and f.band is None
         assert f.pivots[1] == tiny
         assert f.d_squared[0] == f.d_squared[1] == mpf(3) / 4  # dropped: adds nothing
-        f = ldl_profile([[one, z, z], [z, mid, z], [z, z, tiny]],
-                        [mpf(1) / 2, mpf(2) ** -21, mpf(2) ** -51])
+        assert f.solve()[1] == (0, 0)
+        f = ldl_profile(*fixed_system([[one, z, z], [z, mid, z], [z, z, tiny]],
+                                      [mpf(1) / 2, mpf(2) ** -21, mpf(2) ** -51], 128))
         assert f.band == 1
         assert len(f.d_squared) == 1 and len(f.pivots) == 2
     with working(256):
         # the same 2^-40 pivot is decided at 256 bits
-        f = ldl_profile([[one, z], [z, mid]], [mpf(1) / 2, mpf(2) ** -21])
+        f = ldl_profile(*fixed_system([[one, z], [z, mid]], [mpf(1) / 2, mpf(2) ** -21], 256))
         assert f.band is None and f.dropped == 0
         assert f.d_squared[1] == mpf(1) / 2
 
 
 def test_profile_scale_invariant():
-    # G -> 4^e G, g -> 2^e g leaves d^2 unchanged, bit for bit
-    with working(128):
-        A = hilbert(5)
-        g = [mpf(1) / (k + 2) for k in range(5)]
-        base = ldl_profile(A, g).d_squared
+    # G -> 4^e G, g -> 2^e g leaves d^2 unchanged, bit for bit: the Gram
+    # build places its integers relative to G_11, so 2^e P (whose G is
+    # 4^e times that of P) hands ldl_profile the same integers, and the
+    # pivots scale by exactly 4^e; on an exact (r = 1/2) and an mpf (r = 0)
+    # kappa profile
+    P = DirichletPolynomial.parse("1:1,2:1/3,3:-3/4")
+    for r in (Fraction(1, 2), Fraction(0)):
+        G, g, scale = _build_gram(P, r, 6, 128)
+        base = _audited_profile(P, r, 6, 128)[1]
         for e in (-300, 7, 300):
-            scaled = ldl_profile([[x * mpf(4) ** e for x in row] for row in A],
-                                 [x * mpf(2) ** e for x in g]).d_squared
-            assert scaled == base
+            Pe = DirichletPolynomial([c * Fraction(2) ** e for c in P.coeffs])
+            assert _build_gram(Pe, r, 6, 128) == (G, g, scale + 2 * e)
+            scaled = _audited_profile(Pe, r, 6, 128)[1]
+            assert scaled.d_squared == base.d_squared
+            assert scaled.pivots == [mp.ldexp(v, 2 * e) for v in base.pivots]
 
 
 def test_profile_validation():
     with working(128):
         with pytest.raises(ValueError):
-            ldl_profile([[mpf(1)]], [mpf(1), mpf(0)])
+            ldl_profile([[(1, 0)]], [(1, 0), (0, 0)])
         with pytest.raises(NSingular):
-            ldl_profile([[mpf(0)]], [mpf(0)])
+            ldl_profile([[(0, 0)]], [(0, 0)])
 
 
 def test_singular_solve_raises():
     with working(128):
         f = ldl_factor([[mpf(1), mpf(1)], [mpf(1), mpf(1)]])
-        with pytest.raises(NSingular) as exc:
-            ldl_solve(f, [mpf(1), mpf(0)])
-        assert exc.value.index == 1
-        # with a drop threshold the dependent second generator is dropped
-        assert ldl_solve(f, [mpf(1), mpf(1)], drop_at=mpf(2) ** -64) == [1, 0]
+        # the dependent second generator is dropped: its pivot is below
+        # 2^{-p/2} of the largest, p the working precision
+        assert ldl_solve(f, [mpf(1), mpf(1)]) == [1, 0]
+        near = ldl_factor([[mpf(1), mpf(0)], [mpf(0), mpf(2) ** -63]])
+        assert ldl_solve(near, [mpf(1), mpf(1)]) == [1, mpf(2) ** 63]
+    with working(124):
+        # at 124 bits the threshold is 2^-62
+        assert ldl_solve(near, [mpf(1), mpf(1)]) == [1, 0]
 
 
 def test_shape_validation():

@@ -13,8 +13,10 @@ import pytest
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import from_rational, round_nearest
 
-from xdp import lubinsky
-from xdp.errors import DuplicateOrdinates, NSingular, RemainderNotProven
+from xdp import linalg, lubinsky
+from xdp.distance import distance_profile
+from xdp.dpcore import DirichletPolynomial
+from xdp.errors import DuplicateOrdinates, NSingular, PrecisionExhausted, RemainderNotProven
 from xdp.lubinsky import (
     _EM_START,
     _GUARD,
@@ -177,6 +179,64 @@ def test_min_norm_singular_kernel():
         min_norm(1, [0, 5], bits=128)
 
 
+def test_min_norm_band_pivot_escalates_once(monkeypatch):
+    # at n = 64 the ordinates 0 and 10^-6 give a second pivot near 2^-37.6 of
+    # the first: in [2^-64, 2^-32) at 128 bits, so H is rebuilt from a new
+    # stream pass at 256 bits, where it is decided, and the value keeps 126
+    # bits against a 768-bit build
+    scales = []
+    stream = lubinsky._psi_stream
+
+    def spy(n, ts, P):
+        scales.append(P)
+        return stream(n, ts, P)
+    monkeypatch.setattr(lubinsky, "_psi_stream", spy)
+    with working(128):
+        t = [mpf(0), mpf("1e-6")]
+    value = min_norm(64, t, bits=128).value
+    assert scales == [192, 320]
+    want = min_norm(64, t, bits=768).value
+    with working(768):
+        assert abs(value - want) <= mpf(2) ** -126 * want
+
+
+def test_min_norm_exhausts_precision_in_the_band(monkeypatch):
+    # fake sums whose second pivot 2^{-3 bits/8} stays in the band at every
+    # precision: three doublings, then PrecisionExhausted
+    seen = []
+
+    def band_sums(grid, ts, bits):
+        P = bits + lubinsky._GUARD
+        seen.append(bits)
+        one = 1 << (2 * P)
+        for n in grid:
+            yield n, [[(one, 0), (one, 0)], [(one, 0), (one + (one >> (3 * bits // 8)), 0)]]
+    monkeypatch.setattr(lubinsky, "_kernel_sums", band_sums)
+    with pytest.raises(PrecisionExhausted):
+        min_norm(4, [0, 5], bits=128)
+    assert seen == [128, 256, 512, 1024]
+
+
+def test_profile_receives_integer_pairs_only(monkeypatch):
+    # d^2 and min-norm hand ldl_profile Gaussian integers: no mpf matrix is
+    # built on either path
+    received = []
+    profile = linalg.ldl_profile
+
+    def spy(G, g):
+        received.extend(x for row in G for x in row)
+        received.extend(g)
+        return profile(G, g)
+    monkeypatch.setattr(linalg, "ldl_profile", spy)
+    distance_profile(DirichletPolynomial.parse("1:1,2:1i,3:-1/2"), 0, 6, bits=128)
+    n_gram = len(received)
+    assert n_gram == 6 * 6 + 6
+    min_norm(12, [0, mpf("2.5"), mpf("-7")], bits=128, with_coeffs=True)
+    assert len(received) == n_gram + 3 * 3 + 3
+    assert all(type(x) is tuple and len(x) == 2 and all(type(v) is int for v in x)
+               for x in received)
+
+
 def test_kernel_asymptotics_report():
     rows = kernel_asymptotics_report(0, [100, 1000, 10000], bits=128)
     assert [row.n for row in rows] == [100, 1000, 10000]
@@ -296,11 +356,12 @@ def test_large_ordinates_keep_every_digit(bits):
     got = kernel(50, u, u, bits=bits)
     want = kernel(50, u, u, bits=bits + 512)
     value = min_norm(8, [u, v], bits=bits).value
-    fine = min_norm(8, [u, v], bits=bits + 512).value
-    with working(bits + 512):
+    fine = min_norm(8, [u, v], bits=768).value
+    with working(768):
         assert abs(got - want) <= tol * want
-        # the order-2 solve at bits adds a bit or two; the value is in (0, 1]
-        assert abs(value - fine) <= tol
+        # H enters the factorization unrounded, at 2^-(bits+64), and the
+        # value is rounded once at bits
+        assert abs(value - fine) <= tol * fine
 
 
 def test_spf_sieve():
@@ -349,25 +410,27 @@ def test_kernel_grid_is_one_pass_of_separate_calls(monkeypatch):
         scales.append(P)
         return stream(n, ts, P)
     monkeypatch.setattr(lubinsky, "_psi_stream", spy)
-    kms = list(lubinsky._kernel_matrices(grid, t, bits))
-    assert [km.n for km in kms] == grid
-    for km in kms:
-        alone = kernel_matrix(km.n, t, bits=bits)
-        assert km.H == alone.H
+    _, sums = lubinsky._kernel_grid(grid, t, bits)
+    kms = [(n, lubinsky._rounded_kernel(S, bits)) for n, S in sums]
+    sols = list(lubinsky._min_norms(grid, t, bits, with_coeffs=True))
+    assert [n for n, _ in kms] == grid
+    for (n, H), sol in zip(kms, sols):
+        alone = kernel_matrix(n, t, bits=bits)
+        assert H == alone.H
         for i, u in enumerate(t):
             for j, v in enumerate(t):
-                assert kernel(km.n, u, v, bits=bits) == km.H[i][j], (km.n, i, j)
+                assert kernel(n, u, v, bits=bits) == H[i][j], (n, i, j)
         try:
-            want = min_norm(km.n, t, bits=bits).value
-        except NSingular:
-            with pytest.raises(NSingular):
-                lubinsky._solve_min_norm(km, bits)
+            want = min_norm(n, t, bits=bits, with_coeffs=True)
+        except NSingular as exc:
+            assert isinstance(sol, NSingular)
+            assert (sol.index, sol.pivot) == (exc.index, exc.pivot)
         else:
-            assert lubinsky._solve_min_norm(km, bits).value == want
+            assert sol == want
     # K_n(u, v) does not depend on which other ordinates share the pass
-    assert kernel_matrix(17, t[1:3], bits=bits).H[0][1] == kms[3].H[1][2]
+    assert kernel_matrix(17, t[1:3], bits=bits).H[0][1] == kms[3][1][1][2]
     with pytest.raises(ValueError):
-        list(lubinsky._kernel_matrices([5, 5], t, bits))
+        lubinsky._kernel_grid([5, 5], t, bits)
     assert set(scales) == {bits + lubinsky._GUARD}
     # and the stream does not depend on where it stops
     with working(bits):
