@@ -14,6 +14,13 @@ mpf matrix on the way, and passes the audit that every d^2 passes: a pivot
 in the indeterminate band rebuilds H at doubled precision, and a dropped
 pivot raises NSingular. The value and the coefficients come from the same
 integer factorization.
+
+The diagonal K_n(u, u) = sum_k |psi_k(u)|^2 takes one path at every u: the
+stream sums it up to a start that grows with bits and |u|, and
+Euler-Maclaurin on the Laurent series of |x^w - (x-1)^w|^2, w = 1/2 - iu,
+adds the rest, with a remainder proven from a majorant of the coefficients
+(see kernel_asymptotics_report). That is what lets the asymptotics
+K_n(u, u) ~ (1/4 + u^2) log n be followed to n = 10^12.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional, Sequence
 
 from mpmath import bernfrac, mp, mpc, mpf
@@ -395,16 +403,30 @@ def min_norm(n: int, t: Sequence, bits: Optional[int] = None,
     return sol
 
 
-# K_n(0, 0) = sum_{k<=n} f(k) with f(x) = (sqrt(x) - sqrt(x-1))^2: terms up to
-# the start a are added one by one, the rest comes from Euler-Maclaurin on the
-# Laurent series of f. Correction term p is about (2p-1)!/(2 pi a)^{2p}, so
-# _EM_MAX_TERMS terms from a = _EM_START reach about 2160 bits, and each
-# doubling of a adds 400 bits. Up to _EM_FIXED_BITS the start stays at
+# K_n(u, u) = sum_{k<=n} f(k) with f(x) = |x^w - (x-1)^w|^2, w = 1/2 - iu,
+# the same code at every u: terms up to the start a are summed on the stream,
+# the rest comes from Euler-Maclaurin on the Laurent series of f (_Laurent,
+# _em_tails). Correction term p is about 2 c_1 (2p-1)!/(2 pi a)^{2p} times
+# the factor sum_j |c_j/c_1| binom(j+2p-2, j-1) a^{1-j} of the later
+# coefficients. The majorant M_j of _Laurent, with M_1/c_1 <= 12 and
+# M_{j+1}/M_j <= W = ceil(2|w|), keeps that factor below
+# 12 (1 - W/a)^{-2p}. So _EM_MAX_TERMS terms from
+# a = _EM_START reach about 2170 bits of K_a at u = 0 and at u = 2 pi/log 2,
+# and 2164 bits at |u| = 62 (W = 125), the largest |w| that keeps that start.
+# Each doubling of a adds 400 bits. Up to _EM_FIXED_BITS the start stays at
 # _EM_START; beyond, it grows by 2^{(bits - _EM_FIXED_BITS)/400}.
+#
+# The start grows with |w| too: a >= _EM_START_PER_W W >= 16 |w|. The
+# majorant ratio M_{j+1}/M_j = (W + j + 1)/(j + 2) is largest at j = 1, where
+# it is (W + 2)/3 <= W, so at a >= 8W every majorant term M_j a^{-j} is at
+# most 1/8 of the one before: the coefficient tail loses 3 bits a term from
+# its first term on, and the factor above stays below 12 (8/7)^{2p}. u = 0
+# (W = 1) and u = 2 pi/log 2 (W = 19) keep a = _EM_START.
 _EM_START = 1000
 _EM_FIXED_BITS = 2048
 _EM_GUARD = 32
 _EM_MAX_TERMS = 200
+_EM_START_PER_W = 8
 
 
 def _em_start(bits: int) -> int:
@@ -413,56 +435,189 @@ def _em_start(bits: int) -> int:
     return math.ceil(_EM_START * 2 ** ((bits - _EM_FIXED_BITS) / 400))
 
 
-def _laurent_sum(x, r: int, tol):
-    """sum_j c_j binom(j+r-1, r) x^{-(j+r)}, where f(x) = sum_{j>=1} c_j x^{-j}.
+def _two_w_ceil(u) -> int:
+    """W = ceil(2|w|) = ceil(sqrt(1 + 4u^2)), exactly, for the mpf u."""
+    man, exp = u.man_exp
+    shift = 2 * exp + 2
+    x = 1 + (man * man << shift) if shift >= 0 else 1 - (-man * man >> -shift)
+    r = math.isqrt(x)
+    return r if r * r == x else r + 1
 
-    1 - sqrt(1-y) = sum a_m y^m with a_1 = 1/2, a_{m+1}/a_m = (2m-1)/(2m+2),
-    and (1 - sqrt(1-y))^2 = 2(1 - sqrt(1-y)) - y, so f(x) = x (1 - sqrt(1-1/x))^2
-    has c_j = 2 a_{j+1}: c_1 = 1/4, c_{j+1}/c_j = (2j+1)/(2j+4), all positive.
-    For r >= 0 the sum is |f^(r)(x)|/r!. For r = -1 it runs over j >= 2 with
-    weight 1/(j-1) and equals (1/4) log x minus an antiderivative of f.
-    Every later term ratio is below q = (j + max(r, 0))/(j x), so the sum
-    stops once the tail bound term/(1-q) is under tol times the partial sum.
+
+def _mag(x) -> int:
+    """An e with |x| < 2^e, from the raw mpf."""
+    _, _, exp, bc = x._mpf_
+    return exp + bc
+
+
+class _Laurent:
+    """The Laurent coefficients of the diagonal term, grown as far as asked,
+    and its series at integer points; one per report, which also keeps the
+    powers of each point and the Euler-Maclaurin factors beta_p.
+
+    f(x) = |x^w - (x-1)^w|^2 = x |1 - (1 - y)^w|^2 with y = 1/x and
+    w = 1/2 - iu, so f(k) = |psi_k(u)|^2 for k >= 2. The binomial series
+    1 - (1 - y)^w = sum_{m>=1} d_m y^m, d_1 = w, d_{m+1} = d_m (m - w)/(m + 1),
+    converges for |y| < 1, so for x > 1
+        f(x) = sum_{j>=1} c_j x^{-j},   c_j = sum_{m=1}^{j} d_m conj(d_{j+1-m}).
+    - c_j is real: m -> j + 1 - m maps each term to the conjugate of
+      another. c_1 = |d_1|^2 = |w|^2 = 1/4 + u^2.
+    - The table reads c_j = 2 Re d_{j+1}, the same numbers at O(1) each:
+      2 Re w = 1, so |(1 - y)^w|^2 = 1 - y for 0 < y < 1, and
+      |1 - (1 - y)^w|^2 = 2 - y - 2 Re (1 - y)^w = 2 sum_{m>=2} Re(d_m) y^m
+      since 2 Re d_1 = 1; two power series equal on (0, 1) have the same
+      coefficients. At u = 0, c_j = 2 a_{j+1} with 1 - sqrt(1 - y) =
+      sum a_m y^m, all positive.
+    - Majorant. |m - w| <= m + |w|, so by induction |d_m| <= (|w|)_m/m!, with
+      (s)_m = s (s+1) ... (s+m-1). Vandermonde's identity for rising
+      factorials, (s + t)_N/N! = sum_{m=0}^{N} (s)_m (t)_{N-m}/(m! (N-m)!),
+      at s = t = |w| and N = j + 1 gives
+          |c_j| <= sum_{m=1}^{j} (|w|)_m (|w|)_{j+1-m}/(m! (j+1-m)!)
+                <= (2|w|)_{j+1}/(j+1)!,
+      as the terms m = 0 and m = j + 1 it leaves out are positive. The table
+      keeps the integer M_j = (W)_{j+1}/(j+1)! = binom(W + j, j + 1), with
+      W = ceil(2|w|) >= 1, at least as large; it bounds the coefficients past
+      the last computed one. M_{j+1}/M_j = (W + j + 1)/(j + 2) does not grow
+      with j.
     """
-    j = 1 if r >= 0 else 2
-    term = (1 / x) ** (r + 1) / 4 if r >= 0 else 1 / (8 * x)
-    acc = mpf(0)
-    while True:
-        q = (j + max(r, 0)) / (j * x)
-        if q < 1 and term <= tol * acc * (1 - q):
-            return acc
-        acc += term
-        term = term * ((2 * j + 1) * (j + r)) / ((2 * j + 4) * j * x)
-        j += 1
+
+    def __init__(self, u):
+        self.W = _two_w_ceil(u)
+        self._w = mpc(mpf(1) / 2, -u)
+        self._d = self._w * (1 - self._w) / 2
+        self._c = [None]
+        self._major = [None, self.W * (self.W + 1) // 2]
+        self._at = {}
+        self._beta = [None]
+
+    def coeff(self, j: int):
+        while len(self._c) <= j:
+            m = len(self._c)
+            self._c.append(2 * self._d.real)
+            self._d *= (m + 1 - self._w) / (m + 2)
+        return self._c[j]
+
+    def majorant(self, j: int) -> int:
+        while len(self._major) <= j:
+            m = len(self._major)
+            self._major.append(self._major[-1] * (self.W + m) // (m + 1))
+        return self._major[j]
+
+    def beta(self, p: int):
+        """beta_p = B_{2p}/(2p), the factor of L_{2p-1} in Euler-Maclaurin."""
+        while len(self._beta) <= p:
+            num, den = bernfrac(2 * len(self._beta))
+            self._beta.append(mpf(num) / (2 * len(self._beta) * den))
+        return self._beta[p]
+
+    def series(self, x: int, r: int, e_cut: int, with_abs: bool = False):
+        """(L, Lbar) at the integer x > 1, cut where the tail is below 2^e_cut.
+
+        For r >= 0, L = L_r(x) = sum_j c_j binom(j+r-1, r) x^{-(j+r)}
+        = (-1)^r f^(r)(x)/r!. For r = -1, L = I(x) = sum_{j>=2} c_j x^{1-j}/(j-1),
+        so that the integral of f over [a, n] is c_1 log(n/a) + I(a) - I(n).
+        Lbar (None unless with_abs) is the same sum with |c_j|, plus the
+        bound on its cut tail.
+
+        Cut. Write b_j x^{-(j+r)} for the weight of c_j. Past the cut J the
+        majorant terms M_j b_j x^{-(j+r)} fall by a ratio of at most
+        (W + j + 1)(j + max(r, 0))/((j + 2) j x), which does not grow with j;
+        the sum stops at the first J where that ratio at j = J + 1 is at
+        most 1/2, checked in integers, and twice the first majorant term
+        past J is below 2^e_cut. That term is bounded by the bit lengths of
+        M_{J+1} and b_{J+1} and the exponents of the rounded x^{-(J+1)} and
+        x^{-r}, with one bit for their rounding: integer work only, with no
+        mpf bound per term. The powers x^{-k} and c_j x^{-j} are kept per x.
+        """
+        pw, v = self._at.setdefault(x, ([mpf(1), 1 / mpf(x)], [None]))
+
+        def power(k):
+            while len(pw) <= k:
+                pw.append(pw[-1] * pw[1])
+            return pw[k]
+
+        if r >= 0:
+            xr, mag_xr, j = power(r), _mag(power(r)), 1
+        else:
+            xr, mag_xr, j = mpf(x), x.bit_length(), 2
+        b = 1
+        s = sa = mpf(0)
+        while True:
+            while len(v) <= j:
+                v.append(self.coeff(len(v)) * power(len(v)))
+            if r >= 0:
+                s += b * v[j]
+                if with_abs:
+                    sa += b * abs(v[j])
+                b = b * (j + r) // j
+            else:
+                s += v[j] / (j - 1)
+                if with_abs:
+                    sa += abs(v[j]) / (j - 1)
+            tail = (self.majorant(j + 1).bit_length() + b.bit_length()
+                    + _mag(power(j + 1)) + mag_xr + 2)
+            if (tail <= e_cut and 2 * (self.W + j + 2) * (j + 1 + max(r, 0))
+                    <= (j + 3) * (j + 1) * x):
+                return xr * s, (xr * sa + mpf(2) ** tail if with_abs else None)
+            j += 1
 
 
-def _em_tail(head, start: int, n: int, bits: int):
-    """sum_{start < k <= n} f(k) by Euler-Maclaurin; head = K_start(0, 0).
+def _em_side(lau: _Laurent, x: int, e_tol: int, bound: bool):
+    """Phi_p(x) for p = 0, 1, ..., _EM_MAX_TERMS, each with the remainder
+    bound R_p(x) = |beta_p| Lbar_{2p-1}(x) if bound (None at p = 0 or
+    without bound).
 
-    Every c_j > 0, so f is completely monotone on x > 1 and its even
-    derivatives are positive. The remainder after p correction terms then
-    has the sign of the first omitted term and is no larger, so the sum
-    stops at the first term below 2^-(bits+8) times the running total.
+    Phi_p(x) = I(x) - f(x)/2 + sum_{p'<=p} beta_{p'} L_{2p'-1}(x), with
+    beta_p = B_{2p}/(2p), so that with q correction terms
+    sum_{a<k<=n} f(k) = c_1 log(n/a) + Phi_q(a) - Phi_q(n) + remainder.
+    Each series is cut once its tail, times the factor it enters with, is
+    below 2^e_tol.
+    """
+    phi = lau.series(x, -1, e_tol)[0] - lau.series(x, 0, e_tol)[0] / 2
+    yield phi, None
+    for p in range(1, _EM_MAX_TERMS + 1):
+        beta = lau.beta(p)
+        s, sa = lau.series(x, 2 * p - 1, e_tol - _mag(beta), bound)
+        phi += beta * s
+        yield phi, (abs(beta) * sa if bound else None)
+
+
+def _em_tails(u, head, start: int, ns: Sequence[int], bits: int) -> list:
+    """[sum_{start < k <= n} |psi_k(u)|^2 for n in ns] by Euler-Maclaurin;
+    head = K_start(u, u), every n > start.
+
+    Remainder. After q correction terms Euler-Maclaurin leaves
+    -int_a^n B_2q({x})/(2q)! f^(2q)(x) dx, with |B_2q({x})| <= |B_2q|, and
+    f^(2q)(x) = sum_j c_j (j)_2q x^{-(j+2q)} termwise on x >= a, so the
+    remainder is at most
+        (|B_2q|/(2q)!) sum_j |c_j| (j)_{2q-1} a^{-(j+2q-1)} = R_q(a)
+    whatever n is: |beta_q| Lbar_{2q-1}(a), with |c_j| from the table up to
+    the cut and the majorant M_j beyond it. q is the first number of terms
+    with R_q(a) below 2^-(bits+9) of head, so below 2^-(bits+8) of every
+    value with a bit to spare for the bound's own rounding. head is the
+    smallest value, so one q serves the whole grid, and Phi_q(a) is summed
+    once. If no q within _EM_MAX_TERMS gets there, RemainderNotProven.
+
+    Every series is cut where its tail is below 2^-(bits+24) of head; there
+    are at most 2 (_EM_MAX_TERMS + 2) of them per value, so the cuts cost
+    less than 2^-(bits+14) of it. The sums run at bits + _EM_GUARD.
     """
     with working(bits + _EM_GUARD):
-        tol = mpf(2) ** -(bits + 16)
-        stop = mpf(2) ** -(bits + 8)
-        a, b = mpf(start), mpf(n)
-
-        def f(x):
-            return 1 / (mp.sqrt(x) + mp.sqrt(x - 1)) ** 2
-
-        tail = (mp.log(b / a) / 4 + _laurent_sum(a, -1, tol) - _laurent_sum(b, -1, tol)
-                + (f(b) - f(a)) / 2)
-        for p in range(1, _EM_MAX_TERMS + 1):
-            num, den = bernfrac(2 * p)
-            term = (mpf(num) / (2 * p * den)
-                    * (_laurent_sum(a, 2 * p - 1, tol) - _laurent_sum(b, 2 * p - 1, tol)))
-            if abs(term) < stop * (head + tail):
-                return tail
-            tail += term
-    raise RemainderNotProven(
-        f"Euler-Maclaurin term {_EM_MAX_TERMS} for K_{n}(0, 0) still above 2^-{bits + 8}")
+        lau = _Laurent(u)
+        e_tol = _mag(head) - bits - 24
+        stop = head * mpf(2) ** -(bits + 9)
+        for q, (phi_a, rem) in enumerate(_em_side(lau, start, e_tol, True)):
+            if rem is not None and rem < stop:
+                break
+        else:
+            raise RemainderNotProven(
+                f"Euler-Maclaurin remainder after {_EM_MAX_TERMS} terms for "
+                f"K_n(u, u), u = {mp.nstr(u, 8)}, still above 2^-{bits + 8}")
+        tails = []
+        for n in ns:
+            *_, (phi_n, _) = islice(_em_side(lau, n, e_tol, False), q + 1)
+            tails.append(lau.coeff(1) * mp.log(mpf(n) / start) + phi_a - phi_n)
+    return tails
 
 
 @dataclass(frozen=True)
@@ -476,14 +631,19 @@ def kernel_asymptotics_report(u, n_grid: Sequence[int],
                               bits: Optional[int] = None) -> list:
     """K_n(u, u) and K_n(u, u)/((1/4) log n) along an increasing n grid.
 
-    At u = 0 the terms f(k) = (sqrt(k) - sqrt(k-1))^2 are summed directly
-    up to k = 1000 (later beyond 2048 bits, see _em_start), and the rest by
-    Euler-Maclaurin with the integral and odd derivatives of f taken from
-    its Laurent series at infinity. f is completely monotone, so the first
-    omitted correction term bounds the remainder; the sum stops once that
-    term is below 2^-(bits+8) times the value, and raises RemainderNotProven
-    if no term within the cap gets there. Otherwise the terms |psi_k(u)|^2
-    are summed directly up to the largest n.
+    The terms |psi_k(u)|^2 are summed on the stream up to the start
+    a = max(_em_start(bits), _EM_START_PER_W ceil(2|w|)), w = 1/2 - iu:
+    1000 up to 2048 bits for |u| <= 62, growing with bits and |u| beyond.
+    Rows with n <= a are those sums, rounded once at bits. The rest of
+    each row, sum_{a<k<=n}, comes from Euler-Maclaurin on the Laurent series
+    of |x^w - (x-1)^w|^2 at infinity, the same code at every u (_Laurent,
+    _em_tails), with its integral and odd derivatives taken termwise. A
+    majorant of the coefficients proves the remainder: the number of
+    correction terms is the first whose bound is below 2^-(bits+8) of
+    K_a(u, u), and RemainderNotProven is raised if none within the cap gets
+    there. A row past a is K_a rounded at bits plus that tail, rounded once
+    more, so it is within about 2^-bits of the exact value. A grid that ends
+    at or below a is summed directly.
     """
     grid = [int(n) for n in n_grid]
     if not grid or any(n < 2 for n in grid) or any(a >= b for a, b in zip(grid, grid[1:])):
@@ -497,13 +657,14 @@ def kernel_asymptotics_report(u, n_grid: Sequence[int],
 
     with working(bits):
         u_mp = _ordinate(u)
-        head = grid[-1] if u_mp != 0 else min(grid[-1], _em_start(bits))
+        head = min(grid[-1], max(_em_start(bits), _EM_START_PER_W * _two_w_ceil(u_mp)))
         for k, S in _kernel_sums(sorted({n for n in grid if n < head} | {head}),
                                  [u_mp], bits):
             acc = _rounded_kernel(S, bits)[0][0]
             if k in targets:
                 add_row(k, acc)
-        for n in grid:
-            if n > head:
-                add_row(n, acc + _em_tail(acc, head, n, bits))
+        beyond = [n for n in grid if n > head]
+        if beyond:
+            for n, tail in zip(beyond, _em_tails(u_mp, acc, head, beyond, bits)):
+                add_row(n, acc + tail)
     return rows

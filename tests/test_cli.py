@@ -142,6 +142,20 @@ def test_lubinsky_csv(tmp_path):
         assert abs(mpf(rows[1][3]) - k4 / (mp.log(4) / 4)) < mpf(10) ** -15
 
 
+def test_lubinsky_off_zero_to_10_12(capsys):
+    # u != 0 by Euler-Maclaurin past the start: the ratio rises strictly
+    # toward 1 + 4u^2 up to n = 10^12
+    grid = "10000,100000,1000000,1000000000,1000000000000"
+    assert main(["lubinsky", "--u", "9.06472", "--n-grid", grid]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+    assert [row[0] for row in rows] == grid.split(",")
+    with working(256):
+        limit = 1 + 4 * mpf("9.06472") ** 2
+        ratios = [mpf(row[3]) for row in rows]
+    assert all(a < b for a, b in zip(ratios, ratios[1:]))
+    assert ratios[-1] < limit
+
+
 def test_report_and_decay_fit(tmp_path):
     rep_out = tmp_path / "rep.json"
     code = main(["report", "--poly", "1:1,2:-1", "--r", "-1",

@@ -20,7 +20,6 @@ from xdp.errors import DuplicateOrdinates, NSingular, PrecisionExhausted, Remain
 from xdp.lubinsky import (
     _EM_START,
     _GUARD,
-    _laurent_sum,
     kernel,
     kernel_asymptotics_report,
     kernel_matrix,
@@ -285,16 +284,60 @@ def test_kernel_asymptotics_report_beyond_2048_bits():
             assert abs(row.value - want) < mpf(2) ** -(bits - 16) * row.value, row.n
 
 
+def _ordinates_of_the_lemma(bits):
+    with working(bits):
+        return [mpf(0), mpf(1) / 3, 2 * mp.pi / mp.log(2), mpf(-7), mpf(25)]
+
+
 @pytest.mark.parametrize("bits", [128, 256])
 def test_laurent_series_of_the_diagonal_term(bits):
-    # sum_j c_j x^{-j} against (sqrt(x) - sqrt(x-1))^2 in closed form
-    with working(bits + 64):
-        x = mpf(_EM_START + 1)
-        want = (mp.sqrt(x) - mp.sqrt(x - 1)) ** 2
-    with working(bits):
-        got = _laurent_sum(mpf(_EM_START + 1), 0, mpf(2) ** -(bits + 16))
-    with working(bits + 64):
-        assert abs(got - want) < mpf(2) ** -bits
+    # sum_j c_j x^{-j} against |x^w - (x-1)^w|^2 in closed form, w = 1/2 - iu,
+    # at the precision the Euler-Maclaurin sums run at
+    x = _EM_START + 1
+    for u in _ordinates_of_the_lemma(bits):
+        with working(bits + 64):
+            w = mpc(mpf(1) / 2, -u)
+            want = abs(mp.power(x, w) - mp.power(x - 1, w)) ** 2
+        with working(bits + lubinsky._EM_GUARD):
+            got, _ = lubinsky._Laurent(u).series(x, 0, -(bits + 16))
+        with working(bits + 64):
+            assert abs(got - want) < mpf(2) ** -bits, u
+
+
+def test_laurent_coefficients_lemma():
+    # c_1 = 1/4 + u^2; c_j = sum_m d_m conj(d_{j+1-m}) is real and is the
+    # table's 2 Re d_{j+1}; |c_j| <= (2|w|)_{j+1}/(j+1)! <= the integer majorant
+    bits = 300
+    for u in _ordinates_of_the_lemma(bits):
+        with working(bits):
+            w = mpc(mpf(1) / 2, -u)
+            lau = lubinsky._Laurent(u)
+            assert abs(lau.coeff(1) - (mpf(1) / 4 + u * u)) <= mpf(2) ** -(bits - 4) * lau.coeff(1)
+            d = [None, w]
+            for m in range(1, 61):
+                d.append(d[m] * (m - w) / (m + 1))
+            for j in range(1, 61):
+                conv = mp.fsum(d[m] * mp.conj(d[j + 1 - m]) for m in range(1, j + 1))
+                bound = mp.rf(2 * abs(w), j + 1) / mp.factorial(j + 1)
+                tol = mpf(2) ** -(bits - 16) * bound
+                assert abs(conv.imag) <= tol, (u, j)
+                c = lau.coeff(j)
+                assert abs(c - conv.real) <= tol, (u, j)
+                assert abs(c) <= bound, (u, j)
+                assert lau.majorant(j) >= bound, (u, j)
+
+
+def test_start_grows_with_w():
+    # W = ceil(sqrt(1 + 4u^2)) exactly; u = 0 and 2 pi/log 2 keep the start
+    for u in _ordinates_of_the_lemma(256) + [mpf(100), mpf(62), mpf("62.5"), mpf(10) ** 30]:
+        W = lubinsky._two_w_ceil(u)
+        x = 1 + 4 * (Fraction(u.man_exp[0]) * Fraction(2) ** u.man_exp[1]) ** 2
+        assert (W - 1) ** 2 < x <= W ** 2, u
+    step = _lattice_step(256)
+    assert lubinsky._EM_START_PER_W * lubinsky._two_w_ceil(mpf(0)) <= _EM_START
+    assert lubinsky._EM_START_PER_W * lubinsky._two_w_ceil(step) <= _EM_START
+    assert lubinsky._EM_START_PER_W * lubinsky._two_w_ceil(mpf(62)) == _EM_START
+    assert lubinsky._EM_START_PER_W * lubinsky._two_w_ceil(mpf(100)) == 1608
 
 
 def test_kernel_asymptotics_report_raises_without_proven_remainder(monkeypatch):
@@ -302,6 +345,8 @@ def test_kernel_asymptotics_report_raises_without_proven_remainder(monkeypatch):
     monkeypatch.setattr(lubinsky, "_EM_MAX_TERMS", 2)
     with pytest.raises(RemainderNotProven):
         kernel_asymptotics_report(0, [_EM_START + 10], bits=256)
+    with pytest.raises(RemainderNotProven):
+        kernel_asymptotics_report(_lattice_step(256), [_EM_START + 10], bits=256)
 
 
 # The kernels benchmark's min_norm inputs: 16 lattice ordinates k 2pi/log 2
@@ -343,6 +388,63 @@ def test_report_rows_off_zero_against_a_finer_build(bits):
         for row, want in zip(rows, fine):
             assert abs(row.value - want.value) <= mpf(2) ** -(bits - 2) * want.value, row.n
             assert abs(row.ratio - want.ratio) <= mpf(2) ** -(bits - 2) * want.ratio, row.n
+
+
+def _em_start_at(u, bits):
+    return max(lubinsky._em_start(bits), lubinsky._EM_START_PER_W * lubinsky._two_w_ceil(u))
+
+
+@pytest.mark.parametrize("bits", [128, 256, 1024])
+def test_report_em_rows_against_the_direct_stream(bits):
+    # every Euler-Maclaurin row against the direct stream's K_n(u, u), which
+    # is what kernel(n, u, u) sums, within 2^-(bits-16) relative
+    with working(bits):
+        us = [mpf(1) / 3, _lattice_step(bits), mpf(-7), mpf(25), mpf(100)]
+    for u in us:
+        a = _em_start_at(u, bits)
+        grid = [a + 1, 3000, 20000] if bits <= 256 else [a + 1, 5000]
+        rows = kernel_asymptotics_report(u, grid, bits=bits)
+        _, sums = lubinsky._kernel_grid(grid, [u], bits)
+        with working(bits + 64):
+            for row, (n, S) in zip(rows, sums):
+                want = lubinsky._rounded_kernel(S, bits)[0][0]
+                assert row.n == n
+                assert abs(row.value - want) <= mpf(2) ** -(bits - 16) * want, (u, n)
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_report_off_zero_is_symmetric_in_u(bits):
+    # K_n(-u, -u) = K_n(u, u) to 2^-(bits-16); nothing in the stream's
+    # rounding promises bit equality. -u is formed at bits: mpmath negates
+    # at its ambient precision, 53 bits by default, which would change u
+    step = _lattice_step(bits)
+    with working(bits):
+        minus = -step
+    grid = [_EM_START, 3000, 10000]
+    rows = kernel_asymptotics_report(step, grid, bits=bits)
+    mirrored = kernel_asymptotics_report(minus, grid, bits=bits)
+    with working(bits + 64):
+        for row, other in zip(rows, mirrored):
+            assert abs(row.value - other.value) <= mpf(2) ** -(bits - 16) * row.value, row.n
+
+
+def test_huge_ordinate_stays_on_the_stream(monkeypatch):
+    # at u = 10^30 the start is about 1.6e31, so a grid to 2000 is summed
+    # directly: no Euler-Maclaurin call, and each row is kernel(n, u, u)
+    calls = []
+    em_tails = lubinsky._em_tails
+
+    def spy(*args):
+        calls.append(args)
+        return em_tails(*args)
+    monkeypatch.setattr(lubinsky, "_em_tails", spy)
+    with working(128):
+        u = mpf(10) ** 30
+    rows = kernel_asymptotics_report(u, [100, 2000], bits=128)
+    assert calls == []
+    assert [row.n for row in rows] == [100, 2000]
+    for row in rows:
+        assert row.value == kernel(row.n, u, u, bits=128)
 
 
 @pytest.mark.parametrize("bits", [128, 256])
