@@ -9,12 +9,16 @@ sums are exact sums of powers k^{1/2-r}, each exact when it is rational.
 
 from __future__ import annotations
 
+import math
 import re as _re
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
 
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import (from_int, mpf_cos_sin, mpf_log, mpf_mul, mpf_shift, round_nearest,
+                          to_int)
 
 from .errors import NonConvergent
 from .exact import GaussianRational, as_fraction, fraction_to_mpf, to_mp
@@ -167,6 +171,40 @@ def _mp_pair(terms, s):
         p += t
         d -= logk * t
     return p, d
+
+
+# =========================================================================
+# fixed-point phases: k^{-it} 2^P from prime phases, composites as products
+# =========================================================================
+
+def _spf_sieve(n: int) -> array:
+    """spf[k] = the smallest prime factor of composite k <= n; 0 elsewhere."""
+    spf = array("I", bytes(4 * (n + 1)))
+    if n < 4:
+        return spf
+    r = math.isqrt(n)
+    small = _spf_sieve(r)
+    for p in reversed([p for p in range(2, r + 1) if not small[p]]):
+        spf[p * p::p] = array("I", [p]) * len(range(p * p, n + 1, p))
+    return spf
+
+
+def _prime_phase(t, p: int, P: int):
+    """p^{-it} * 2^P rounded to Gaussian integers; t is a raw mpf. The one
+    phase routine of the fixed-point code: the psi stream and the zero
+    engine's evaluator both build k^{-it} from it, a composite as a product.
+
+    t log p is formed at P + 8 bits beyond its own magnitude (log p < 2^6
+    for p < e^64), so cos/sin see it to 2^-(P+7) however large t is.
+    """
+    _, man, exp, bc = t
+    if not man:
+        return 1 << P, 0
+    wp = P + 8 + max(0, exp + bc + 6)
+    theta = mpf_mul(t, mpf_log(from_int(p), wp, round_nearest), wp, round_nearest)
+    c, s = mpf_cos_sin(theta, P + 8, round_nearest)
+    return (to_int(mpf_shift(c, P), round_nearest),
+            -to_int(mpf_shift(s, P), round_nearest))
 
 
 def dp_eval(P: DirichletPolynomial, s: Scalar, bits: Optional[int] = None):

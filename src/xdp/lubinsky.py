@@ -26,15 +26,14 @@ K_n(u, u) ~ (1/4 + u^2) log n be followed to n = 10^12.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from itertools import islice
 from typing import Optional, Sequence
 
 from mpmath import bernfrac, mp, mpc, mpf
-from mpmath.libmp import (from_int, from_man_exp, mpf_cos_sin, mpf_log, mpf_mul,
-                          mpf_shift, round_nearest, to_int)
+from mpmath.libmp import from_man_exp, round_nearest
 
+from .dpcore import _prime_phase, _spf_sieve
 from .errors import DuplicateOrdinates, NSingular, RemainderNotProven
 from .exact import to_mp
 from .linalg import _GUARD_BITS, audited_profile
@@ -164,34 +163,6 @@ def psi_inner_max_deviation(n_max: int, bits: Optional[int] = None):
                 worst = dev
         prev = cur
     return mp.make_mpf(_rounded(worst, -4 * P, bits))
-
-
-def _spf_sieve(n: int) -> array:
-    """spf[k] = the smallest prime factor of composite k <= n; 0 elsewhere."""
-    spf = array("I", bytes(4 * (n + 1)))
-    if n < 4:
-        return spf
-    r = math.isqrt(n)
-    small = _spf_sieve(r)
-    for p in reversed([p for p in range(2, r + 1) if not small[p]]):
-        spf[p * p::p] = array("I", [p]) * len(range(p * p, n + 1, p))
-    return spf
-
-
-def _prime_phase(t, p: int, P: int):
-    """p^{-it} * 2^P rounded to Gaussian integers; t is a raw mpf.
-
-    t log p is formed at P + 8 bits beyond its own magnitude (log p < 2^6
-    for p < e^64), so cos/sin see it to 2^-(P+7) however large t is.
-    """
-    _, man, exp, bc = t
-    if not man:
-        return 1 << P, 0
-    wp = P + 8 + max(0, exp + bc + 6)
-    theta = mpf_mul(t, mpf_log(from_int(p), wp, round_nearest), wp, round_nearest)
-    c, s = mpf_cos_sin(theta, P + 8, round_nearest)
-    return (to_int(mpf_shift(c, P), round_nearest),
-            -to_int(mpf_shift(s, P), round_nearest))
 
 
 def _phases(n: int, t, P: int, spf):

@@ -19,19 +19,28 @@ runs it on its rectangle and ``constant_C`` on its whole strip. A cell is
 cut on a jittered grid (``_split_cell``: 2 x 2, or a long cell across its
 long side into pieces of about a third of a zero each), all children of a
 cut wound in one ``_windings`` call, until it holds one zero or is no wider
-than _COARSE, and is then polished (``_polish``): Newton from its centre to
-within _NEWTON_STOP of a zero; a Rouché certificate that exactly as many
-zeros as the cell holds lie within a small radius of that point, from the
-Taylor coefficients of P there (``_certify``); and Newton with that
-multiplicity in mpmath to the requested tolerance. Only the converged
-iterate must lie in the cell. No contour is wound about a zero. One Newton
-loop runs over either evaluator of P, and P is prepared once per call in
-both forms (``_Poly``).
+than _COARSE. Every such cell of a level of cuts is then polished in one
+``_polish`` call: Newton from each centre to within _NEWTON_STOP of a zero,
+in doubles for the whole batch at once (``_np_newton``); a Rouché
+certificate that exactly as many zeros as the cell holds lie within a small
+radius of that point, from the Taylor coefficients of P there
+(``_certify``); and Newton with that multiplicity to the requested
+tolerance (``_newton``). Only the converged iterate must lie in the cell,
+tested exactly against its Fraction edges. No contour is wound about a
+zero.
+
+The polish past doubles runs in fixed point, as the psi stream and the d^2
+factorization do: z = (X + iY) 2^-prec with prec = bits + _GUARD_BITS, and
+``_Poly.fixed_terms`` gives every b_k = a_k k^-z as a Gaussian integer under
+one block exponent. Newton steps, stop tests and the certificate's
+inequality are integer arithmetic on those, free of scale far from the axis
+and for coefficients beyond double range. mpmath evaluates P only to wind a
+contour that doubles cannot hold and for ``find_zeros``' residuals. P is
+prepared once per call in all its forms (``_Poly``).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import random
 import sys
@@ -42,18 +51,22 @@ from typing import Optional
 
 import numpy as np
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import (from_int, from_man_exp, mpf_exp, mpf_log, mpf_mul, mpf_shift,
+                          round_nearest, to_int)
 
-from .dpcore import DirichletPolynomial, _mp_pair, _mp_terms, strip_bounds
+from .dpcore import (DirichletPolynomial, _mp_pair, _mp_terms, _prime_phase, _spf_sieve,
+                     strip_bounds)
 from .errors import ContourTooClose, NonConvergent, QuadratureNotConverged
 from .exact import as_fraction, fraction_to_mpf, to_mp
+from .linalg import _GUARD_BITS
 from .precision import resolve_bits, working
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(12)
 _CHUNK = 1 << 16
 _COARSE = Fraction(1, 4)          # polish cells once no edge exceeds this
 _CLUSTER_FLOOR = Fraction(1, 10 ** 5)
-_RHO = 1e-6                       # first radius of the local count (_certify)
-_SHRINK = 0.7                     # and its ratio from one radius to the next
+_RHO = Fraction(1, 10 ** 6)       # first radius of the local count (_certify)
+_SHRINK = Fraction(7, 10)         # and its ratio from one radius to the next
 _NEWTON_STOP = 1e-6 / 64          # a start this close keeps its zero well inside
 _NEWTON_STEPS = 200
 _SAFE_LOG = 600.0                 # terms up to e^600 stay in double range
@@ -118,7 +131,7 @@ def _as_rect(rect) -> Rectangle:
 
 
 # =========================================================================
-# the polynomial in doubles and in mpmath
+# the polynomial in doubles, in mpmath and in fixed point
 # =========================================================================
 
 def _log_abs(c) -> float:
@@ -127,15 +140,68 @@ def _log_abs(c) -> float:
     return (math.log(q.numerator) - math.log(q.denominator)) / 2
 
 
+def _fixed(q, P: int) -> int:
+    """round(q 2^P) for a Fraction, int, float or mpf q, exactly."""
+    q = as_fraction(q)
+    return _fixed_ratio(q.numerator, q.denominator, P)
+
+
+def _fixed_ratio(num: int, den: int, P: int) -> int:
+    """round(num / den 2^P), den > 0, for P of either sign."""
+    if P < 0:
+        return _fixed_ratio(num, den << -P, 0)
+    return ((num << (P + 1)) // den + 1) >> 1
+
+
+def _mid(lo: Fraction, hi: Fraction):
+    """(lo + hi) / 2 as (num, den), den > 0, without reducing it."""
+    return (lo.numerator * hi.denominator + hi.numerator * lo.denominator,
+            2 * lo.denominator * hi.denominator)
+
+
+def _fixed_coeff(c, P: int):
+    """(re, im, e) with c = (re + i im) 2^e to 2^-(P+2) of |c|: the larger
+    part rounded to P + 2 or P + 3 bits."""
+    big = max(abs(c.re), abs(c.im))
+    e = big.numerator.bit_length() - big.denominator.bit_length() - P - 2
+    return _fixed(c.re, -e), _fixed(c.im, -e), e
+
+
+def _fixed_log(k: int, P: int) -> int:
+    """round(2^P log k)."""
+    return to_int(mpf_shift(mpf_log(from_int(k), P + 16), P), round_nearest)
+
+
+def _factor_chain(ks, m: int):
+    """(primes, composites) that build every k > 1 of ks, all k <= m: the
+    primes dividing them, and (k, p, k // p) with p the smallest prime factor
+    of k, in increasing k, for every composite k and composite cofactor on
+    the way."""
+    spf = _spf_sieve(m)
+    need = set()
+    for k in ks:
+        while k > 1 and k not in need:
+            p = spf[k] or k
+            need.update((k, p))
+            k //= p
+    primes = [k for k in sorted(need) if not spf[k]]
+    return primes, [(k, spf[k], k // spf[k]) for k in sorted(need) if spf[k]]
+
+
 class _Poly:
-    """P in the two forms the zero engine evaluates, built once per call.
+    """P in the forms the zero engine evaluates, built once per call.
 
     numpy: the coefficients ``a`` (complex128, or None when they leave double
     range), ``logk`` and ``log_asum`` = log sum |a_k|, taken from exact
-    logarithms. mpmath: ``terms``, P's ``_mp_terms`` at ``bits``.
+    logarithms. mpmath: ``terms``, P's ``_mp_terms`` at ``bits``. Fixed
+    point at 2^-prec, prec = bits + _GUARD_BITS: ``fixed`` holds (k, L_k,
+    a_k as ``_fixed_coeff``) per term, L_k = round(2^prec log k), with
+    ``log_max`` the largest L_k, and ``chain`` the primes (with L_p) and
+    composites that build each k^-z.
     """
 
-    __slots__ = ("P", "bits", "a", "logk", "log_asum", "terms")
+    __slots__ = ("P", "bits", "a", "logk", "log_asum", "terms", "prec", "fixed", "chain",
+                 "log_max")
 
     def __init__(self, P: DirichletPolynomial, bits: int):
         self.P, self.bits = P, bits
@@ -149,21 +215,77 @@ class _Poly:
             self.a = np.array([complex(c) for _, c in items], dtype=np.complex128)
         with working(bits):
             self.terms = _mp_terms(P)
+        self.prec = prec = bits + _GUARD_BITS
+        self.fixed = [(k, _fixed_log(k, prec), *_fixed_coeff(c, prec)) for k, c in items]
+        self.log_max = max(L for _, L, *_ in self.fixed)
+        primes, composites = _factor_chain([k for k, _ in items], P.m)
+        self.chain = [(p, _fixed_log(p, prec)) for p in primes], composites
 
     def numpy_safe(self, sigma_max: float) -> bool:
         """Whether doubles hold every term a_k k^-s with |Re s| <= sigma_max."""
         return sigma_max * math.log(self.P.m) + self.log_asum < _SAFE_LOG
 
-    def np_pair(self, z: complex):
-        """(P(z), P'(z)) in doubles, or None where they overflow."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            t = self.a * np.exp(-z * self.logk)
-            p, d = complex(t.sum()), -complex(t @ self.logk)
-        return (p, d) if cmath.isfinite(p) and cmath.isfinite(d) else None
-
     def mp_pair(self, z):
         """(P(z), P'(z)) at the ambient precision."""
         return _mp_pair(self.terms, z)
+
+    def fixed_terms(self, X: int, Y: int):
+        """(b, e): b_k = a_k k^-z = (re + i im) 2^e as Gaussian integers,
+        in the order of ``fixed``, at z = (X + iY) 2^-prec.
+
+        One block exponent e serves every term: the largest part lies
+        between 2^(prec-1) and 2^prec. At a prime p, p^-x is mpf_exp of the
+        exact -X L_p 2^-2prec and p^-iy the shared ``_prime_phase``; a
+        composite k = p m takes both as products, each rounded once.
+        """
+        P = self.prec
+        half = 1 << (P - 1)
+        x2, y = -X, from_man_exp(Y, -P)
+        mag, phase = {}, {}
+        primes, composites = self.chain
+        for p, L in primes:
+            mag[p] = mpf_exp(from_man_exp(x2 * L, -2 * P), P + 8)
+            phase[p] = _prime_phase(y, p, P)
+        for k, p, m in composites:
+            mag[k] = mpf_mul(mag[p], mag[m], P + 8)
+            a, b = phase[p]
+            c, d = phase[m]
+            phase[k] = ((a * c - b * d + half) >> P, (a * d + b * c + half) >> P)
+        raw = []
+        top = None
+        for k, _, ar, ai, ea in self.fixed:
+            if k == 1:
+                cr, ci, ex = ar, ai, ea
+            else:
+                _, man, exp, _ = mag[k]
+                er, ei = phase[k]
+                cr, ci, ex = (ar * er - ai * ei) * man, (ar * ei + ai * er) * man, ea + exp - P
+            size = ex + max(abs(cr), abs(ci)).bit_length()
+            if top is None or size > top:
+                top = size
+            raw.append((cr, ci, ex))
+        e = top - P
+        b = []
+        for cr, ci, ex in raw:
+            sh = e - ex
+            if sh > 0:
+                r = 1 << (sh - 1)
+                b.append(((cr + r) >> sh, (ci + r) >> sh))
+            else:
+                b.append((cr << -sh, ci << -sh))
+        return b, e
+
+    def fixed_pair(self, X: int, Y: int):
+        """(p, d): P(z) = p 2^e and P'(z) = d 2^(e - prec) as Gaussian
+        integers, for one block exponent e, at z = (X + iY) 2^-prec."""
+        b, _ = self.fixed_terms(X, Y)
+        pr = pi = dr = di = 0
+        for (br, bi), (_, L, *_) in zip(b, self.fixed):
+            pr += br
+            pi += bi
+            dr -= L * br
+            di -= L * bi
+        return (pr, pi), (dr, di)
 
 
 # =========================================================================
@@ -399,18 +521,20 @@ def winding_count(P, rect, bits: Optional[int] = None) -> int:
 # =========================================================================
 
 def _certify(f: _Poly, z, w: int):
-    """(P(z), P'(z)) at f.bits if exactly w zeros of P lie within rho of z,
-    for one of the radii rho = 10^-6 0.7^i, i = 0..4; else None.
+    """(p, d) as ``fixed_pair`` gives them at z = (X + iY) 2^-prec if exactly
+    w zeros of P lie within rho of z, for one of the radii rho = 10^-6 0.7^i,
+    i = 0..4, each rounded down to 2^-prec; else None.
 
-    With b_k = a_k k^-z, formed once, and p_j = rho^j sum_k b_k (-log k)^j / j!,
-    the test is
+    With b_k = a_k k^-z from ``fixed_terms``, formed once, and
+    p_j = rho^j sum_k b_k (-log k)^j / j!, the test is
 
         |p_w| > (sum_{j<w} |p_j| + sum_k |b_k| k^rho ((rho log k)^{w+1} / (w+1)! + delta))
                 * (1 + 2^-(bits/2)),
 
     delta = 2^(3 - bits) ((|Re z| + |Im z|) log m + n + w + 4) for n terms
-    a_k, k <= m. The sums behind p_0 and p_1 / rho, which are P(z) and
-    P'(z), run over the b_k in ``_mp_pair``'s order and equal it bit for bit.
+    a_k, k <= m. The sums behind p_0 and p_1 / rho are P(z) and P'(z): the
+    pair returned, each within eps (1 + log m) sum_k |b_k| of the exact one,
+    eps = (|Re z| log m + 3 log2 m + 3n + 6) 2^-prec.
 
     Proof. P(z + rho x) = sum_k b_k e^{-x rho log k} = sum_j p_j x^j for all
     x. On |x| = 1, |P(z + rho x) - p_w x^w| <= sum_{j != w} |p_j|. With
@@ -424,55 +548,59 @@ def _certify(f: _Poly, z, w: int):
     theorem against p_w x^w gives P(z + rho x) exactly w zeros in |x| < 1,
     counted with multiplicity, and none on |x| = 1.
 
-    Rounding. Each computed b_k is the exact one times 1 + d_k with
-    |d_k| <= (3 |z| log k + 7) 2^-bits: a_k and log k are rounded, so the
-    exponent z log k carries an absolute error up to 3 |z| log k 2^-bits,
-    and exp and the product add a few roundings. Forming p_j adds at most
-    (n + 2j + 4) 2^-bits relative to each of its terms. So each computed
-    p_j, j <= w, is within e rho^j sum_k |b_k| (log k)^j / j! of the exact
-    one, e = (3 |z| log m + n + 2w + 11) 2^-bits, and these errors sum to at
-    most e sum_k |b_k| k^rho over j <= w. Taking the tail from the computed
-    |b_k| costs at most another (3 |z| log m + 7) 2^-bits sum_k |b_k| k^rho.
-    delta is above both together, so the delta term covers them. The factor
-    1 + 2^-(bits/2) covers the rounding of the two sides themselves: each is
-    a sum of at most n + w products of at most w + 4 rounded factors, so
-    within (n + 2w + 8) 2^-bits of itself, far inside the factor while
-    n + 2w + 8 < 2^(bits/2 - 2).
-
-    The factor alone would cover the rounding of the b_k only at moderate
-    |z|. Near a zero p_0 is all cancellation, so its error is relative to
-    sum_k |b_k|, not to the right side, which can be as small as the tail
-    term, about (rho log 2)^{w+1} / (w+1)! times sum_{k>1} |b_k|. The factor
-    covers it while (|z| log m + n) 2^(4 - bits/2) stays below that: for a
-    simple zero and rho = 10^-6, |z| log m up to about 3 10^5 at 128 bits
-    and 5 10^24 at 256. Beyond, the delta term does it, and it stays far
-    below |p_w|, of order (rho log k)^w |a_k|, until |z| nears 2^bits.
+    Rounding, in units of 2^-prec, prec = bits + _GUARD_BITS. z and rho are
+    exact. Each computed b_k, times 2^e, is within eta 2^-prec |b_k| + 2^e
+    of the exact one, eta = |Re z| log m + 3 log2 m + 3: a_k is rounded to
+    2^-(prec+2) of itself; k^-x, x = Re z, is a product of at most log2 k
+    prime powers p^-x, each mpf_exp of the exact x L_p 2^-2prec with
+    |L_p - 2^prec log p| <= 1/2, so within |x| log k 2^-prec + log2 k
+    2^-(prec+6) of itself; |e_k - 2^prec k^-iy| <= 2 log2 k, the psi stream's
+    bound, at any height; and the block shift rounds each part to nearest.
+    The largest part is at least 2^(prec-1), so 2^e <= 2^(1-prec) (1 + 2^-prec)
+    max_k |b_k|, and with rho log m <= 1 (checked), sum_{j<=w} (rho log m)^j / j!
+    <= e. L_k 2^-prec in place of log k moves (log k)^j by at most 2j 2^-prec
+    of itself. So the computed p_j, j <= w, differ from the exact ones by at
+    most (eta + 2w + 1 + 6n) 2^-prec sum_k |b_k| k^rho in all, and the tail
+    and delta terms taken from the computed |b_k| by at most
+    (eta + 2n + 1) 2^(1-prec) sum_k |b_k| k^rho. delta is at least
+    2^(67-prec) (|Re z| log m + n + w + 4), above both together while
+    log2 m < 2^60: the delta term covers every rounding, at any height and
+    for terms of any size, as the block exponent keeps the comparison free
+    of scale. The two sides are then bounded in integers, at the common
+    scale (w+1)! 2^((2w+3) prec - e): |s_j| by isqrt, from below on the left
+    and from above on the right, log k by (L_k + 1) 2^-prec, and k^rho by
+    1 + 2 rho log k, true while rho log k <= 1. So the comparison is one of
+    exact bounds, and the factor 1 + 2^-(bits/2) is only margin.
     """
-    with working(f.bits):
-        b = [a * mp.exp(-z * logk) if logk else a for a, logk in f.terms]
-        s = [mpf(0)] * (w + 1)          # s_j = sum_k b_k (-log k)^j
-        for bk, (_, logk) in zip(b, f.terms):
-            s[0] += bk
-            if logk:
-                t = bk
-                for j in range(1, w + 1):
-                    t = -logk * t
-                    s[j] += t
-        size = [(abs(bk), logk) for bk, (_, logk) in zip(b, f.terms)]
-        coeff = [abs(s[j]) / math.factorial(j) for j in range(w + 1)]
-        top = math.factorial(w + 1)
-        log_m = max(logk for _, logk in f.terms)
-        delta = mp.ldexp((abs(z.real) + abs(z.imag)) * log_m + len(b) + w + 4, 3 - f.bits)
-        margin = 1 + mp.ldexp(1, -(f.bits // 2))
-        rho = mpf(_RHO)
-        for _ in range(5):
-            lower = sum(c * rho ** j for j, c in enumerate(coeff[:w]))
-            rest = sum(sk * (mp.exp(rho * logk) * ((rho * logk) ** (w + 1) / top + delta)
-                             if logk else delta)
-                       for sk, logk in size)
-            if coeff[w] * rho ** w > (lower + rest) * margin:
-                return s[0], s[1]
-            rho = rho * _SHRINK
+    X, Y = z
+    P = f.prec
+    b, _ = f.fixed_terms(X, Y)
+    logs = [L for _, L, *_ in f.fixed]
+    s = [[0, 0] for _ in range(w + 1)]      # s_j = sum_k b_k (-L_k)^j
+    for (br, bi), L in zip(b, logs):
+        for sj in s:
+            sj[0] += br
+            sj[1] += bi
+            br, bi = -L * br, -L * bi
+    size = [math.isqrt(x * x + y * y) for x, y in s]
+    babs = [math.isqrt(x * x + y * y) + 1 for x, y in b]
+    lup = [L + 1 if L else 0 for L in logs]          # 2^prec log k <= lup
+    top = math.factorial(w + 1)
+    delta = ((abs(X) + abs(Y)) * (f.log_max + 1) + ((len(b) + w + 4) << 2 * P)) * top << (
+        2 * w * P + 3 - f.bits)
+    R = _fixed(_RHO, P)
+    if R * (f.log_max + 1) > 1 << 2 * P:
+        return None
+    for _ in range(5):
+        lhs = (R ** w * size[w] * (w + 1)) << 3 * P
+        rhs = sum((R ** j * (size[j] + 1) * (top // math.factorial(j)))
+                  << (2 * (w - j) + 3) * P for j in range(w))
+        for B, lu in zip(babs, lup):
+            rl = R * lu
+            rhs += B * ((1 << P) - (-2 * rl >> P)) * (rl ** (w + 1) + delta)
+        if lhs > rhs - (-rhs >> f.bits // 2):
+            return tuple(s[0]), tuple(s[1])
+        R = R * _SHRINK.numerator // _SHRINK.denominator
     return None
 
 
@@ -480,36 +608,105 @@ def _certify(f: _Poly, z, w: int):
 # the zero engine
 # =========================================================================
 
-def _newton(pair, z, mult: int, box, stop):
-    """Newton steps z <- z - mult P(z)/P'(z), with pair(z) = (P(z), P'(z)) in
-    doubles or in mpmath.
+def _bounds(cell: Rectangle, P: int):
+    """Integer bounds (lo, hi) of Re and of Im for the fixed points
+    (X + iY) 2^-P strictly inside the cell, then inside the cell widened by
+    its own width and height on each side: X 2^-P > num / den exactly when
+    X > floor(num 2^P / den), as X den > num 2^P."""
+    def inside(a: int, b: int, c: int, d: int):
+        # a / b < X 2^-P < c / d
+        return (a << P) // b + 1, -(-(c << P) // d) - 1
 
-    Returns the iterate after the first step no longer than ``stop`` if it
-    lies inside box = (re_lo, re_hi, im_lo, im_hi), else None. An early step
-    may overshoot the box; the loop gives up once an iterate leaves the box
-    widened by its own width and height on each side, when P' vanishes or
-    doubles overflow, or after _NEWTON_STEPS steps.
+    out = [(), ()]
+    for lo, hi in ((cell.re_lo, cell.re_hi), (cell.im_lo, cell.im_hi)):
+        a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+        out[0] += inside(a, b, c, d)
+        out[1] += inside(2 * a * d - c * b, b * d, 2 * c * b - a * d, b * d)
+    return tuple(out)
+
+
+def _stop2(stop: Fraction, P: int) -> int:
+    """floor((stop 2^P)^2): a step of S units is at most stop when
+    |S|^2 is at most this."""
+    return (stop.numerator ** 2 << 2 * P) // stop.denominator ** 2
+
+
+def _newton(f: _Poly, z, mult: int, bounds, stop2: int, first=None):
+    """Newton steps z <- z - mult P(z)/P'(z) on z = (X + iY) 2^-prec, in
+    integers: the step is mult p conj(d) / |d|^2 from ``fixed_pair``, rounded
+    to 2^-prec, and ``first``, when given, is the pair at the start.
+
+    Returns (X, Y) after the first step S with |S|^2 <= stop2 if it lies
+    inside the cell of ``_bounds``, else None. An early step may overshoot
+    the cell; the loop gives up once an iterate leaves the widened cell,
+    when P' vanishes, or after _NEWTON_STEPS steps.
     """
-    x0, x1, y0, y1 = box
-    w, h = x1 - x0, y1 - y0
+    X, Y = z
+    shift = 2 * f.prec
+    (x0, x1, y0, y1), (u0, u1, v0, v1) = bounds
+    pair = first
     for _ in range(_NEWTON_STEPS):
-        pd = pair(z)
-        if pd is None:
-            return None
-        p, d = pd
-        if not p:
+        (pr, pi), (dr, di) = pair or f.fixed_pair(X, Y)
+        pair = None
+        if not (pr or pi):
             break
-        if not d:
+        den = dr * dr + di * di
+        if not den:
             return None
-        step = mult * p / d
-        z = z - step
-        if not (x0 - w < z.real < x1 + w and y0 - h < z.imag < y1 + h):
+        half = den >> 1
+        sx = ((mult * (pr * dr + pi * di) << shift) + half) // den
+        sy = ((mult * (pi * dr - pr * di) << shift) + half) // den
+        X -= sx
+        Y -= sy
+        if not (u0 <= X <= u1 and v0 <= Y <= v1):
             return None
-        if abs(step) <= stop:
+        if sx * sx + sy * sy <= stop2:
             break
     else:
         return None
-    return z if x0 < z.real < x1 and y0 < z.imag < y1 else None
+    return (X, Y) if x0 <= X <= x1 and y0 <= Y <= y1 else None
+
+
+def _np_newton(f: _Poly, cells, starts) -> list:
+    """Newton in doubles, multiplicity 1, from each cell's start (its
+    centre), all cells in one array: per cell the iterate after the first
+    step no longer than _NEWTON_STOP if it lies inside the cell, else None.
+    A cell stops stepping, and gives None, once an iterate leaves it widened
+    by its own width and height on each side, when P' vanishes or doubles
+    overflow, or after _NEWTON_STEPS steps.
+    """
+    x0, x1, y0, y1 = np.array([[float(c.re_lo), float(c.re_hi), float(c.im_lo),
+                                float(c.im_hi)] for c in cells]).T
+    w, h = x1 - x0, y1 - y0
+    z = np.array(starts, dtype=np.complex128)
+    done = np.zeros(len(cells), dtype=bool)
+    live = np.arange(len(cells))
+    for _ in range(_NEWTON_STEPS):
+        if not live.size:
+            break
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            t = f.a * np.exp(-np.multiply.outer(z[live], f.logk))
+            p, d = t.sum(axis=1), -(t @ f.logk)
+            ok = np.isfinite(p) & np.isfinite(d)
+            hit = ok & (p == 0)
+            moving = ok & ~hit & (d != 0)
+            step = np.where(moving, p / np.where(moving, d, 1), 0)
+        zn = z[live] - step
+        a, b = zn.real, zn.imag
+        near = ((x0[live] - w[live] < a) & (a < x1[live] + w[live])
+                & (y0[live] - h[live] < b) & (b < y1[live] + h[live]))
+        conv = moving & near & (np.abs(step) <= _NEWTON_STOP)
+        z[live] = zn
+        done[live[hit | conv]] = True
+        live = live[moving & near & ~conv]
+    inside = done & (x0 < z.real) & (z.real < x1) & (y0 < z.imag) & (z.imag < y1)
+    return [v if ok else None for v, ok in zip(z.tolist(), inside.tolist())]
+
+
+def _to_mpc(f: _Poly, z):
+    X, Y = z
+    return mp.make_mpc((from_man_exp(X, -f.prec, f.bits, round_nearest),
+                        from_man_exp(Y, -f.prec, f.bits, round_nearest)))
 
 
 @dataclass(frozen=True)
@@ -532,6 +729,15 @@ def _cuts(lo: Fraction, hi: Fraction, k: int, rng: random.Random) -> list:
             + [hi])
 
 
+def _child(x0: Fraction, x1: Fraction, y0: Fraction, y1: Fraction) -> Rectangle:
+    """A Rectangle cut from one already checked: its bounds are Fractions in
+    order and in double range, so they skip ``Rectangle``'s checks."""
+    rect = object.__new__(Rectangle)
+    for name, v in (("re_lo", x0), ("re_hi", x1), ("im_lo", y0), ("im_hi", y1)):
+        object.__setattr__(rect, name, v)
+    return rect
+
+
 def _split_cell(f: _Poly, cell: Rectangle, w_parent: int):
     """The cells of a jittered grid cut whose windings sum to the parent's.
 
@@ -549,7 +755,7 @@ def _split_cell(f: _Poly, cell: Rectangle, w_parent: int):
         rng = random.Random(f"{cell}|{retry}")
         xs = _cuts(cell.re_lo, cell.re_hi, nx, rng)
         ys = _cuts(cell.im_lo, cell.im_hi, ny, rng)
-        children = [Rectangle(x0, x1, y0, y1)
+        children = [_child(x0, x1, y0, y1)
                     for y0, y1 in zip(ys, ys[1:]) for x0, x1 in zip(xs, xs[1:])]
         try:
             ws = _windings(f, children)
@@ -560,57 +766,67 @@ def _split_cell(f: _Poly, cell: Rectangle, w_parent: int):
     raise QuadratureNotConverged(f"cell {cell} would not split additively")
 
 
-def _polish(f: _Poly, cell: Rectangle, w: int, tol):
-    """(zero, multiplicity) out of a cell holding w zeros, or None to split it.
+def _polish(f: _Poly, cells, tol) -> list:
+    """(zero, multiplicity) out of each (cell, w) holding w zeros, or None
+    to split it.
 
-    Newton from the centre settles within _NEWTON_STOP of a zero: in doubles
-    where the terms fit and doubles resolve s that finely, else, or when
-    they do not settle, in mpmath. ``_certify`` must then show that exactly
-    w zeros lie within a small radius of it. Newton with multiplicity w
-    polishes in mpmath until a step is at most tol/4, its first step from
-    the certificate's (P, P').
+    Newton from the centre settles within _NEWTON_STOP of a zero: in doubles,
+    for all cells at once, where the terms fit and doubles resolve s that
+    finely; else, or when they do not settle, in fixed point. ``_certify``
+    must then show that exactly w zeros lie within a small radius of it.
+    Newton with multiplicity w polishes in fixed point until a step is at
+    most tol/4, its first step from the certificate's (P, P'). Only the
+    converged iterate must lie in the cell, tested exactly.
     """
-    edges = (cell.re_lo, cell.re_hi, cell.im_lo, cell.im_hi)
-    start = complex(*map(float, cell.center))
-    z = None
-    # doubles hold s to about 2^-52 |s|: leave 10 bits of room below the stop
-    if (f.numpy_safe(max(abs(float(cell.re_lo)), abs(float(cell.re_hi))))
-            and 2.0 ** -42 * (1.0 + abs(start)) <= _NEWTON_STOP):
-        z = _newton(f.np_pair, start, 1, tuple(map(float, edges)), _NEWTON_STOP)
-    with working(f.bits):
-        box = tuple(fraction_to_mpf(v) for v in edges)
+    P = f.prec
+    mids = [(_mid(c.re_lo, c.re_hi), _mid(c.im_lo, c.im_hi)) for c, _ in cells]
+    centres = [complex(a / b, c / d) for (a, b), (c, d) in mids]
+    starts = [None] * len(cells)
+    quick = [i for i, (cell, _) in enumerate(cells)
+             if f.numpy_safe(max(abs(float(cell.re_lo)), abs(float(cell.re_hi))))
+             # doubles hold s to about 2^-52 |s|: leave 10 bits of room below the stop
+             and 2.0 ** -42 * (1.0 + abs(centres[i])) <= _NEWTON_STOP]
+    if quick:
+        found = _np_newton(f, [cells[i][0] for i in quick], [centres[i] for i in quick])
+        for i, z in zip(quick, found):
+            if z is not None:
+                starts[i] = (_fixed(z.real, P), _fixed(z.imag, P))
+    near, stop = _stop2(Fraction(_NEWTON_STOP), P), _stop2(as_fraction(tol) / 4, P)
+    out = []
+    for (cell, w), z, (x, y) in zip(cells, starts, mids):
+        bounds = _bounds(cell, P)
         if z is None:
-            z = _newton(f.mp_pair, mpc(start), 1, box, _NEWTON_STOP)
-            if z is None:
-                return None
-        z0 = mpc(z)
-        first = _certify(f, z0, w)
-        if first is None:
-            return None
-        z = _newton(lambda s: first if s is z0 else f.mp_pair(s), z0, w, box, tol / 4)
-    return None if z is None else (z, w)
+            z = _newton(f, (_fixed_ratio(*x, P), _fixed_ratio(*y, P)), 1, bounds, near)
+        first = None if z is None else _certify(f, z, w)
+        z = None if first is None else _newton(f, z, w, bounds, stop, first)
+        out.append(None if z is None else (_to_mpc(f, z), w))
+    return out
 
 
 def _zeros_in(f: _Poly, rect: Rectangle, w_total: int, tol) -> list:
     """(zero, multiplicity) for the w_total > 0 zeros inside rect.
 
-    A cell is polished once it holds one zero or no edge exceeds _COARSE,
-    and split when it is larger or its polish fails. Raises NonConvergent
-    when distinct zeros cannot be separated at the cluster floor.
+    The cells are taken a level of cuts at a time. A cell is polished once
+    it holds one zero or no edge exceeds _COARSE, all such cells of a level
+    in one ``_polish`` call, and split when it is larger or its polish
+    fails. Raises NonConvergent when distinct zeros cannot be separated at
+    the cluster floor.
     """
     found = []
-    queue = deque([(rect, w_total)])
-    while queue:
-        cell, w = queue.popleft()
-        size = max(cell.width, cell.height)
-        if w == 1 or size <= _COARSE:
-            hit = _polish(f, cell, w, tol)
-            if hit is not None:
-                found.append(hit)
+    level = [(rect, w_total)]
+    while level:
+        ready = [i for i, (cell, w) in enumerate(level)
+                 if w == 1 or max(cell.width, cell.height) <= _COARSE]
+        hits = dict(zip(ready, _polish(f, [level[i] for i in ready], tol)))
+        nxt = []
+        for i, (cell, w) in enumerate(level):
+            if hits.get(i) is not None:
+                found.append(hits[i])
                 continue
-            if size <= _CLUSTER_FLOOR:
+            if i in hits and max(cell.width, cell.height) <= _CLUSTER_FLOOR:
                 raise NonConvergent(f"could not separate {w} zeros inside {cell}")
-        queue.extend(_split_cell(f, cell, w))
+            nxt.extend(_split_cell(f, cell, w))
+        level = nxt
     if sum(m for _, m in found) != w_total:
         raise NonConvergent(
             f"located multiplicities sum to {sum(m for _, m in found)}, "

@@ -18,6 +18,7 @@ from mpmath import mp, mpc, mpf
 
 from xdp.cli import main
 from xdp.dpcore import DirichletPolynomial, dp_eval
+from xdp.exact import GaussianRational, to_mp
 from xdp.errors import ContourTooClose, QuadratureNotConverged
 from xdp import zeros
 from xdp.precision import working
@@ -111,6 +112,17 @@ def _lattice_point(k, bits):
         return mpc(0, lattice_t(k, bits))
 
 
+def _at(f, z):
+    """z rounded to the fixed point (X, Y) of f's evaluator."""
+    return zeros._fixed(z.real, f.prec), zeros._fixed(z.imag, f.prec)
+
+
+def _exact(f, z, bits):
+    """The fixed point z = (X + iY) 2^-prec as an mpc, exactly at bits."""
+    with working(bits):
+        return mpc(mpf(z[0]) / 2 ** f.prec, mpf(z[1]) / 2 ** f.prec)
+
+
 @pytest.mark.parametrize("bits", [128, 256])
 @pytest.mark.parametrize("k0", [0, 110318, 110317800077])     # heights 0, 1e6, 1e12
 def test_certificate_counts_simple_lattice_zeros(k0, bits, monkeypatch):
@@ -118,11 +130,11 @@ def test_certificate_counts_simple_lattice_zeros(k0, bits, monkeypatch):
     f = zeros._Poly(P_BASE, bits)
     for k in range(k0, k0 + 12):
         z = _lattice_point(k, bits)
-        assert zeros._certify(f, z, 1) is not None, k
+        assert zeros._certify(f, _at(f, z), 1) is not None, k
         with working(bits):
             nearby = z + mpc(mpf(10) ** -8, -mpf(10) ** -8)   # a Newton start
-        assert zeros._certify(f, nearby, 1) is not None, k
-        assert zeros._certify(f, z, 2) is None, k
+        assert zeros._certify(f, _at(f, nearby), 1) is not None, k
+        assert zeros._certify(f, _at(f, z), 2) is None, k
     assert calls == []
 
 
@@ -137,18 +149,56 @@ def _cplx_zero(bits):
     (P_CUBE, 256, 3, lambda bits: _lattice_point(3, bits)),
     (P_CPLX, 192, 1, _cplx_zero),
 ])
-def test_certificate_pair_is_mp_pair_bit_for_bit(P, bits, w, zero):
-    # the polish's first Newton step takes (P, P') from the certificate
+def test_certificate_pair_within_its_error_of_a_finer_mp_pair(P, bits, w, zero):
+    # the polish's first Newton step takes (P, P') from the certificate; each
+    # is within its stated error eps (1 + log m) sum |b_k| of the exact value,
+    # eps = (|Re z| log m + 3 log2 m + 3n + 6) 2^-prec, here read off a
+    # bits + 256 mp_pair at the same fixed point
     f = zeros._Poly(P, bits)
     with working(bits):
         far = mpc(mpf(1) / 7, mp.pi / 3)        # no zero within 1e-6
-    assert all(zeros._certify(f, far, k) is None for k in (1, 2, 3))
-    z0 = zero(bits)
+    assert all(zeros._certify(f, _at(f, far), k) is None for k in (1, 2, 3))
+    z0 = _at(f, zero(bits))
     got = zeros._certify(f, z0, w)
-    with working(bits):
-        want = f.mp_pair(z0)
     assert got is not None
-    assert (got[0]._mpc_, got[1]._mpc_) == (want[0]._mpc_, want[1]._mpc_)
+    _, e = f.fixed_terms(*z0)
+    fine = bits + 256
+    with working(fine):
+        z = _exact(f, z0, fine)
+        want = zeros._Poly(P, fine).mp_pair(z)
+        (pr, pi), (dr, di) = got
+        have = (mpc(pr, pi) * mpf(2) ** e, mpc(dr, di) * mpf(2) ** (e - f.prec))
+        log_m = mp.log(P.m)
+        size = mp.fsum(abs(to_mp(a)) * mp.power(k, -z.real) for k, a in P.items())
+        eps = ((abs(z.real) * log_m + 3 * log_m / mp.log(2) + 3 * len(list(P.items())) + 6)
+               * mpf(2) ** -f.prec)
+        bound = eps * (1 + log_m) * size
+        for h, x in zip(have, want):
+            assert abs(h - x) <= bound
+            assert abs(h - x) <= mpf(2) ** -(bits + 32) * (1 + log_m) * size
+
+
+@pytest.mark.parametrize("z", [mpc("0.3", "5.1"), mpc(-30, "1e6"), mpc("17.5", "-2.25")])
+def test_fixed_pair_builds_composites_from_primes(z):
+    # 6, 9 and 12 without 2 or 3 among the terms: every k^-z is a product of
+    # prime powers; (P, P') within eps (1 + log m) sum |b_k| of a bits + 256
+    # mp_pair (the bound in _certify's docstring), far left of the axis too
+    P = DirichletPolynomial.parse("1:1,6:-1/3,9:1i,12:1/5+2/7i")
+    f = zeros._Poly(P, 128)
+    assert f.chain == ([(p, zeros._fixed_log(p, f.prec)) for p in (2, 3)],
+                       [(6, 2, 3), (9, 3, 3), (12, 2, 6)])
+    at = _at(f, z)
+    (pr, pi), (dr, di) = f.fixed_pair(*at)
+    _, e = f.fixed_terms(*at)
+    with working(128 + 256):
+        x = _exact(f, at, 128 + 256)
+        want = zeros._Poly(P, 128 + 256).mp_pair(x)
+        have = (mpc(pr, pi) * mpf(2) ** e, mpc(dr, di) * mpf(2) ** (e - f.prec))
+        log_m = mp.log(12)
+        size = mp.fsum(abs(to_mp(a)) * mp.power(k, -x.real) for k, a in P.items())
+        eps = (abs(x.real) * log_m + 3 * log_m / mp.log(2) + 3 * 4 + 6) * mpf(2) ** -f.prec
+        for h, w in zip(have, want):
+            assert abs(h - w) <= eps * (1 + log_m) * size
 
 
 @pytest.mark.parametrize("P, mult", [(P_SQ, 2), (P_CUBE, 3)])
@@ -156,12 +206,12 @@ def test_certificate_counts_multiple_zeros(P, mult, monkeypatch):
     calls = _spy_mp_windings(monkeypatch)
     for bits in (128, 256):
         f = zeros._Poly(P, bits)
-        z = _lattice_point(0, bits)
+        z = _at(f, _lattice_point(0, bits))
         assert zeros._certify(f, z, mult) is not None
         for wrong in range(1, 6):
             if wrong != mult:
                 assert zeros._certify(f, z, wrong) is None, wrong
-        z = _lattice_point(5, bits)
+        z = _at(f, _lattice_point(5, bits))
         assert zeros._certify(f, z, mult) is not None
     assert calls == []
 
@@ -172,12 +222,12 @@ def test_certificate_counts_two_close_simple_zeros():
     # radius the certificate tries, so it counts 2 there and never 1
     P = DirichletPolynomial.parse("1:1,2:-20000001/10000000,4:10000001/10000000")
     f = zeros._Poly(P, 256)
-    z = _lattice_point(0, 256)
+    z = _at(f, _lattice_point(0, 256))
     assert zeros._certify(f, z, 2) is not None
     assert zeros._certify(f, z, 1) is None
     assert zeros._certify(f, z, 3) is None
     with working(256):
-        far = mpc(mp.log(1 + mpf(10) ** -7) / mp.log(2), 0)
+        far = _at(f, mpc(mp.log(1 + mpf(10) ** -7) / mp.log(2), 0))
     assert zeros._certify(f, far, 2) is not None
     assert zeros._certify(f, far, 1) is None
 
@@ -493,7 +543,7 @@ def test_polish_keeps_zero_when_first_step_leaves_cell():
     f = zeros._Poly(P_BASE, 128)
     assert winding_count(f, cell) == 1
     with working(128):
-        hit = zeros._polish(f, cell, 1, mpf(2) ** -64)
+        hit, = zeros._polish(f, [(cell, 1)], mpf(2) ** -64)
         assert hit is not None
         z, mult = hit
         assert mult == 1
@@ -502,27 +552,147 @@ def test_polish_keeps_zero_when_first_step_leaves_cell():
 
 @pytest.mark.parametrize("P, w", [(P_BASE, 1), (P_SQ, 2)])
 def test_polish_first_step_uses_the_certificate_pair(P, w, monkeypatch):
-    # the polish must end where mpmath Newton from the certified start ends,
-    # bit for bit; a loose tolerance stops it after a step or two, so a wrong
-    # first (P, P') would show
+    # the evaluator runs once at the certified start, inside the
+    # certificate; the next point it sees is one Newton step from there with
+    # the certificate's (P, P')
     f = zeros._Poly(P, 256)
     cell = Rectangle(Fraction(-1, 2), Fraction(1, 2), 5, 12)
-    starts = []
-    real = zeros._certify
+    seen, starts = [], []
+    real_terms, real_certify = zeros._Poly.fixed_terms, zeros._certify
 
-    def spy(f, z, w):
-        starts.append(z)
-        return real(f, z, w)
+    def terms(self, X, Y):
+        seen.append((X, Y))
+        return real_terms(self, X, Y)
 
-    monkeypatch.setattr(zeros, "_certify", spy)
-    with working(256):
-        tol = mpf(2) ** -40
-        hit = zeros._polish(f, cell, w, tol)
-        z0, = starts
-        box = (-mpf(1) / 2, mpf(1) / 2, mpf(5), mpf(12))
-        want = zeros._newton(f.mp_pair, z0, w, box, tol / 4)
+    def certify(f, z, w):
+        starts.append((z, len(seen)))
+        pair = real_certify(f, z, w)
+        starts.append(pair)
+        return pair
+
+    monkeypatch.setattr(zeros._Poly, "fixed_terms", terms)
+    monkeypatch.setattr(zeros, "_certify", certify)
+    hit, = zeros._polish(f, [(cell, w)], mpf(2) ** -128)
     assert hit is not None and hit[1] == w
-    assert hit[0]._mpc_ == want._mpc_
+    (z0, before), ((pr, pi), (dr, di)) = starts
+    assert seen[before:].count(z0) == 1 and seen[before] == z0
+    n2 = dr * dr + di * di
+    step = (w * (pr * dr + pi * di) << 2 * f.prec, w * (pi * dr - pr * di) << 2 * f.prec)
+    want = tuple(c - (s + n2 // 2) // n2 for c, s in zip(z0, step))
+    assert seen[before + 1] == want != z0
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+@pytest.mark.parametrize("P, w", [(P_BASE, 1), (P_SQ, 2), (P_CPLX, 1)])
+def test_polish_ends_within_a_quarter_tol_of_a_finer_polish(P, w, bits):
+    # the same cells polished at bits + 256: every zero within tol/4
+    tol = mpf(2) ** -(bits // 2)
+    cells = [(Rectangle(-1, 1, Fraction(-1, 3), 4), w),
+             (Rectangle(-1, 1, Fraction(26, 3), 12), w)]
+    if P is P_CPLX:
+        cells = [(Rectangle(0, 1, 0, 2), 1)]
+    coarse = zeros._polish(zeros._Poly(P, bits), cells, tol)
+    fine = zeros._polish(zeros._Poly(P, bits + 256), cells, tol)
+    with working(bits + 256):
+        for a, b in zip(coarse, fine):
+            assert a is not None and b is not None and a[1] == b[1] == w
+            assert abs(a[0] - b[0]) <= tol / 4
+
+
+def _polish_one(f, cell, w, tol):
+    hit, = zeros._polish(f, [(cell, w)], tol)
+    assert hit is not None and hit[1] == w
+    return hit[0]
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+@pytest.mark.parametrize("k", [110318, 110317800077])        # heights 1e6, 1e12
+def test_fixed_polish_high_on_the_line(k, bits):
+    # at 1e12 doubles hold s only to about 1e-4: the start runs in fixed
+    # point from the centre; at 1e6 doubles start it. Either way the zero
+    # lands within tol/4 of k 2 pi / log 2, each phase exact at that height
+    f = zeros._Poly(P_BASE, bits)
+    tol = mpf(2) ** -(bits // 2)
+    t = Fraction(round(lattice_t(k, bits + 64) * 10 ** 6), 10 ** 6)
+    cell = Rectangle(-1, 1, t - Fraction(1, 3), t + Fraction(1, 2))
+    z = _polish_one(f, cell, 1, tol)
+    with working(bits + 64):
+        assert abs(z - mpc(0, lattice_t(k, bits + 64))) <= tol / 4
+
+
+def test_fixed_polish_coefficient_beyond_double_range():
+    # test_constant_c_coefficient_beyond_double_range's polynomial: the
+    # terms leave double range, so Newton starts in fixed point, and the
+    # block exponent keeps P and P' in scale at Re s = log2(10^300)
+    P = DirichletPolynomial.parse("1:1,2:1e300")
+    f = zeros._Poly(P, 128)
+    assert f.a is None
+    r = Fraction(99657842846620870436, 10 ** 17)
+    cell = Rectangle(r - Fraction(1, 5), r + Fraction(1, 4), 4, 5)
+    tol = mpf(2) ** -64
+    z = _polish_one(f, cell, 1, tol)
+    with working(256):
+        want = mpc(300 * mp.log(10) / mp.log(2), mp.pi / mp.log(2))
+        assert abs(z - want) <= tol / 4
+
+
+def test_fixed_polish_far_left_of_the_axis():
+    # 1 - 2^-1000 2^-s vanishes at s = -1000 + 2 pi i k / log 2; there
+    # |Re s| log 2 > 600, so no double holds a term and the whole polish runs
+    # in fixed point
+    P = DirichletPolynomial([GaussianRational(1), GaussianRational(Fraction(-1, 2 ** 1000))])
+    f = zeros._Poly(P, 256)
+    assert not f.numpy_safe(1000.0)
+    tol = mpf(2) ** -128
+    cell = Rectangle(Fraction(-10003, 10), Fraction(-9998, 10), 8, 10)
+    z = _polish_one(f, cell, 1, tol)
+    with working(256):
+        assert abs(z - mpc(-1000, lattice_t(1))) <= tol / 4
+    zs = find_zeros(P, Rectangle(-1001, -999, -1, 1), bits=256)
+    assert [m for _, m in zs.zeros] == [1] and abs(zs.zeros[0][0] + 1000) <= tol / 4
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_find_zeros_triple_zero(bits):
+    # (1 - 2^-s)^3 has zeros of multiplicity 3 at 0 and 5 (2 pi / log 2).
+    # Near one P is a cube, so Newton resolves it to about 2^-(prec/3):
+    # 10^-15 at 128 bits, 10^-30 at 256 (where mpmath floats at 256 bits
+    # could not get below about 10^-25). Each lands within tol/4 of the
+    # zero and of a bits + 256 census.
+    tol = mpf(10) ** -(15 if bits == 128 else 30)
+    t = Fraction(round(lattice_t(5) * 1000), 1000)
+    for rect, k in [(Rectangle(Fraction(-2, 5), Fraction(2, 5), Fraction(-2, 5),
+                               Fraction(2, 5)), 0),
+                    (Rectangle(-1, 1, t - Fraction(1, 3), t + Fraction(1, 2)), 5)]:
+        zs = find_zeros(P_CUBE, rect, tol=tol, bits=bits)
+        fine = find_zeros(P_CUBE, rect, tol=tol, bits=bits + 256)
+        assert zs.total_count == 3 and [m for _, m in zs.zeros] == [3]
+        with working(bits + 256):
+            assert abs(zs.zeros[0][0] - mpc(0, lattice_t(k, bits + 256))) <= tol / 4
+            assert abs(zs.zeros[0][0] - fine.zeros[0][0]) <= tol / 4
+
+
+@pytest.mark.parametrize("edge", [Fraction(1, 4), Fraction(1, 3), Fraction(-7, 5)])
+def test_fixed_membership_is_exact(edge):
+    # an iterate exactly on (or just past) a Fraction edge is outside the
+    # cell, one unit inside is inside: X 2^-P > q is tested as X den > num 2^P
+    f = zeros._Poly(P_BASE, 128)
+    P = f.prec
+    cell = Rectangle(edge, edge + 1, edge, edge + 1)
+    bounds = zeros._bounds(cell, P)
+    (x0, x1, y0, y1), _ = bounds
+    on_lo = edge.numerator * 2 ** P // edge.denominator             # floor(edge 2^P)
+    hi = edge + 1
+    on_hi = -(-hi.numerator * 2 ** P // hi.denominator)               # ceil(hi 2^P)
+    assert (x0, x1, y0, y1) == (on_lo + 1, on_hi - 1, on_lo + 1, on_hi - 1)
+    mid = (on_lo + on_hi) // 2
+    stay = ((0, 0), (1, 0))              # P(z) = 0: Newton stops where it is
+    for X, inside in [(on_lo, False), (on_lo + 1, True), (on_hi, False), (on_hi - 1, True)]:
+        for z in ((X, mid), (mid, X)):
+            got = zeros._newton(f, z, 1, bounds, 0, stay)
+            assert (got == z) if inside else got is None, (X, inside)
+    if edge.denominator == 4:            # a dyadic edge is hit exactly
+        assert on_lo * 4 == 2 ** P
 
 
 def test_validation():
