@@ -1,18 +1,17 @@
 """Zero location by the argument principle, and the spectral constant.
 
-A rectangle's winding number is integrated with composite 12-point
-Gauss-Legendre panels on each edge, whose count doubles until the count
-pins to the same integer on consecutive levels (``_stabilized``). One
+A rectangle's winding number is integrated in numpy doubles with composite
+12-point Gauss-Legendre panels on each edge, whose count doubles until the
+count pins to the same integer on consecutive levels (``_stabilized``). One
 function, ``_windings``, winds a list of rectangles, and ``winding_count``
-is its one-rectangle case:
-
-* in numpy doubles whenever coefficient and exponent sizes keep the terms
-  in double range (``_Poly.numpy_safe``), in blocks of _BLOCK rectangles:
-  one contact-sample evaluation for the block, then per level one
-  evaluation of P'/P at the nodes of every rectangle not yet settled, each
-  with its own panels, contact test, resolution test and stabilization
-  (``_np_windings``);
-* in mpmath, one rectangle at a time, otherwise (``_winding_mp``).
+is its one-rectangle case. Rectangles go in blocks of _BLOCK
+(``_np_windings``): one contact-sample evaluation for the block, then per
+level one evaluation of P'/P at the nodes of every rectangle not yet
+settled, each with its own panels, contact test, resolution test and
+stabilization. A rectangle whose terms leave double range
+(``_Poly.numpy_safe``) is wound as the same problem for
+Q(s) = 2^-E P(s + c), c the integer nearest its real centre, translated by
+-c (``_Poly.shifted``): an exact identity, so the count is P's.
 
 One engine, ``_zeros_in``, locates zeros for both callers: ``find_zeros``
 runs it on its rectangle and ``constant_C`` on its whole strip. A cell is
@@ -34,9 +33,9 @@ factorization do: z = (X + iY) 2^-prec with prec = bits + _GUARD_BITS, and
 ``_Poly.fixed_terms`` gives every b_k = a_k k^-z as a Gaussian integer under
 one block exponent. Newton steps, stop tests and the certificate's
 inequality are integer arithmetic on those, free of scale far from the axis
-and for coefficients beyond double range. mpmath evaluates P only to wind a
-contour that doubles cannot hold and for ``find_zeros``' residuals. P is
-prepared once per call in all its forms (``_Poly``).
+and for coefficients beyond double range. mpmath evaluates P only for
+``find_zeros``' residuals (``dp_eval``). P is prepared once per call in all
+its forms (``_Poly``).
 """
 
 from __future__ import annotations
@@ -44,18 +43,16 @@ from __future__ import annotations
 import math
 import random
 import sys
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
-from mpmath import mp, mpc, mpf
+from mpmath import mp, mpf
 from mpmath.libmp import (from_int, from_man_exp, mpf_exp, mpf_log, mpf_mul, mpf_shift,
                           round_nearest, to_int)
 
-from .dpcore import (DirichletPolynomial, _mp_pair, _mp_terms, _prime_phase, _spf_sieve,
-                     strip_bounds)
+from .dpcore import DirichletPolynomial, _prime_phase, _spf_sieve, dp_eval, strip_bounds
 from .errors import ContourTooClose, NonConvergent, QuadratureNotConverged
 from .exact import as_fraction, fraction_to_mpf, to_mp
 from .linalg import _GUARD_BITS
@@ -70,6 +67,8 @@ _SHRINK = Fraction(7, 10)         # and its ratio from one radius to the next
 _NEWTON_STOP = 1e-6 / 64          # a start this close keeps its zero well inside
 _NEWTON_STEPS = 200
 _SAFE_LOG = 600.0                 # terms up to e^600 stay in double range
+_UNDERFLOW = 1100 * math.log(2)   # terms below 2^-1100 of the largest round to 0
+_SHIFT_BITS = 1 << 22             # largest k^|c| a shift forms exactly
 _CACHED_PANELS = 256              # largest node table kept in _NODE_TABLES
 _NODE_TABLES: dict = {}           # panels -> _unit_nodes table
 _CONTACT = 128                    # contact samples per rectangle edge
@@ -111,10 +110,6 @@ class Rectangle:
     def height(self) -> Fraction:
         return self.im_hi - self.im_lo
 
-    @property
-    def center(self):
-        return ((self.re_lo + self.re_hi) / 2, (self.im_lo + self.im_hi) / 2)
-
     def corners_complex(self):
         x0, x1 = float(self.re_lo), float(self.re_hi)
         y0, y1 = float(self.im_lo), float(self.im_hi)
@@ -131,7 +126,7 @@ def _as_rect(rect) -> Rectangle:
 
 
 # =========================================================================
-# the polynomial in doubles, in mpmath and in fixed point
+# the polynomial in doubles and in fixed point
 # =========================================================================
 
 def _log_abs(c) -> float:
@@ -188,46 +183,75 @@ def _factor_chain(ks, m: int):
     return primes, [(k, spf[k], k // spf[k]) for k in sorted(need) if spf[k]]
 
 
+def _log_sum(logs) -> float:
+    """log sum e^v over the v in logs."""
+    top = max(logs)
+    return top + math.log(sum(math.exp(v - top) for v in logs))
+
+
+def _scaled(a, k: int, c: int, E: int) -> complex:
+    """a k^-c 2^-E for a GaussianRational a, formed exactly and rounded once
+    to complex128 (int / int rounds correctly, as float(Fraction) does)."""
+    num, den = (k ** -c, 1) if c < 0 else (1, k ** c)
+    num, den = (num << -E, den) if E < 0 else (num, den << E)
+    return complex(*(q.numerator * num / (q.denominator * den) for q in (a.re, a.im)))
+
+
 class _Poly:
     """P in the forms the zero engine evaluates, built once per call.
 
     numpy: the coefficients ``a`` (complex128, or None when they leave double
-    range), ``logk`` and ``log_asum`` = log sum |a_k|, taken from exact
-    logarithms. mpmath: ``terms``, P's ``_mp_terms`` at ``bits``. Fixed
-    point at 2^-prec, prec = bits + _GUARD_BITS: ``fixed`` holds (k, L_k,
-    a_k as ``_fixed_coeff``) per term, L_k = round(2^prec log k), with
-    ``log_max`` the largest L_k, and ``chain`` the primes (with L_p) and
-    composites that build each k^-z.
+    range), ``logk``, ``log_abs`` = log |a_k| and ``log_asum`` = log sum
+    |a_k|, taken from exact logarithms, and ``shifts``, the arrays
+    ``shifted`` has built, by c. Fixed point at 2^-prec, prec = bits +
+    _GUARD_BITS: ``fixed`` holds (k, L_k, a_k as ``_fixed_coeff``) per term,
+    L_k = round(2^prec log k), with ``log_max`` the largest L_k, and
+    ``chain`` the primes (with L_p) and composites that build each k^-z.
     """
 
-    __slots__ = ("P", "bits", "a", "logk", "log_asum", "terms", "prec", "fixed", "chain",
-                 "log_max")
+    __slots__ = ("P", "bits", "a", "logk", "log_abs", "log_asum", "shifts", "prec", "fixed",
+                 "chain", "log_max")
 
     def __init__(self, P: DirichletPolynomial, bits: int):
         self.P, self.bits = P, bits
         items = list(P.items())
         self.logk = np.log(np.array([k for k, _ in items], dtype=np.float64))
-        logs = [_log_abs(c) for _, c in items]
-        top = max(logs)
-        self.log_asum = top + math.log(sum(math.exp(v - top) for v in logs))
+        self.log_abs = [_log_abs(c) for _, c in items]
+        self.log_asum = _log_sum(self.log_abs)
         self.a = None
         if self.log_asum < _SAFE_LOG:
             self.a = np.array([complex(c) for _, c in items], dtype=np.complex128)
-        with working(bits):
-            self.terms = _mp_terms(P)
+        self.shifts = {}
         self.prec = prec = bits + _GUARD_BITS
         self.fixed = [(k, _fixed_log(k, prec), *_fixed_coeff(c, prec)) for k, c in items]
         self.log_max = max(L for _, L, *_ in self.fixed)
         primes, composites = _factor_chain([k for k, _ in items], P.m)
         self.chain = [(p, _fixed_log(p, prec)) for p in primes], composites
 
-    def numpy_safe(self, sigma_max: float) -> bool:
-        """Whether doubles hold every term a_k k^-s with |Re s| <= sigma_max."""
-        return sigma_max * math.log(self.P.m) + self.log_asum < _SAFE_LOG
+    def numpy_safe(self, sigma_max: float, log_asum: Optional[float] = None) -> bool:
+        """Whether doubles hold every term a_k k^-s with |Re s| <= sigma_max:
+        of P, or of the polynomial whose log sum |a_k| is log_asum."""
+        log_asum = self.log_asum if log_asum is None else log_asum
+        return sigma_max * math.log(self.P.m) + log_asum < _SAFE_LOG
 
-    def mp_pair(self, z):
-        """(P(z), P'(z)) at the ambient precision."""
-        return _mp_pair(self.terms, z)
+    def shifted(self, c: int):
+        """(coefficients, log sum of their sizes) of Q(s) = 2^-E P(s + c),
+        kept per c: b_k = a_k k^-c 2^-E as ``_scaled`` rounds it, 2^E the
+        power of two nearest the largest |a_k k^-c| by the exact logarithms.
+        A term below 2^-1100 of that one rounds to 0 unformed. Raises
+        ContourTooClose rather than form a k^|c| of over _SHIFT_BITS bits."""
+        if c not in self.shifts:
+            logs = [v - c * lk for v, lk in zip(self.log_abs, self.logk.tolist())]
+            top = max(logs)
+            keep = [(ak, k) if v >= top - _UNDERFLOW else None
+                    for (k, ak), v in zip(self.P.items(), logs)]
+            if any(t and abs(c) * (t[1] - 1).bit_length() > _SHIFT_BITS for t in keep):
+                raise ContourTooClose(f"Re s = {float(c):.6g} is too far from the axis")
+            E = round(top / math.log(2))
+            b = [_scaled(*t, c, E) if t else 0 for t in keep]
+            self.shifts[c] = (np.array(b, dtype=np.complex128),
+                              _log_sum(logs) - E * math.log(2))
+        return self.shifts[c]
 
     def fixed_terms(self, X: int, Y: int):
         """(b, e): b_k = a_k k^-z = (re + i im) 2^e as Gaussian integers,
@@ -435,71 +459,43 @@ def _np_windings(a, logk, rects) -> list:
     return counts
 
 
-def _winding_mp(f: _Poly, rect: Rectangle) -> int:
-    """The rectangle's winding number at f.bits, after checking |P| at 32
-    points per edge against 2^-(bits/2) of its largest sampled value; the
-    same panels and stabilization as in doubles, up to 9 levels."""
-    bits, samples = f.bits, 32
-    base = _layout([rect])[3][0]
-    with working(bits):
-        c = [mpc(fraction_to_mpf(x), fraction_to_mpf(y))
-             for (x, y) in [(rect.re_lo, rect.im_lo), (rect.re_hi, rect.im_lo),
-                            (rect.re_hi, rect.im_hi), (rect.re_lo, rect.im_hi)]]
-        edges = [(c[i], c[(i + 1) % 4] - c[i], base[i]) for i in range(4)]
-        vals = [abs(f.mp_pair(a + mpf(q) / samples * d)[0])
-                for a, d, _ in edges for q in range(samples)]
-        amax = max(vals)
-        if not amax > 0 or min(vals) < amax * mpf(2) ** (-(bits // 2)):
-            raise ContourTooClose("polynomial nearly vanishes on the contour")
-        gx = [mpf(float(x)) for x in _GL_X]
-        gw = [mpf(float(w)) for w in _GL_W]
-        prev = None
-        for level in range(9):
-            total = mpf(0)
-            resolved = True
-            for a, d, b in edges:
-                panels = b << level
-                if panels * 12 > 40_000:
-                    raise QuadratureNotConverged("contour refinement exploded")
-                near = _RESOLVE * float(abs(d)) / panels
-                for pnl in range(panels):
-                    for x, wq in zip(gx, gw):
-                        p, dp = f.mp_pair(a + (pnl + (x + 1) / 2) / panels * d)
-                        if p == 0:
-                            raise ContourTooClose("contour node hit a zero")
-                        q = dp / p
-                        resolved = resolved and abs(complex(q)) * near <= 1
-                        total = total + q * d * (wq / (2 * panels))
-            count, prev = _stabilized(prev, complex(total / (2j * mp.pi)), resolved)
-            if count is not None:
-                return count
-    raise QuadratureNotConverged("winding did not stabilize on an integer")
+def _reach(rect: Rectangle) -> float:
+    """The largest |Re s| on the rectangle, in doubles."""
+    return max(abs(float(rect.re_lo)), abs(float(rect.re_hi)))
 
 
 def _windings(f: _Poly, rects) -> list:
     """Each rectangle's winding number, as ``winding_count`` gives it.
 
-    Rectangles whose terms fit in doubles are wound in blocks of _BLOCK
-    (``_np_windings``), the others one at a time in mpmath. Raises
-    ContourTooClose if any rectangle's count would, else
-    QuadratureNotConverged if any count does not settle.
+    A rectangle whose terms fit in doubles as it stands is wound on P's own
+    coefficients. Any other is wound as the same problem for
+    Q(s) = 2^-E P(s + c), c the integer nearest its real centre
+    (``_Poly.shifted``), and translated by -c: an exact identity, so the
+    count is P's. Rectangles on the same coefficients are wound together in
+    blocks of _BLOCK (``_np_windings``). Raises ContourTooClose if a shifted
+    rectangle's terms still leave double range or if any rectangle's count
+    would, else QuadratureNotConverged if any count does not settle.
     """
     if f.P.m == 1:
         return [0] * len(rects)
+    groups = {}
+    for i, r in enumerate(rects):
+        c = None if f.numpy_safe(_reach(r)) else round((r.re_lo + r.re_hi) / 2)
+        groups.setdefault(c, []).append(i)
     counts = [None] * len(rects)
-    safe = [i for i, r in enumerate(rects)
-            if f.numpy_safe(max(abs(float(r.re_lo)), abs(float(r.re_hi))))]
-    for lo in range(0, len(safe), _BLOCK):
-        rows = safe[lo:lo + _BLOCK]
-        block = _np_windings(f.a, f.logk, [rects[i] for i in rows])
-        for i, count in zip(rows, block):
-            counts[i] = count
-    for i, rect in enumerate(rects):
-        if counts[i] is None:
-            try:
-                counts[i] = _winding_mp(f, rect)
-            except QuadratureNotConverged as exc:
-                counts[i] = exc
+    for c, rows in groups.items():
+        if c is None:
+            a, moved = f.a, [rects[i] for i in rows]
+        else:
+            a, log_asum = f.shifted(c)
+            moved = [_child(r.re_lo - c, r.re_hi - c, r.im_lo, r.im_hi)
+                     for r in (rects[i] for i in rows)]
+            if not all(f.numpy_safe(_reach(r), log_asum) for r in moved):
+                raise ContourTooClose("terms leave double range on the contour")
+        for lo in range(0, len(rows), _BLOCK):
+            block = _np_windings(a, f.logk, moved[lo:lo + _BLOCK])
+            for i, count in zip(rows[lo:lo + _BLOCK], block):
+                counts[i] = count
     for count in counts:
         if isinstance(count, QuadratureNotConverged):
             raise count
@@ -507,7 +503,8 @@ def _windings(f: _Poly, rects) -> list:
 
 
 def winding_count(P, rect, bits: Optional[int] = None) -> int:
-    """Number of zeros (with multiplicity) inside the rectangle.
+    """Number of zeros (with multiplicity) inside the rectangle, wound in
+    doubles as ``_windings`` winds it, so the same at every precision.
 
     P is a DirichletPolynomial, or the _Poly that the zero engine prepared
     once for all of its windings; its precision then replaces ``bits``.
@@ -783,7 +780,7 @@ def _polish(f: _Poly, cells, tol) -> list:
     centres = [complex(a / b, c / d) for (a, b), (c, d) in mids]
     starts = [None] * len(cells)
     quick = [i for i, (cell, _) in enumerate(cells)
-             if f.numpy_safe(max(abs(float(cell.re_lo)), abs(float(cell.re_hi))))
+             if f.numpy_safe(_reach(cell))
              # doubles hold s to about 2^-52 |s|: leave 10 bits of room below the stop
              and 2.0 ** -42 * (1.0 + abs(centres[i])) <= _NEWTON_STOP]
     if quick:
@@ -853,7 +850,7 @@ def find_zeros(P: DirichletPolynomial, rect, tol=None,
     found = _zeros_in(f, rect, w_total, tol) if w_total else []
     found.sort(key=lambda item: (float(mp.im(item[0])), float(mp.re(item[0]))))
     with working(bits):
-        residuals = tuple(abs(f.mp_pair(z)[0]) for z, _ in found)
+        residuals = tuple(abs(dp_eval(P, z, bits)) for z, _ in found)
     return ZeroSet(zeros=tuple(found), rectangle=rect, total_count=w_total,
                    residual=max(residuals) if residuals else mpf(0),
                    residuals=residuals)

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
 from xdp.cli import main
-from xdp.dpcore import DirichletPolynomial, dp_eval
-from xdp.exact import GaussianRational, to_mp
+from xdp.dpcore import DirichletPolynomial, _mp_pair, _mp_terms, dp_eval
+from xdp.exact import GaussianRational, as_fraction, to_mp
 from xdp.errors import ContourTooClose, QuadratureNotConverged
 from xdp import zeros
 from xdp.precision import working
@@ -94,17 +94,19 @@ def test_contour_through_zero_raises():
         winding_count(P_BASE, Rectangle(-1, 1, -1, float(2 * 3.141592653589793 / 0.6931471805599453)))
 
 
-def _spy_mp_windings(monkeypatch):
-    """Record every rectangle wound in mpmath."""
-    calls = []
-    real = zeros._winding_mp
-
-    def spy(f, rect, *args, **kwargs):
-        calls.append(rect)
-        return real(f, rect, *args, **kwargs)
-
-    monkeypatch.setattr(zeros, "_winding_mp", spy)
-    return calls
+@pytest.mark.xfail(strict=True, reason=(
+    "the contact test's 1e-12 floor on |P| does not scale with multiplicity: "
+    "a triple zero 1e-5 off an edge passes it and is counted about half; a "
+    "contact test proven from _certify's Taylor bound on each edge gap will fix it"))
+@pytest.mark.parametrize("k, lo, hi, want", [
+    (1, Fraction(-1, 10), Fraction(-1, 10 ** 5), 0),
+    (68, Fraction(-1, 10), Fraction(1, 10 ** 5), 3),
+])
+def test_winding_triple_zero_just_off_an_edge(k, lo, hi, want):
+    # (1 - 2^{-s})^3 has triple zeros at 2 pi i k / log 2
+    t = as_fraction(lattice_t(k))
+    rect = Rectangle(Fraction(-7, 80), Fraction(1, 20), t + lo, t + hi)
+    assert winding_count(P_CUBE, rect) == want
 
 
 def _lattice_point(k, bits):
@@ -125,8 +127,7 @@ def _exact(f, z, bits):
 
 @pytest.mark.parametrize("bits", [128, 256])
 @pytest.mark.parametrize("k0", [0, 110318, 110317800077])     # heights 0, 1e6, 1e12
-def test_certificate_counts_simple_lattice_zeros(k0, bits, monkeypatch):
-    calls = _spy_mp_windings(monkeypatch)
+def test_certificate_counts_simple_lattice_zeros(k0, bits):
     f = zeros._Poly(P_BASE, bits)
     for k in range(k0, k0 + 12):
         z = _lattice_point(k, bits)
@@ -135,7 +136,6 @@ def test_certificate_counts_simple_lattice_zeros(k0, bits, monkeypatch):
             nearby = z + mpc(mpf(10) ** -8, -mpf(10) ** -8)   # a Newton start
         assert zeros._certify(f, _at(f, nearby), 1) is not None, k
         assert zeros._certify(f, _at(f, z), 2) is None, k
-    assert calls == []
 
 
 def _cplx_zero(bits):
@@ -153,7 +153,7 @@ def test_certificate_pair_within_its_error_of_a_finer_mp_pair(P, bits, w, zero):
     # the polish's first Newton step takes (P, P') from the certificate; each
     # is within its stated error eps (1 + log m) sum |b_k| of the exact value,
     # eps = (|Re z| log m + 3 log2 m + 3n + 6) 2^-prec, here read off a
-    # bits + 256 mp_pair at the same fixed point
+    # bits + 256 _mp_pair at the same fixed point
     f = zeros._Poly(P, bits)
     with working(bits):
         far = mpc(mpf(1) / 7, mp.pi / 3)        # no zero within 1e-6
@@ -165,7 +165,7 @@ def test_certificate_pair_within_its_error_of_a_finer_mp_pair(P, bits, w, zero):
     fine = bits + 256
     with working(fine):
         z = _exact(f, z0, fine)
-        want = zeros._Poly(P, fine).mp_pair(z)
+        want = _mp_pair(_mp_terms(P), z)
         (pr, pi), (dr, di) = got
         have = (mpc(pr, pi) * mpf(2) ** e, mpc(dr, di) * mpf(2) ** (e - f.prec))
         log_m = mp.log(P.m)
@@ -182,7 +182,7 @@ def test_certificate_pair_within_its_error_of_a_finer_mp_pair(P, bits, w, zero):
 def test_fixed_pair_builds_composites_from_primes(z):
     # 6, 9 and 12 without 2 or 3 among the terms: every k^-z is a product of
     # prime powers; (P, P') within eps (1 + log m) sum |b_k| of a bits + 256
-    # mp_pair (the bound in _certify's docstring), far left of the axis too
+    # _mp_pair (the bound in _certify's docstring), far left of the axis too
     P = DirichletPolynomial.parse("1:1,6:-1/3,9:1i,12:1/5+2/7i")
     f = zeros._Poly(P, 128)
     assert f.chain == ([(p, zeros._fixed_log(p, f.prec)) for p in (2, 3)],
@@ -192,7 +192,7 @@ def test_fixed_pair_builds_composites_from_primes(z):
     _, e = f.fixed_terms(*at)
     with working(128 + 256):
         x = _exact(f, at, 128 + 256)
-        want = zeros._Poly(P, 128 + 256).mp_pair(x)
+        want = _mp_pair(_mp_terms(P), x)
         have = (mpc(pr, pi) * mpf(2) ** e, mpc(dr, di) * mpf(2) ** (e - f.prec))
         log_m = mp.log(12)
         size = mp.fsum(abs(to_mp(a)) * mp.power(k, -x.real) for k, a in P.items())
@@ -202,8 +202,7 @@ def test_fixed_pair_builds_composites_from_primes(z):
 
 
 @pytest.mark.parametrize("P, mult", [(P_SQ, 2), (P_CUBE, 3)])
-def test_certificate_counts_multiple_zeros(P, mult, monkeypatch):
-    calls = _spy_mp_windings(monkeypatch)
+def test_certificate_counts_multiple_zeros(P, mult):
     for bits in (128, 256):
         f = zeros._Poly(P, bits)
         z = _at(f, _lattice_point(0, bits))
@@ -213,7 +212,6 @@ def test_certificate_counts_multiple_zeros(P, mult, monkeypatch):
                 assert zeros._certify(f, z, wrong) is None, wrong
         z = _at(f, _lattice_point(5, bits))
         assert zeros._certify(f, z, mult) is not None
-    assert calls == []
 
 
 def test_certificate_counts_two_close_simple_zeros():
@@ -232,27 +230,23 @@ def test_certificate_counts_two_close_simple_zeros():
     assert zeros._certify(f, far, 1) is None
 
 
-def test_find_zeros_high_on_the_line(monkeypatch):
+def test_find_zeros_high_on_the_line():
     # doubles locate the zeros at |s| ~ 1e6 and the certificate counts each
-    # once, with no mpmath winding
-    calls = _spy_mp_windings(monkeypatch)
+    # once
     rect = Rectangle(-1, 1, 10 ** 6 + Fraction(1, 3), 10 ** 6 + 40)
     zs = find_zeros(P_BASE, rect, bits=256)
     assert zs.total_count == 5
     assert [m for (_, m) in zs.zeros] == [1] * 5
-    assert calls == []
     with working(256):
         step = 2 * mp.pi / mp.log(2)
         for k, (z, _) in enumerate(zs.zeros, start=110318):
             assert abs(z - mp.mpc(0, k * step)) < mpf("1e-20"), k
 
 
-def test_constant_c_double_zeros_wind_no_mp_contour(monkeypatch):
-    calls = _spy_mp_windings(monkeypatch)
+def test_constant_c_double_zeros_wind_no_mp_contour():
     c = constant_C(P_SQ, 0, 200, Fraction(1, 10 ** 9), bits=128)
     assert len(c.ordinates) == 45
     assert c.multiplicities == (2,) * 45
-    assert calls == []
 
 
 def test_find_zeros_single_simple():
@@ -500,7 +494,8 @@ def test_constant_c_wide_strip_is_one_zero_set(monkeypatch, capsys):
 
 def test_constant_c_coefficient_beyond_double_range():
     # 1 + 10^300 2^{-s} vanishes at s = log2(10^300) + i pi (2k + 1)/log 2,
-    # where the terms are far outside double range: the strip runs in mpmath
+    # where the terms are far outside double range: the strip is wound in
+    # doubles shifted to its centre, c = 997
     P = DirichletPolynomial.parse("1:1,2:1e300")
     r = Fraction(99657842846620870436, 10 ** 17)      # log2(10^300) to 1e-17
     c = constant_C(P, r, 10, Fraction(1, 10 ** 9), bits=128)
@@ -650,6 +645,44 @@ def test_fixed_polish_far_left_of_the_axis():
         assert abs(z - mpc(-1000, lattice_t(1))) <= tol / 4
     zs = find_zeros(P, Rectangle(-1001, -999, -1, 1), bits=256)
     assert [m for _, m in zs.zeros] == [1] and abs(zs.zeros[0][0] + 1000) <= tol / 4
+
+
+P_FAR = DirichletPolynomial([GaussianRational(1), GaussianRational(Fraction(-1, 2 ** 1000))])
+
+
+def test_far_left_census_is_its_translate():
+    # 1 - 2^-1000 2^-s is 1 - 2^-s moved to Re s = -1000: its contours are
+    # wound on 1 - 2^-(s - 1000) and give the same zeros, moved back
+    assert not zeros._Poly(P_FAR, 128).numpy_safe(999.0)
+    tol = mpf(2) ** -64
+    zs = find_zeros(P_FAR, Rectangle(-1001, -999, -1, 40), bits=128)
+    assert zs.total_count == 5 and [m for _, m in zs.zeros] == [1] * 5
+    with working(256):
+        for k, (z, _) in enumerate(zs.zeros):
+            assert abs(z - mpc(-1000, lattice_t(k))) <= tol / 4, k
+    far = constant_C(P_FAR, -1000, 100, Fraction(1, 10 ** 9), bits=128)
+    near = constant_C(P_BASE, 0, 100, Fraction(1, 10 ** 9), bits=128)
+    assert len(far.ordinates) == len(near.ordinates) == 23
+    assert far.multiplicities == near.multiplicities
+    for a, b in zip(far.ordinates, near.ordinates):
+        assert abs(a - b) <= mpf(2) ** -60
+
+
+@pytest.mark.parametrize("bits", [256, 2048])
+def test_contour_out_of_double_range_after_its_shift_raises(bits):
+    # at Re s = +-900 the terms of 1 - 2^-s span 2^900, more than doubles
+    # hold about the centre c = 0: the rectangle is refused at any precision
+    with pytest.raises(ContourTooClose):
+        winding_count(P_BASE, Rectangle(-900, 900, 1, 5), bits=bits)
+
+
+@pytest.mark.parametrize("x", [10 ** 7, 10 ** 308 - 2], ids=["1e7", "1e308"])
+def test_contour_far_from_the_axis(x):
+    # far right only a_1 survives the shift, and no power of 2 is formed;
+    # far left 2^-s dominates, and 2^|c| would take more than 2^22 bits
+    assert winding_count(P_BASE, Rectangle(x, x + 2, 0, 1)) == 0
+    with pytest.raises(ContourTooClose, match="too far from the axis"):
+        winding_count(P_BASE, Rectangle(-x - 2, -x, 0, 1))
 
 
 @pytest.mark.parametrize("bits", [128, 256])
