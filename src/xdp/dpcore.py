@@ -17,8 +17,9 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
 
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import (from_int, mpf_cos_sin, mpf_log, mpf_mul, mpf_shift, round_nearest,
+from mpmath.libmp import (from_int, from_man_exp, mpf_cos_sin, mpf_log, mpf_shift, round_nearest,
                           to_int)
+from mpmath.libmp.libelefun import pi_fixed
 
 from .errors import NonConvergent
 from .exact import GaussianRational, as_fraction, fraction_to_mpf, to_mp
@@ -189,22 +190,137 @@ def _spf_sieve(n: int) -> array:
     return spf
 
 
-def _prime_phase(t, p: int, P: int):
-    """p^{-it} * 2^P rounded to Gaussian integers; t is a raw mpf. The one
-    phase routine of the fixed-point code: the psi stream and the zero
+def _fixed_log(k: int, R: int) -> int:
+    """round(2^R log k), within one unit: mpf_log at R + 16 bits, rounded once."""
+    return to_int(mpf_shift(mpf_log(from_int(k), R + 16), R), round_nearest)
+
+
+# Prime phases are reduced in integers. The first pass carries _PHASE_GUARD
+# bits past 2^-P; a pass that cannot decide the rounding doubles them. A log p
+# or a table entry is kept _SLACK bits finer than the pass asked for, so
+# ordinates of nearby size share it. cos/sin of r in [0, pi/2) start from
+# the table entry at the multiple of 2^-_TRIG_STEP below r. No integer a
+# phase returns depends on what these caches hold.
+_PHASE_GUARD = 20
+_SLACK = 64
+_TRIG_STEP = 8
+_TRIG_TABLE: dict = {}            # j -> (Q, cos, sin) of j 2^-_TRIG_STEP at 2^-Q
+
+
+def _trig_entry(j: int, Q: int):
+    """(cos, sin) of j 2^-_TRIG_STEP at 2^-Q, each within one unit.
+
+    The table keeps each entry at the finest Q asked so far plus _SLACK,
+    rounded once from mpf_cos_sin at 4 more bits (within 1/2 + 1/16 units
+    there), and a coarser Q takes it by one more rounding."""
+    entry = _TRIG_TABLE.get(j)
+    if entry is None or entry[0] < Q:
+        Qt = Q + _SLACK
+        c, s = mpf_cos_sin(from_man_exp(j, -_TRIG_STEP), Qt + 4, round_nearest)
+        entry = _TRIG_TABLE[j] = (Qt, to_int(mpf_shift(c, Qt), round_nearest),
+                                  to_int(mpf_shift(s, Qt), round_nearest))
+    Qt, c, s = entry
+    if Qt == Q:
+        return c, s
+    d = Qt - Q - 1
+    return ((c >> d) + 1) >> 1, ((s >> d) + 1) >> 1
+
+
+def _cos_sin_fixed(r: int, Q: int):
+    """(C, S, E): cos and sin of rho = r 2^-Q, 0 <= rho <= 2, as integers at
+    2^-Q, each within E units of cos(rho) 2^Q and sin(rho) 2^Q.
+
+    Write rho = alpha + xi, alpha = j 2^-8 from the table (_trig_entry, one
+    unit each) and 0 <= xi = x 2^-Q < 2^-8. sin xi is its Taylor series:
+    a_0 = x, a_i = floor(a_{i-1} x2 / (2^Q (2i)(2i+1))) with
+    x2 = floor(x^2 2^-Q). Each a_i is at most the true term and short of it
+    by e_i < 1 + (e_{i-1} 2^-16 + 2^-8)/6 < 1.001 (e_0 = 0), so
+    S_xi = sum_{i<J} (-1)^i a_i, J the first i with a_i = 0, is within
+    1.001 J < 2J + 2 = E_s of sin(xi) 2^Q: the true terms from J on fall by
+    a factor below 2^-16 each and alternate, so they add less than the
+    first of them, e_J. cos xi is
+    C_xi = isqrt(4^Q - S_xi^2), within 1 + E_s/128, since sin xi < 2^-8 and
+    cos xi > 0.9999 there. The angle sums
+        C = (c_j C_xi - s_j S_xi) >> Q,   S = (s_j C_xi + c_j S_xi) >> Q
+    add one unit from the table (times C_xi or S_xi over 2^Q, below 1 +
+    2^-8), E_s + E_c from the series (times c_j, s_j <= 1) and one from the
+    floor: E = 4 + 2 E_s + 1 units bounds both.
+    """
+    sh = Q - _TRIG_STEP
+    j = r >> sh
+    x = r - (j << sh)
+    x2 = (x * x) >> Q
+    s = a = x
+    i = 0
+    while a:
+        i += 1
+        a = ((a * x2) >> Q) // ((2 * i) * (2 * i + 1))
+        s = s - a if i & 1 else s + a
+    c = math.isqrt((1 << (2 * Q)) - s * s)
+    cj, sj = _trig_entry(j, Q)
+    return (cj * c - sj * s) >> Q, (sj * c + cj * s) >> Q, 4 * i + 9
+
+
+def _prime_phase(t, p: int, P: int, logs: Optional[dict] = None):
+    """p^{-it} 2^P rounded to nearest Gaussian integers; t is a raw mpf. The
+    one phase routine of the fixed-point code: the psi stream and the zero
     engine's evaluator both build k^{-it} from it, a composite as a product.
 
-    t log p is formed at P + 8 bits beyond its own magnitude (log p < 2^6
-    for p < e^64), so cos/sin see it to 2^-(P+7) however large t is.
+    ``logs`` keeps round(2^R log p) per prime between calls, as p -> (L, R):
+    the stream shares one dict across its ordinates, and ``zeros._Poly``
+    one across its evaluations. A pass that needs a finer log widens it.
+
+    Proof. Write |t| < 2^mt, and take Q = P + g (g = _PHASE_GUARD, doubled
+    while the rounding is undecided) and Q2 = Q + m + 3, with
+    m = max(0, mt + b + 1), b the bit length of p's bit length, so that
+    |theta| = |t| log p < 2^(m-1) and n below has |n| <= 2^m.
+    - theta 2^Q2 is T = floor(t L 2^(Q2-R)) with L = round(2^R log p) and
+      R >= Q2 + mt + 3: L's unit costs |t| 2^-R <= 1/8 unit at 2^-Q2, the
+      floor one more.
+    - n, r2 = divmod(T, H) with H = pi_fixed(Q2 - 1), within 2 units of
+      (pi/2) 2^Q2, so r2 is within 9/8 + 2|n| <= 9/8 + 2^(m+1) units of
+      (theta - n pi/2) 2^Q2, and r2 rounded to 2^-Q is within
+      1/2 + 9/64 + 1/4 < 1 unit of it. r is in [0, pi/2] up to that unit.
+    - cos and sin are 1-Lipschitz, so _cos_sin_fixed's (C, S, E) are within
+      E + 1 units of cos and sin of theta - n pi/2, and the quadrant n & 3
+      maps them to cos theta and -sin theta by sign and swap.
+    - Each value V at 2^-Q rounds to 2^-P as (V + 2^(g-1)) >> g unless the
+      truth could lie across a midpoint, i.e. unless the offset f of
+      V + 2^(g-1) within its 2^g block lies within E + 1 of 0 or 2^g. Then g
+      doubles. cos theta and sin theta are transcendental for rational
+      t != 0 (Gelfond-Schneider: p^{it} is), so no midpoint is ever hit
+      exactly and the loop ends.
+    So the result is round(2^P cos theta) - i round(2^P sin theta), each
+    part within 1/2 unit, whatever the logs' precision: the integers do not
+    depend on the cache or on which pass decided them.
     """
-    _, man, exp, bc = t
-    if not man:
+    sign, man, exp, bc = t
+    if not man or p == 1:
         return 1 << P, 0
-    wp = P + 8 + max(0, exp + bc + 6)
-    theta = mpf_mul(t, mpf_log(from_int(p), wp, round_nearest), wp, round_nearest)
-    c, s = mpf_cos_sin(theta, P + 8, round_nearest)
-    return (to_int(mpf_shift(c, P), round_nearest),
-            -to_int(mpf_shift(s, P), round_nearest))
+    if sign:
+        man = -man
+    mt = exp + bc
+    m = max(0, mt + p.bit_length().bit_length() + 1)
+    g = _PHASE_GUARD
+    while True:
+        Q = P + g
+        Q2 = Q + m + 3
+        need = max(1, Q2 + mt + 3)
+        got = None if logs is None else logs.get(p)
+        if got is None or got[1] < need:
+            got = (_fixed_log(p, need + _SLACK), need + _SLACK)
+            if logs is not None:
+                logs[p] = got
+        L, R = got
+        n, r2 = divmod((man * L) >> (R - Q2 - exp), pi_fixed(Q2 - 1))
+        c, s, E = _cos_sin_fixed((r2 + (1 << (m + 2))) >> (m + 3), Q)
+        q = n & 3
+        re, im = ((c, -s), (-s, -c), (-c, s), (s, c))[q]
+        half, top = 1 << (g - 1), (1 << g) - E - 1
+        fr, fi = (re + half) & ((1 << g) - 1), (im + half) & ((1 << g) - 1)
+        if E < fr < top and E < fi < top:
+            return (re + half) >> g, (im + half) >> g
+        g *= 2
 
 
 def dp_eval(P: DirichletPolynomial, s: Scalar, bits: Optional[int] = None):

@@ -13,7 +13,9 @@ from its exact kernel sums to ``linalg.ldl_profile`` by one shift, with no
 mpf matrix on the way, and passes the audit that every d^2 passes: a pivot
 in the indeterminate band rebuilds H at doubled precision, and a dropped
 pivot raises NSingular. The value and the coefficients come from the same
-integer factorization.
+integer factorization. The kernel sums themselves are exact integers: each
+block of stream rows is summed in one float64 product of 16-bit limbs,
+exact by its size bound (_kernel_sums).
 
 The diagonal K_n(u, u) = sum_k |psi_k(u)|^2 takes one path at every u: the
 stream sums it up to a start that grows with bits and |u|, and
@@ -30,6 +32,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Optional, Sequence
 
+import numpy as np
 from mpmath import bernfrac, mp, mpc, mpf
 from mpmath.libmp import from_man_exp, round_nearest
 
@@ -62,10 +65,11 @@ def psi_eval(n: int, t, bits: Optional[int] = None):
 # integer whichever other ordinates or grid points share a pass.
 #
 # Error of the stream, in units 2^-P (the proof of the guard). A prime phase
-# is cos/sin of t log p, correct to 2^-(P+6) before rounding, so
-# |e_p - p^-it| <= 1. A composite k = p m takes round(e_p e_m), whose error
-# is at most |e_p - p^-it| + |e_m - m^-it| + 1 (up to O(2^-P) terms); by
-# induction on the number of prime factors, |e_k - k^-it| <= 2 log2 k. With
+# is cos/sin of t log p rounded to nearest (dpcore._prime_phase), half a unit
+# in each part, so |e_p - p^-it| <= 1/sqrt(2). A composite k = p m takes
+# round(e_p e_m), whose error is at most |e_p - p^-it| + |e_m - m^-it| +
+# 1/sqrt(2) (up to O(2^-P) terms); by induction on the number of prime
+# factors, |e_k - k^-it| <= sqrt(2) log2 k <= 2 log2 k. With
 # floor(sqrt(k) 2^P) and one rounding, A_k = round(sqrt(k) e_k) is within
 # 2 (log2 k + 1) sqrt(k) of sqrt(k) k^-it, so psi_k = A_k - A_{k-1} is within
 # eta_k = 4 (log2 n + 1) sqrt(k): fixed-point subtraction adds nothing, at
@@ -165,12 +169,12 @@ def psi_inner_max_deviation(n_max: int, bits: Optional[int] = None):
     return mp.make_mpf(_rounded(worst, -4 * P, bits))
 
 
-def _phases(n: int, t, P: int, spf):
+def _phases(n: int, t, P: int, spf, logs: Optional[dict] = None):
     """e_k = k^{-it} * 2^P as Gaussian integers (re, im), k = 1..n.
 
-    Primes (and k = 1) take _prime_phase; a composite k = p m, p = spf[k],
-    takes e_p e_m rounded once. m <= n // 2 and p <= sqrt(n), so the table
-    keeps e_m for m <= n // 2 only.
+    Primes (and k = 1) take _prime_phase, with the prime logs in ``logs``;
+    a composite k = p m, p = spf[k], takes e_p e_m rounded once. m <= n // 2
+    and p <= sqrt(n), so the table keeps e_m for m <= n // 2 only.
     """
     keep = n // 2
     half = 1 << (P - 1)
@@ -178,7 +182,7 @@ def _phases(n: int, t, P: int, spf):
     for k in range(1, n + 1):
         p = spf[k]
         if not p:
-            x, y = _prime_phase(t, k, P)
+            x, y = _prime_phase(t, k, P, logs)
         else:
             a, b, c, d = re[p], im[p], re[k // p], im[k // p]
             x = (a * c - b * d + half) >> P
@@ -194,12 +198,14 @@ def _psi_stream(n: int, ts, P: int):
 
     psi_k = A_k - A_{k-1} with A_k = round(sqrt(k) e_k), and sqrt(k) * 2^P
     is _sqrt_fixed(k, P). At t = 0, e_k = 2^P exactly. Every kernel sum reads
-    this one stream.
+    this one stream. The ordinates run in lockstep and share one dict of
+    prime logs, so each log p is formed once per pass.
     """
     spf = _spf_sieve(n)
+    logs = {}
     half = 1 << (P - 1)
     prev = [(0, 0)] * len(ts)
-    for k, es in enumerate(zip(*[_phases(n, t._mpf_, P, spf) for t in ts]), 1):
+    for k, es in enumerate(zip(*[_phases(n, t._mpf_, P, spf, logs) for t in ts]), 1):
         s = _sqrt_fixed(k, P)
         cur = [((s * x + half) >> P, (s * y + half) >> P) for x, y in es]
         yield [(a - c, b - d) for (a, b), (c, d) in zip(cur, prev)]
@@ -211,6 +217,57 @@ def _rounded(man: int, exp: int, bits: int):
     return from_man_exp(man, exp, bits, round_nearest)
 
 
+# The limb product of _kernel_sums: limbs of _LIMB bits, blocks of at most
+# _ROWS stream rows, and psi parts of at most _MAX_LIMBS limbs; the asserts
+# are the bounds its docstring proves exactness from.
+_LIMB = 16
+_ROWS = 1 << 10
+_MAX_LIMBS = 1 << 19
+assert _ROWS <= 1 << 16 and _ROWS << (2 * _LIMB) <= 1 << 48
+assert 2 * _MAX_LIMBS * _ROWS << (2 * _LIMB) <= 1 << 62
+
+
+def _limb_ints(D) -> list:
+    """[sum_d D[e, d] 2^(16 d) for each row e] as Python ints, from int64 D.
+
+    Carries run across d in int64 (|carry| stays below 2^47), leaving
+    digits in [0, 2^16) and one signed top carry per row."""
+    rows, nd = D.shape
+    digits = np.empty((rows, nd), dtype="<u2")
+    carry = np.zeros(rows, dtype=np.int64)
+    for d in range(nd):
+        v = D[:, d] + carry
+        digits[:, d] = v & 0xFFFF
+        carry = v >> _LIMB
+    buf, width, top = digits.tobytes(), 2 * nd, _LIMB * nd
+    return [int.from_bytes(buf[e * width:(e + 1) * width], "little") + (c << top)
+            for e, c in enumerate(carry.tolist())]
+
+
+def _block_sums(rows, upper) -> list:
+    """[re..., im...] of sum_k psi_k(t_i) conj(psi_k(t_j)) 2^{2P} over a
+    block of stream rows, exact, for the pairs i <= j listed in ``upper``
+    (numpy's triu_indices order): re = sum (a_r b_r + a_i b_i) and
+    im = sum (a_i b_r - a_r b_i), one float64 product X^T X per block."""
+    B, l = len(rows), len(rows[0])
+    flat = [x for psi in rows for z in psi for x in z]
+    W = (max(map(int.bit_length, flat)) + _LIMB) // _LIMB
+    if W > _MAX_LIMBS:
+        raise ValueError(f"psi parts of {_LIMB * W} bits exceed the limb bound of the sums")
+    u = np.frombuffer(b"".join([x.to_bytes(2 * W, "little", signed=True) for x in flat]),
+                      dtype="<u2").reshape(B, 2 * l, W)
+    X = u.astype(np.float64)
+    X[..., -1] -= (u[..., -1] >> 15) * 65536.0
+    X = X.reshape(B, 2 * l * W)
+    M = (X.T @ X).astype(np.int64).reshape(2 * l, W, 2 * l, W)
+    D = np.zeros((2 * l, 2 * l, 2 * W - 1), dtype=np.int64)
+    for v in range(W):
+        D[:, :, v:v + W] += M[:, v]
+    re = D[0::2, 0::2] + D[1::2, 1::2]
+    im = D[1::2, 0::2] - D[0::2, 1::2]
+    return _limb_ints(np.concatenate([re[upper], im[upper]]))
+
+
 def _kernel_sums(grid: Sequence[int], ts, bits: int):
     """(n, S) at each n of an increasing grid, from one pass of the stream.
 
@@ -218,24 +275,43 @@ def _kernel_sums(grid: Sequence[int], ts, bits: int):
     exactly as Sigma (a_r b_r + a_i b_i) and Sigma (a_i b_r - a_r b_i) over
     the stream; the diagonal is the real Sigma (a_r^2 + a_i^2), and the
     lower triangle is the conjugate of the upper.
+
+    The stream is taken in blocks of at most _ROWS rows, a block also ending
+    at each n of the grid, and each block is summed in one float64 product
+    (_block_sums). X has one row per k and one column per limb of each part
+    of each psi_k(t_i) 2^P, written in two's complement as W limbs of 16
+    bits: the low limbs in [0, 2^16), the top one signed in [-2^15, 2^15),
+    with W the fewest that hold the block's largest part.
+    - Exact. Each limb product is below 2^32 in size, so with B <= _ROWS
+      <= 2^16 rows every partial sum of X^T X, in any order and on any BLAS
+      thread count, is an integer below 2^48 < 2^53: float64 holds each one
+      exactly, and the product is the same integers on every run.
+    - int64. Folding the anti-diagonals u + v = d of a W x W limb block adds
+      at most W such sums, and re = rr + ii or im = ir - ri doubles that:
+      below 2 W _ROWS 2^32 <= 2^62 for W <= _MAX_LIMBS, psi parts of up to
+      2^23 bits. Carries then run in int64 (_limb_ints), and
+      sum_d D_d 2^(16 d) is one Python int per entry per block.
+    So S is exactly the sum the pair loop over the stream gives.
     """
     P = bits + _GUARD
     l = len(ts)
-    re = [[0] * l for _ in range(l)]
-    im = [[0] * l for _ in range(l)]
+    upper = np.triu_indices(l)
+    pairs = list(zip(*(a.tolist() for a in upper)))
+    acc = [0] * (2 * len(pairs))
     targets = iter(grid)
     target = next(targets)
+    rows = []
     for k, psi in enumerate(_psi_stream(grid[-1], ts, P), 1):
-        for i, (ar, ai) in enumerate(psi):
-            rr, ri = re[i], im[i]
-            rr[i] += ar * ar + ai * ai
-            for j in range(i + 1, l):
-                br, bi = psi[j]
-                rr[j] += ar * br + ai * bi
-                ri[j] += ai * br - ar * bi
+        rows.append(psi)
+        if k != target and len(rows) < _ROWS:
+            continue
+        acc = [a + b for a, b in zip(acc, _block_sums(rows, upper))]
+        rows = []
         if k == target:
-            yield k, [[(re[i][j], im[i][j]) if i <= j else (re[j][i], -im[j][i])
-                       for j in range(l)] for i in range(l)]
+            S = [[None] * l for _ in range(l)]
+            for (i, j), x, y in zip(pairs, acc, acc[len(pairs):]):
+                S[i][j], S[j][i] = (x, y), (x, -y)
+            yield k, S
             target = next(targets, None)
 
 

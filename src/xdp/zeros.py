@@ -8,8 +8,9 @@ is its one-rectangle case. Rectangles go in blocks of _BLOCK
 (``_np_windings``): one contact-sample evaluation for the block, then per
 level one evaluation of P'/P at the nodes of every rectangle not yet
 settled, each with its own panels, contact test, resolution test and
-stabilization. A rectangle whose terms leave double range
-(``_Poly.numpy_safe``) is wound as the same problem for
+stabilization. A rectangle on which some term of P would overflow,
+underflow or go subnormal in doubles (``_Poly.numpy_safe``) is wound as the
+same problem for
 Q(s) = 2^-E P(s + c), c the integer nearest its real centre, translated by
 -c (``_Poly.shifted``): an exact identity, so the count is P's.
 
@@ -49,10 +50,10 @@ from typing import Optional
 
 import numpy as np
 from mpmath import mp, mpf
-from mpmath.libmp import (from_int, from_man_exp, mpf_exp, mpf_log, mpf_mul, mpf_shift,
-                          round_nearest, to_int)
+from mpmath.libmp import from_man_exp, mpf_exp, mpf_mul, round_nearest
 
-from .dpcore import DirichletPolynomial, _prime_phase, _spf_sieve, dp_eval, strip_bounds
+from .dpcore import (DirichletPolynomial, _fixed_log, _prime_phase, _spf_sieve, dp_eval,
+                     strip_bounds)
 from .errors import ContourTooClose, NonConvergent, QuadratureNotConverged
 from .exact import as_fraction, fraction_to_mpf, to_mp
 from .linalg import _GUARD_BITS
@@ -66,7 +67,7 @@ _RHO = Fraction(1, 10 ** 6)       # first radius of the local count (_certify)
 _SHRINK = Fraction(7, 10)         # and its ratio from one radius to the next
 _NEWTON_STOP = 1e-6 / 64          # a start this close keeps its zero well inside
 _NEWTON_STEPS = 200
-_SAFE_LOG = 600.0                 # terms up to e^600 stay in double range
+_SAFE_LOG = 600.0                 # terms between e^-600 and e^600 are normal doubles
 _UNDERFLOW = 1100 * math.log(2)   # terms below 2^-1100 of the largest round to 0
 _SHIFT_BITS = 1 << 22             # largest k^|c| a shift forms exactly
 _CACHED_PANELS = 256              # largest node table kept in _NODE_TABLES
@@ -162,11 +163,6 @@ def _fixed_coeff(c, P: int):
     return _fixed(c.re, -e), _fixed(c.im, -e), e
 
 
-def _fixed_log(k: int, P: int) -> int:
-    """round(2^P log k)."""
-    return to_int(mpf_shift(mpf_log(from_int(k), P + 16), P), round_nearest)
-
-
 def _factor_chain(ks, m: int):
     """(primes, composites) that build every k > 1 of ks, all k <= m: the
     primes dividing them, and (k, p, k // p) with p the smallest prime factor
@@ -200,17 +196,19 @@ def _scaled(a, k: int, c: int, E: int) -> complex:
 class _Poly:
     """P in the forms the zero engine evaluates, built once per call.
 
-    numpy: the coefficients ``a`` (complex128, or None when they leave double
-    range), ``logk``, ``log_abs`` = log |a_k| and ``log_asum`` = log sum
+    numpy: the coefficients ``a`` (complex128, or None when some are not
+    normal doubles), ``logk``, ``log_abs`` = log |a_k| and ``log_asum`` = log sum
     |a_k|, taken from exact logarithms, and ``shifts``, the arrays
     ``shifted`` has built, by c. Fixed point at 2^-prec, prec = bits +
     _GUARD_BITS: ``fixed`` holds (k, L_k, a_k as ``_fixed_coeff``) per term,
     L_k = round(2^prec log k), with ``log_max`` the largest L_k, and
     ``chain`` the primes (with L_p) and composites that build each k^-z.
+    ``phase_logs`` keeps the primes' logs that ``_prime_phase`` reads,
+    widened when an ordinate needs more bits.
     """
 
     __slots__ = ("P", "bits", "a", "logk", "log_abs", "log_asum", "shifts", "prec", "fixed",
-                 "chain", "log_max")
+                 "chain", "log_max", "phase_logs")
 
     def __init__(self, P: DirichletPolynomial, bits: int):
         self.P, self.bits = P, bits
@@ -219,7 +217,7 @@ class _Poly:
         self.log_abs = [_log_abs(c) for _, c in items]
         self.log_asum = _log_sum(self.log_abs)
         self.a = None
-        if self.log_asum < _SAFE_LOG:
+        if self.numpy_safe(0.0):
             self.a = np.array([complex(c) for _, c in items], dtype=np.complex128)
         self.shifts = {}
         self.prec = prec = bits + _GUARD_BITS
@@ -227,12 +225,21 @@ class _Poly:
         self.log_max = max(L for _, L, *_ in self.fixed)
         primes, composites = _factor_chain([k for k, _ in items], P.m)
         self.chain = [(p, _fixed_log(p, prec)) for p in primes], composites
+        self.phase_logs = {}
 
     def numpy_safe(self, sigma_max: float, log_asum: Optional[float] = None) -> bool:
-        """Whether doubles hold every term a_k k^-s with |Re s| <= sigma_max:
-        of P, or of the polynomial whose log sum |a_k| is log_asum."""
-        log_asum = self.log_asum if log_asum is None else log_asum
-        return sigma_max * math.log(self.P.m) + log_asum < _SAFE_LOG
+        """Whether doubles hold every term a_k k^-s with |Re s| <= sigma_max.
+
+        Of P: every nonzero term, its coefficient included, stays a normal
+        double, between e^-_SAFE_LOG and e^_SAFE_LOG, so none underflows or
+        goes subnormal. Of the shifted polynomial whose log sum |a_k| is
+        log_asum: no term overflows. Its largest coefficient is within a
+        factor 2^(1/2) of 1, so the largest term at every point is above
+        about e^-_SAFE_LOG, and a term that underflows is below e^-100 of it."""
+        reach = sigma_max * math.log(self.P.m)
+        if log_asum is not None:
+            return reach + log_asum < _SAFE_LOG
+        return reach + self.log_asum < _SAFE_LOG and min(self.log_abs) - reach > -_SAFE_LOG
 
     def shifted(self, c: int):
         """(coefficients, log sum of their sizes) of Q(s) = 2^-E P(s + c),
@@ -269,7 +276,7 @@ class _Poly:
         primes, composites = self.chain
         for p, L in primes:
             mag[p] = mpf_exp(from_man_exp(x2 * L, -2 * P), P + 8)
-            phase[p] = _prime_phase(y, p, P)
+            phase[p] = _prime_phase(y, p, P, self.phase_logs)
         for k, p, m in composites:
             mag[k] = mpf_mul(mag[p], mag[m], P + 8)
             a, b = phase[p]
@@ -467,8 +474,8 @@ def _reach(rect: Rectangle) -> float:
 def _windings(f: _Poly, rects) -> list:
     """Each rectangle's winding number, as ``winding_count`` gives it.
 
-    A rectangle whose terms fit in doubles as it stands is wound on P's own
-    coefficients. Any other is wound as the same problem for
+    A rectangle whose terms are normal doubles as it stands is wound on P's
+    own coefficients. Any other is wound as the same problem for
     Q(s) = 2^-E P(s + c), c the integer nearest its real centre
     (``_Poly.shifted``), and translated by -c: an exact identity, so the
     count is P's. Rectangles on the same coefficients are wound together in

@@ -13,10 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
+from xdp import dpcore
 from xdp.dpcore import (
     DirichletPolynomial,
     _mp_pair,
     _mp_terms,
+    _prime_phase,
     dp_eval,
     inverse_coeffs,
     kappa_partial_sums,
@@ -270,3 +272,62 @@ def test_convolution_identity_gaussian():
             if n % d == 0:
                 total = total + p.coeffs[d - 1] * inv.mu[n // d - 1]
         assert total == GaussianRational(1 if n == 1 else 0)
+
+
+# -- prime phases: round(2^P p^{-it}) exactly -------------------------------
+
+def _phase_reference(t, p: int, P: int):
+    """round(2^P cos(t log p)), round(-2^P sin(t log p)) from mpmath at
+    P + 128 bits past the magnitude of t log p."""
+    with mp.workprec(P + 128 + max(0, mp.mag(t) + 8)):
+        theta = t * mp.log(p)
+        scale = mpf(2) ** P
+        return int(mp.nint(mp.cos(theta) * scale)), int(mp.nint(-mp.sin(theta) * scale))
+
+
+def _primes(n: int) -> list:
+    return [p for p in range(2, n + 1) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+
+
+@pytest.mark.parametrize("bits", [128, 256, 1024])
+def test_prime_phase_rounds_to_nearest_on_the_lattice(bits):
+    # t = k 2 pi / log 2 puts t log 2 within a few units of 2^-bits of a
+    # multiple of 2 pi, where sin is tiny and cos within 2^-2bits of 1, and
+    # 10^-13 off it; one dict of logs serves every call, as in the stream
+    P = bits + 64
+    logs = {}
+    with mp.workprec(bits):
+        step = 2 * mp.pi / mp.log(2)
+        ts = [k * step for k in range(-300, 301)]
+        ts += [t + mpf("1e-13") for t in ts]
+    for t in ts:
+        for p in (2, 3):
+            got = _prime_phase(t._mpf_, p, P, logs)
+            assert got == _phase_reference(t, p, P), (bits, t, p)
+            assert _prime_phase(t._mpf_, p, P) == got
+
+
+@pytest.mark.parametrize("bits", [128, 256, 1024])
+def test_prime_phase_rounds_to_nearest_for_large_and_tiny_t(bits):
+    P = bits + 64
+    primes = _primes(10 ** 4)
+    with mp.workprec(bits):
+        ts = [mpf(10) ** 6, -mpf(10) ** 6, mpf(10) ** 12, -mpf(10) ** 12, mpf(2) ** -200]
+    for t in ts:
+        logs = {}
+        for p in primes:
+            assert _prime_phase(t._mpf_, p, P, logs) == _phase_reference(t, p, P), (bits, t, p)
+    assert _prime_phase(mpf(0)._mpf_, 7, P) == (1 << P, 0)
+
+
+def test_prime_phase_widens_until_the_rounding_is_decided(monkeypatch):
+    # with 4 guard bits no first pass can decide (the series alone may be
+    # off by more than 2^4 units), so every value takes the widening loop
+    # and still rounds to nearest
+    monkeypatch.setattr(dpcore, "_PHASE_GUARD", 4)
+    P = 192
+    with mp.workprec(128):
+        ts = [mpf("0.1"), mpf(10) ** 6 + mpf("1e-13"), 7 * 2 * mp.pi / mp.log(2)]
+    for t in ts:
+        for p in (2, 3, 97):
+            assert _prime_phase(t._mpf_, p, P) == _phase_reference(t, p, P)

@@ -9,6 +9,7 @@ which coincides with d^2_{1,0} of 1 - 2^{-s}: the lower bound is tight there.
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import from_rational, round_nearest
@@ -559,3 +560,71 @@ def test_zero_ordinate_next_to_nonzero_ones(bits):
         for a, b in zip(got, want):
             assert abs(a - b) <= tol * abs(b)
         assert got[0] == H[0][1]
+
+
+# -- kernel sums: one exact limb product per block ---------------------------
+
+def _pair_loop_sums(grid, ts, bits):
+    """The kernel sums by the plain pair loop over the same stream."""
+    P = bits + _GUARD
+    l = len(ts)
+    re = [[0] * l for _ in range(l)]
+    im = [[0] * l for _ in range(l)]
+    out = []
+    for k, psi in enumerate(lubinsky._psi_stream(grid[-1], ts, P), 1):
+        for i, (ar, ai) in enumerate(psi):
+            for j in range(i, l):
+                br, bi = psi[j]
+                re[i][j] += ar * br + ai * bi
+                im[i][j] += ai * br - ar * bi
+        if k in grid:
+            out.append((k, [[(re[i][j], im[i][j]) if i <= j else (re[j][i], -im[j][i])
+                             for j in range(l)] for i in range(l)]))
+    return out
+
+
+def _ordinates(kind: str, bits: int) -> list:
+    with working(bits):
+        if kind == "zero":
+            return [mpf(0)]
+        if kind == "1e6":
+            return [mpf(10) ** 6, -mpf(10) ** 6]
+        step = 2 * mp.pi / mp.log(2)
+        return [k * step for k in range(-8, 8)]
+
+
+@pytest.mark.parametrize("bits", [128, 256, 1024])
+@pytest.mark.parametrize("kind", ["zero", "1e6", "lattice"])
+def test_kernel_sums_equal_the_pair_loop(kind, bits):
+    # l = 1, 2 and 16 ordinates; the grid straddles a block of _ROWS rows,
+    # so sums carry across blocks and a block ends early at each n
+    rows = lubinsky._ROWS
+    ts = _ordinates(kind, bits)
+    grid = [1, 2, rows - 1, rows, rows + 1] if len(ts) < 16 else [3, rows - 1, rows, rows + 1]
+    assert list(lubinsky._kernel_sums(grid, ts, bits)) == _pair_loop_sums(grid, ts, bits)
+
+
+def test_kernel_sums_limb_bounds():
+    # every limb product is below 2^32 in size, so a block of _ROWS rows keeps
+    # each float64 partial sum of X^T X an integer below 2^48 < 2^53, and
+    # the folded re/im sums of up to _MAX_LIMBS limbs below 2^62 < 2^63
+    limb = 1 << lubinsky._LIMB
+    assert lubinsky._LIMB == 16 and lubinsky._ROWS <= 1 << 16
+    assert lubinsky._ROWS * limb * limb <= 2 ** 48 < 2 ** 53
+    assert 2 * lubinsky._MAX_LIMBS * lubinsky._ROWS * limb * limb <= 2 ** 62 < 2 ** 63
+
+
+def test_block_sums_exact_at_the_extremes():
+    # a full block of the largest and most negative W-limb values: all low
+    # limbs 0xffff, top limbs at 0x7fff and -0x8000
+    W = 3
+    hi, lo = (1 << (16 * W - 1)) - 1, -(1 << (16 * W - 1))
+    rows = [[(hi, lo), (lo, hi)] if k % 2 else [(lo, lo), (hi, hi)]
+            for k in range(lubinsky._ROWS)]
+    upper = np.triu_indices(2)
+    got = lubinsky._block_sums(rows, upper)
+    want_re, want_im = [], []
+    for i, j in zip(*upper):
+        want_re.append(sum(r[i][0] * r[j][0] + r[i][1] * r[j][1] for r in rows))
+        want_im.append(sum(r[i][1] * r[j][0] - r[i][0] * r[j][1] for r in rows))
+    assert got == want_re + want_im

@@ -685,6 +685,20 @@ def test_contour_far_from_the_axis(x):
         winding_count(P_BASE, Rectangle(-x - 2, -x, 0, 1))
 
 
+def test_tiny_coefficients_wind_on_the_shift():
+    # a_2 = 10^-330 is below the smallest subnormal double, but near
+    # Re s = -100 the term 10^-330 2^-s is as large as a_1 = 10^-300: the
+    # zero at about -99.658 + 4.532i counts once, as it does for 10^300 P
+    rect = Rectangle(-101, -99, 0, 10)
+    tiny = DirichletPolynomial([GaussianRational(Fraction(1, 10 ** 300)),
+                                GaussianRational(Fraction(1, 10 ** 330))])
+    scaled = DirichletPolynomial([GaussianRational(1), GaussianRational(Fraction(1, 10 ** 30))])
+    f = zeros._Poly(tiny, 128)
+    assert f.a is None and not f.numpy_safe(0.0)
+    assert zeros._Poly(scaled, 128).numpy_safe(101.0)
+    assert winding_count(tiny, rect) == winding_count(scaled, rect) == 1
+
+
 @pytest.mark.parametrize("bits", [128, 256])
 def test_find_zeros_triple_zero(bits):
     # (1 - 2^-s)^3 has zeros of multiplicity 3 at 0 and 5 (2 pi / log 2).
