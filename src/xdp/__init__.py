@@ -22,8 +22,7 @@ from .linalg import LDLFactors, LDLProfile, ldl_factor, ldl_profile, ldl_solve
 from .lubinsky import (KernelAsymptoticsRow, KernelMatrix, MinNormSolution,
                        kernel, kernel_asymptotics_report, kernel_matrix,
                        min_norm, psi_eval, psi_inner, psi_inner_max_deviation)
-from .precision import (DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS,
-                        get_default_precision, set_default_precision)
+from .precision import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS
 from .zeros import (ConstantC, Rectangle, ZeroSet, constant_C, find_zeros,
                     winding_count, zeros_on_line)
 
@@ -48,8 +47,7 @@ __all__ = [
     "KernelAsymptoticsRow", "KernelMatrix", "MinNormSolution", "kernel",
     "kernel_asymptotics_report", "kernel_matrix", "min_norm", "psi_eval",
     "psi_inner", "psi_inner_max_deviation",
-    "DEFAULT_PRECISION_BITS", "MIN_PRECISION_BITS", "get_default_precision",
-    "set_default_precision",
+    "DEFAULT_PRECISION_BITS", "MIN_PRECISION_BITS",
     "ConstantC", "Rectangle", "ZeroSet", "constant_C", "find_zeros",
     "winding_count", "zeros_on_line",
 ]

@@ -1,10 +1,10 @@
-"""Global working-precision policy.
+"""Working-precision policy.
 
 All numeric operations in the package compute under an explicit binary
-precision (mantissa bits). The default is 256 bits and can be changed
-globally; individual operations accept a ``bits`` override. Computations
-always run inside ``mp.workprec`` so the ambient mpmath state of the caller
-is never disturbed and results do not depend on it.
+precision (mantissa bits): each takes a ``bits`` argument, and None means
+DEFAULT_PRECISION_BITS. Computations always run inside ``mp.workprec`` so
+the ambient mpmath state of the caller is never disturbed and results do not
+depend on it.
 """
 
 from mpmath import mp
@@ -12,24 +12,10 @@ from mpmath import mp
 DEFAULT_PRECISION_BITS = 256
 MIN_PRECISION_BITS = 64
 
-_default_bits = DEFAULT_PRECISION_BITS
-
-
-def set_default_precision(bits: int) -> None:
-    global _default_bits
-    bits = int(bits)
-    if bits < MIN_PRECISION_BITS:
-        raise ValueError(f"precision must be >= {MIN_PRECISION_BITS} bits, got {bits}")
-    _default_bits = bits
-
-
-def get_default_precision() -> int:
-    return _default_bits
-
 
 def resolve_bits(bits=None) -> int:
     if bits is None:
-        return _default_bits
+        return DEFAULT_PRECISION_BITS
     bits = int(bits)
     if bits < MIN_PRECISION_BITS:
         raise ValueError(f"precision must be >= {MIN_PRECISION_BITS} bits, got {bits}")

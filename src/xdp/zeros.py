@@ -3,31 +3,31 @@
 A rectangle's winding number is integrated in numpy doubles with composite
 12-point Gauss-Legendre panels on each edge, whose count doubles until the
 count pins to the same integer on consecutive levels (``_stabilized``). One
-function, ``_windings``, winds a list of rectangles, and ``winding_count``
-is its one-rectangle case. Rectangles go in blocks of _BLOCK
-(``_np_windings``): one contact-sample evaluation for the block, then per
-level one evaluation of P'/P at the nodes of every rectangle not yet
-settled, each with its own panels, contact test, resolution test and
-stabilization. A rectangle on which some term of P would overflow,
-underflow or go subnormal in doubles (``_Poly.numpy_safe``) is wound as the
-same problem for
-Q(s) = 2^-E P(s + c), c the integer nearest its real centre, translated by
--c (``_Poly.shifted``): an exact identity, so the count is P's.
+function, ``_windings``, winds a list of rectangles, each to its own count
+or error, and ``winding_count`` is its one-rectangle case, which raises the
+error. Rectangles go in blocks of _BLOCK (``_np_windings``): one
+contact-sample evaluation for the block, then per level one evaluation of
+P'/P at the nodes of every rectangle not yet settled, each with its own
+panels, contact test, resolution test and stabilization. A rectangle on
+which some term of P would overflow, underflow or go subnormal in doubles
+(``_Poly.numpy_safe``) is wound as the same problem for Q(s) = 2^-E
+P(s + c), c the integer nearest its real centre, translated by -c
+(``_Poly.shifted``): an exact identity, so the count is P's.
 
 One engine, ``_zeros_in``, locates zeros for both callers: ``find_zeros``
 runs it on its rectangle and ``constant_C`` on its whole strip. A cell is
 cut on a jittered grid (``_split_cell``: 2 x 2, or a long cell across its
-long side into pieces of about a third of a zero each), all children of a
-cut wound in one ``_windings`` call, until it holds one zero or is no wider
-than _COARSE. Every such cell of a level of cuts is then polished in one
-``_polish`` call: Newton from each centre to within _NEWTON_STOP of a zero,
-in doubles for the whole batch at once (``_np_newton``); a Rouché
-certificate that exactly as many zeros as the cell holds lie within a small
-radius of that point, from the Taylor coefficients of P there
-(``_certify``); and Newton with that multiplicity to the requested
-tolerance (``_newton``). Only the converged iterate must lie in the cell,
-tested exactly against its Fraction edges. No contour is wound about a
-zero.
+long side into pieces of about a third of a zero each), the children of
+every cell a level cuts wound in one ``_windings`` call per draw, until it
+holds one zero or is no wider than _COARSE. Every such cell of a level is
+then polished in one ``_polish`` call: Newton from each centre to within
+_NEWTON_STOP of a zero, in doubles for the whole batch at once
+(``_np_newton``); a Rouché certificate that exactly as many zeros as the
+cell holds lie within a small radius of that point, from the Taylor
+coefficients of P there (``_certify``); and Newton with that multiplicity
+to the requested tolerance (``_newton``). Only the converged iterate must
+lie in the cell, tested exactly against its Fraction edges. No contour is
+wound about a zero.
 
 The polish past doubles runs in fixed point, as the psi stream and the d^2
 factorization do: z = (X + iY) 2^-prec with prec = bits + _GUARD_BITS, and
@@ -339,7 +339,7 @@ def _np_values(a, logk, s):
 
 
 def _np_ratio(a, logk, s):
-    """P'/P at the nodes, _CHUNK of them at a time; raises on an exact hit."""
+    """P'/P at the nodes, _CHUNK of them at a time; inf or nan where P is 0.0."""
     num = np.zeros(len(s), dtype=np.complex128)
     den = np.zeros(len(s), dtype=np.complex128)
     for lo in range(0, len(s), _CHUNK):
@@ -347,9 +347,8 @@ def _np_ratio(a, logk, s):
             den[lo:lo + _CHUNK] += t
             if lk:
                 num[lo:lo + _CHUNK] -= lk * t
-    if not np.all(den != 0):
-        raise ContourTooClose("contour node hit a zero exactly")
-    return np.divide(num, den, out=num)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.divide(num, den, out=num)
 
 
 def _layout(rects):
@@ -393,6 +392,8 @@ def _stabilized(prev, w, resolved):
     distance to the nearest zero over its multiplicity; a level resolves
     when no node comes within _RESOLVE of a panel length by that estimate.
     """
+    if not np.isfinite(w):
+        raise ContourTooClose("contour node hit a zero exactly")
     r = int(round(w.real))
     ok = abs(w.real - r) <= 0.25 and abs(w.imag) <= 0.25
     if ok and resolved and prev == r:
@@ -403,28 +404,28 @@ def _stabilized(prev, w, resolved):
 
 
 def _np_windings(a, logk, rects) -> list:
-    """Winding numbers of a block of rectangles in doubles; a rectangle
-    whose count does not settle gets its QuadratureNotConverged in place of
-    a count.
+    """Winding numbers of a block of rectangles in doubles, each one's
+    verdict: its count, or the ContourTooClose or QuadratureNotConverged it
+    gets in place of one.
 
     One evaluation of |P| at _CONTACT equispaced samples per edge tests
-    every rectangle; ContourTooClose is raised at once if one dips below
-    1e-12 of its largest sample. Then each level evaluates P'/P in one call
-    at the nodes of every rectangle not yet settled, for up to 13 levels. A
-    rectangle keeps its own base << level panels per edge, resolution test
-    and stabilization; rectangles with the same base panels are laid out as
-    one array.
+    every rectangle: one whose samples dip below 1e-12 of its largest is too
+    close. Then each level evaluates P'/P in one call at the nodes of every
+    rectangle not yet settled, for up to 13 levels; a rectangle with a node
+    where P is 0.0 exactly is too close. A rectangle keeps its own base <<
+    level panels per edge, resolution test and stabilization; rectangles
+    with the same base panels are laid out as one array.
     """
     corners, edges, lengths, base = _layout(rects)
     tau = np.arange(_CONTACT) / _CONTACT
     sv = np.abs(_np_values(a, logk, (corners[..., None] + tau * edges[..., None]).ravel()))
     sv = sv.reshape(len(rects), -1)
     amax = sv.max(axis=1)
-    if not np.all(amax > 0) or np.any(sv.min(axis=1) < amax * 1e-12):
-        raise ContourTooClose("polynomial nearly vanishes on the contour")
-    counts = [None] * len(rects)
+    touch = (amax == 0) | (sv.min(axis=1) < amax * 1e-12)
+    counts = [ContourTooClose("polynomial nearly vanishes on the contour") if t else None
+              for t in touch.tolist()]
     prev = [None] * len(rects)
-    active = list(range(len(rects)))
+    active = [i for i, count in enumerate(counts) if count is None]
     for level in range(13):
         if not active:
             break
@@ -453,12 +454,13 @@ def _np_windings(a, logk, rects) -> list:
         for rows, z, wdz, near in laid:
             r = ratio[lo:lo + z.size].reshape(z.shape)
             lo += z.size
-            ws = np.einsum("ij,ij->i", r, wdz) / (2j * np.pi)
-            resolved = (np.abs(r) * near).max(axis=1) <= 1
+            with np.errstate(invalid="ignore"):
+                ws = np.einsum("ij,ij->i", r, wdz) / (2j * np.pi)
+                resolved = (np.abs(r) * near).max(axis=1) <= 1
             for i, w, res in zip(rows, ws.tolist(), resolved.tolist()):
                 try:
                     counts[i], prev[i] = _stabilized(prev[i], w, res)
-                except QuadratureNotConverged as exc:
+                except (ContourTooClose, QuadratureNotConverged) as exc:
                     counts[i] = exc
         active = [i for i in active if counts[i] is None]
     for i in active:
@@ -472,16 +474,16 @@ def _reach(rect: Rectangle) -> float:
 
 
 def _windings(f: _Poly, rects) -> list:
-    """Each rectangle's winding number, as ``winding_count`` gives it.
+    """Each rectangle's verdict: the count ``winding_count`` gives it, or
+    the ContourTooClose or QuadratureNotConverged it raises for it alone.
 
     A rectangle whose terms are normal doubles as it stands is wound on P's
     own coefficients. Any other is wound as the same problem for
     Q(s) = 2^-E P(s + c), c the integer nearest its real centre
     (``_Poly.shifted``), and translated by -c: an exact identity, so the
-    count is P's. Rectangles on the same coefficients are wound together in
-    blocks of _BLOCK (``_np_windings``). Raises ContourTooClose if a shifted
-    rectangle's terms still leave double range or if any rectangle's count
-    would, else QuadratureNotConverged if any count does not settle.
+    count is P's, unless c is too far from the axis or the terms still leave
+    double range. Rectangles on the same coefficients are wound together in
+    blocks of _BLOCK (``_np_windings``).
     """
     if f.P.m == 1:
         return [0] * len(rects)
@@ -491,21 +493,23 @@ def _windings(f: _Poly, rects) -> list:
         groups.setdefault(c, []).append(i)
     counts = [None] * len(rects)
     for c, rows in groups.items():
-        if c is None:
-            a, moved = f.a, [rects[i] for i in rows]
-        else:
-            a, log_asum = f.shifted(c)
-            moved = [_child(r.re_lo - c, r.re_hi - c, r.im_lo, r.im_hi)
-                     for r in (rects[i] for i in rows)]
-            if not all(f.numpy_safe(_reach(r), log_asum) for r in moved):
-                raise ContourTooClose("terms leave double range on the contour")
-        for lo in range(0, len(rows), _BLOCK):
-            block = _np_windings(a, f.logk, moved[lo:lo + _BLOCK])
-            for i, count in zip(rows[lo:lo + _BLOCK], block):
+        a, moved = f.a, [rects[i] for i in rows]
+        if c is not None:
+            try:
+                a, log_asum = f.shifted(c)
+            except ContourTooClose as exc:
+                for i in rows:
+                    counts[i] = exc
+                continue
+            moved = [_child(r.re_lo - c, r.re_hi - c, r.im_lo, r.im_hi) for r in moved]
+            for i, r in zip(rows, moved):
+                if not f.numpy_safe(_reach(r), log_asum):
+                    counts[i] = ContourTooClose("terms leave double range on the contour")
+        todo = [(i, r) for i, r in zip(rows, moved) if counts[i] is None]
+        for lo in range(0, len(todo), _BLOCK):
+            block = todo[lo:lo + _BLOCK]
+            for (i, _), count in zip(block, _np_windings(a, f.logk, [r for _, r in block])):
                 counts[i] = count
-    for count in counts:
-        if isinstance(count, QuadratureNotConverged):
-            raise count
     return counts
 
 
@@ -517,7 +521,10 @@ def winding_count(P, rect, bits: Optional[int] = None) -> int:
     once for all of its windings; its precision then replaces ``bits``.
     """
     f = P if isinstance(P, _Poly) else _Poly(P, resolve_bits(bits))
-    return _windings(f, [_as_rect(rect)])[0]
+    count, = _windings(f, [_as_rect(rect)])
+    if isinstance(count, Exception):
+        raise count
+    return count
 
 
 # =========================================================================
@@ -677,7 +684,8 @@ def _np_newton(f: _Poly, cells, starts) -> list:
     step no longer than _NEWTON_STOP if it lies inside the cell, else None.
     A cell stops stepping, and gives None, once an iterate leaves it widened
     by its own width and height on each side, when P' vanishes or doubles
-    overflow, or after _NEWTON_STEPS steps.
+    overflow, or after _NEWTON_STEPS steps. P and P' are summed row by row,
+    so a cell gets the same iterate whichever cells share its batch.
     """
     x0, x1, y0, y1 = np.array([[float(c.re_lo), float(c.re_hi), float(c.im_lo),
                                 float(c.im_hi)] for c in cells]).T
@@ -690,7 +698,7 @@ def _np_newton(f: _Poly, cells, starts) -> list:
             break
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             t = f.a * np.exp(-np.multiply.outer(z[live], f.logk))
-            p, d = t.sum(axis=1), -(t @ f.logk)
+            p, d = t.sum(axis=1), -(t * f.logk).sum(axis=1)
             ok = np.isfinite(p) & np.isfinite(d)
             hit = ok & (p == 0)
             moving = ok & ~hit & (d != 0)
@@ -742,8 +750,8 @@ def _child(x0: Fraction, x1: Fraction, y0: Fraction, y1: Fraction) -> Rectangle:
     return rect
 
 
-def _split_cell(f: _Poly, cell: Rectangle, w_parent: int):
-    """The cells of a jittered grid cut whose windings sum to the parent's.
+def _split_cell(cell: Rectangle, w_parent: int, retry: int) -> list:
+    """The children of draw ``retry`` of a jittered grid cut of the cell.
 
     A cell at most twice as long as wide is cut 2 x 2. A longer one is cut
     across its long side into k = min(3 (w_parent + 1), long // short)
@@ -755,19 +763,10 @@ def _split_cell(f: _Poly, cell: Rectangle, w_parent: int):
     if long_ > 2 * short:
         k = min(3 * (w_parent + 1), long_ // short)
         nx, ny = (k, 1) if cell.width > cell.height else (1, k)
-    for retry in range(6):
-        rng = random.Random(f"{cell}|{retry}")
-        xs = _cuts(cell.re_lo, cell.re_hi, nx, rng)
-        ys = _cuts(cell.im_lo, cell.im_hi, ny, rng)
-        children = [_child(x0, x1, y0, y1)
-                    for y0, y1 in zip(ys, ys[1:]) for x0, x1 in zip(xs, xs[1:])]
-        try:
-            ws = _windings(f, children)
-        except (ContourTooClose, QuadratureNotConverged):
-            continue
-        if sum(ws) == w_parent:
-            return [(c, w) for c, w in zip(children, ws) if w > 0]
-    raise QuadratureNotConverged(f"cell {cell} would not split additively")
+    rng = random.Random(f"{cell}|{retry}")
+    xs = _cuts(cell.re_lo, cell.re_hi, nx, rng)
+    ys = _cuts(cell.im_lo, cell.im_hi, ny, rng)
+    return [_child(x0, x1, y0, y1) for y0, y1 in zip(ys, ys[1:]) for x0, x1 in zip(xs, xs[1:])]
 
 
 def _polish(f: _Poly, cells, tol) -> list:
@@ -813,8 +812,10 @@ def _zeros_in(f: _Poly, rect: Rectangle, w_total: int, tol) -> list:
     The cells are taken a level of cuts at a time. A cell is polished once
     it holds one zero or no edge exceeds _COARSE, all such cells of a level
     in one ``_polish`` call, and split when it is larger or its polish
-    fails. Raises NonConvergent when distinct zeros cannot be separated at
-    the cluster floor.
+    fails: the children of all cells to split are wound in one ``_windings``
+    call per draw, each cell drawn again until its children's counts add up
+    (QuadratureNotConverged after six draws). Raises NonConvergent when
+    distinct zeros cannot be separated at the cluster floor.
     """
     found = []
     level = [(rect, w_total)]
@@ -822,15 +823,29 @@ def _zeros_in(f: _Poly, rect: Rectangle, w_total: int, tol) -> list:
         ready = [i for i, (cell, w) in enumerate(level)
                  if w == 1 or max(cell.width, cell.height) <= _COARSE]
         hits = dict(zip(ready, _polish(f, [level[i] for i in ready], tol)))
-        nxt = []
+        split = []
         for i, (cell, w) in enumerate(level):
             if hits.get(i) is not None:
                 found.append(hits[i])
                 continue
             if i in hits and max(cell.width, cell.height) <= _CLUSTER_FLOOR:
                 raise NonConvergent(f"could not separate {w} zeros inside {cell}")
-            nxt.extend(_split_cell(f, cell, w))
-        level = nxt
+            split.append((cell, w))
+        kept = [None] * len(split)
+        for retry in range(6):
+            todo = [j for j, k in enumerate(kept) if k is None]
+            if not todo:
+                break
+            draws = [_split_cell(*split[j], retry) for j in todo]
+            ws = iter(_windings(f, [child for children in draws for child in children]))
+            for j, children in zip(todo, draws):
+                got = [next(ws) for _ in children]
+                if all(isinstance(w, int) for w in got) and sum(got) == split[j][1]:
+                    kept[j] = [(c, w) for c, w in zip(children, got) if w > 0]
+        if None in kept:
+            cell, _ = split[kept.index(None)]
+            raise QuadratureNotConverged(f"cell {cell} would not split additively")
+        level = [piece for k in kept for piece in k]
     if sum(m for _, m in found) != w_total:
         raise NonConvergent(
             f"located multiplicities sum to {sum(m for _, m in found)}, "
@@ -863,11 +878,11 @@ def find_zeros(P: DirichletPolynomial, rect, tol=None,
                    residuals=residuals)
 
 
-def _on_line(zeros, r, line_tol) -> list:
+def _on_line(zeros, r, line_tol, bits: int) -> list:
     """(ordinate, multiplicity) of the (zero, multiplicity) pairs whose real
-    part is within line_tol of r, by height."""
+    part is within line_tol of r, by height, compared at bits."""
     r_q = as_fraction(r)
-    with working(resolve_bits(None)):
+    with working(bits):
         r_mp = fraction_to_mpf(r_q)
         tol = to_mp(line_tol)
         out = [(mp.im(z), m) for (z, m) in zeros if abs(mp.re(z) - r_mp) <= tol]
@@ -876,7 +891,7 @@ def _on_line(zeros, r, line_tol) -> list:
 
 def zeros_on_line(zs: ZeroSet, r, line_tol) -> list:
     """Ordinates of the zeros whose real part is within line_tol of r."""
-    return [t for t, _ in _on_line(zs.zeros, r, line_tol)]
+    return [t for t, _ in _on_line(zs.zeros, r, line_tol, resolve_bits(None))]
 
 
 # =========================================================================
@@ -933,7 +948,7 @@ def constant_C(P: DirichletPolynomial, r, T, line_tol, bits: Optional[int] = Non
             continue
         with working(bits):
             T_mp = fraction_to_mpf(T_f)
-            on = [(t, m) for t, m in _on_line(found, r_q, line_tol_q) if abs(t) <= T_mp]
+            on = [(t, m) for t, m in _on_line(found, r_q, line_tol_q, bits) if abs(t) <= T_mp]
             partial = mp.fsum(1 / (mpf(1) / 4 + t * t) for t, _ in on)
             density = mpf(3) / 2 * mp.log(P.m) / (2 * mp.pi)
             tail = density * 2 / T_mp

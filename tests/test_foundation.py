@@ -14,9 +14,7 @@ from xdp.exact import GaussianRational, as_fraction, fraction_to_mpf, to_mp
 from xdp.numio import mp_to_str, str_to_mp
 from xdp.precision import (
     DEFAULT_PRECISION_BITS,
-    get_default_precision,
     resolve_bits,
-    set_default_precision,
     working,
 )
 
@@ -84,13 +82,10 @@ def test_to_mp_real_vs_complex():
 
 
 def test_precision_policy():
-    assert get_default_precision() == DEFAULT_PRECISION_BITS == 256
-    assert resolve_bits(None) == 256
+    assert resolve_bits(None) == DEFAULT_PRECISION_BITS == 256
     assert resolve_bits(128) == 128
     with pytest.raises(ValueError):
         resolve_bits(32)
-    with pytest.raises(ValueError):
-        set_default_precision(16)
     ambient = mp.prec
     with working(512):
         assert mp.prec == 512

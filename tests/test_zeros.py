@@ -309,29 +309,78 @@ def test_find_zeros_residuals_match_dp_eval():
 
 def test_split_cell_cuts_a_long_cell_into_thirds_of_a_zero(monkeypatch):
     # a strip of height 100 and width 2 with 11 zeros: 3 (11 + 1) = 36
-    # pieces, fewer than 100 // 2 = 50, wound in one batch; a square cell is
-    # cut 2 x 2
+    # pieces, fewer than 100 // 2 = 50; a square cell is cut 2 x 2
+    strip = Rectangle(-1, 1, Fraction(1, 2), Fraction(201, 2))
+    pieces = zeros._split_cell(strip, 11, 0)
+    assert len(pieces) == 36
+    assert all(c.re_lo == -1 and c.re_hi == 1 for c in pieces)
+    assert [c.im_lo for c in pieces[1:]] == [c.im_hi for c in pieces[:-1]]
+    assert (pieces[0].im_lo, pieces[-1].im_hi) == (strip.im_lo, strip.im_hi)
+    assert len(zeros._split_cell(Rectangle(-1, 1, -1, 2), 1, 0)) == 4
+    # the level loop winds those pieces in one batch and polishes the 11
+    # that hold a zero, one each, as the next level
     f = zeros._Poly(P_BASE, 128)
-    batches = []
+    batches, levels = [], []
+    real_windings, real_polish = zeros._windings, zeros._polish
+
+    def windings(f, rects):
+        batches.append(list(rects))
+        return real_windings(f, rects)
+
+    def polish(f, cells, tol):
+        levels.append(list(cells))
+        return real_polish(f, cells, tol)
+
+    monkeypatch.setattr(zeros, "_windings", windings)
+    monkeypatch.setattr(zeros, "_polish", polish)
+    with working(128):
+        zeros._zeros_in(f, strip, 11, mpf(2) ** -64)
+    assert batches == [pieces]
+    assert levels[0] == []
+    assert all(c in pieces for c, _ in levels[1])
+    assert [w for _, w in levels[1]] == [1] * 11
+
+
+def test_constant_c_winds_each_level_in_one_call(monkeypatch):
+    # the double zeros of (1 - 2^-s)^2 up to T = 1000, 221 on the line: the
+    # 4619 rectangles of the strip and its cuts take one call per draw of
+    # each level, not one per cut cell
+    calls = []
     real = zeros._windings
 
     def spy(f, rects):
-        batches.append(list(rects))
+        calls.append(len(rects))
         return real(f, rects)
 
     monkeypatch.setattr(zeros, "_windings", spy)
-    strip = Rectangle(-1, 1, Fraction(1, 2), Fraction(201, 2))
-    kept = zeros._split_cell(f, strip, 11)
-    wound, = batches
-    assert len(wound) == 36
-    assert all(c.re_lo == -1 and c.re_hi == 1 for c in wound)
-    assert [c.im_lo for c in wound[1:]] == [c.im_hi for c in wound[:-1]]
-    assert (wound[0].im_lo, wound[-1].im_hi) == (strip.im_lo, strip.im_hi)
-    assert sorted(w for _, w in kept) == [1] * 11
-    batches.clear()
-    zeros._split_cell(f, Rectangle(-1, 1, -1, 2), 1)
-    wound, = batches
-    assert len(wound) == 4
+    c = constant_C(P_SQ, 0, 1000, Fraction(1, 10 ** 9), bits=128)
+    assert len(c.ordinates) == 221 and set(c.multiplicities) == {2}
+    assert len(calls) <= 10
+    assert sum(calls) == 4619
+
+
+def test_windings_give_each_rectangle_its_own_verdict():
+    # hit: its bottom edge passes through the zero of P_BASE at 0, where its
+    # last level-0 node lands exactly, so P is 0.0 there in doubles; touch:
+    # the zero at 0 is on its right edge; far: no shift reaches it; wide:
+    # out of double range after its shift
+    tau = zeros._unit_nodes(1)[0][-1]
+    hit = Rectangle(-Fraction(tau), 1 - Fraction(tau), 0, 1)
+    touch = Rectangle(-1, 0, -1, 1)
+    far = Rectangle(-10 ** 7 - 2, -10 ** 7, 0, 1)
+    wide = Rectangle(-900, 900, 1, 5)
+    clean = Rectangle(-1, 1, 8, 10)
+    f = zeros._Poly(P_BASE, 128)
+    got = zeros._windings(f, [hit, touch, far, wide, clean])
+    assert [type(v) for v in got[:4]] == [ContourTooClose] * 4
+    assert [str(v) for v in got[:4]] == [
+        "contour node hit a zero exactly", "polynomial nearly vanishes on the contour",
+        f"Re s = {-10 ** 7 - 1:.6g} is too far from the axis",
+        "terms leave double range on the contour"]
+    assert got[4] == winding_count(f, clean) == 1
+    for rect in (hit, touch, far, wide):
+        with pytest.raises(ContourTooClose):
+            winding_count(f, rect)
 
 
 def _one_by_one(f, rects):
@@ -366,16 +415,10 @@ def test_batch_matches_each_rectangles_own_count(P, nx, ny, seed, through_zero, 
     own = _one_by_one(f, rects)
     saved, zeros._BLOCK = zeros._BLOCK, block
     try:
-        if ContourTooClose in own:
-            with pytest.raises(ContourTooClose):
-                zeros._windings(f, rects)
-        elif QuadratureNotConverged in own:
-            with pytest.raises(QuadratureNotConverged):
-                zeros._windings(f, rects)
-        else:
-            assert zeros._windings(f, rects) == own
+        got = zeros._windings(f, rects)
     finally:
         zeros._BLOCK = saved
+    assert [type(v) if isinstance(v, Exception) else v for v in got] == own
 
 
 def test_zeros_on_line():
@@ -523,6 +566,23 @@ def test_constant_c_ordinates_sorted_disjoint():
     assert ts == sorted(ts)
     assert all(b - a > 1 for a, b in zip(ts, ts[1:]))
     assert len(ts) == 9               # k = -4..4
+
+
+def test_double_newton_alone_equals_its_row_in_the_batch():
+    # Newton with multiplicity 1 creeps to the triple zeros of P_CUBE, so
+    # the last bits of P' at each step decide the double start a cell gets:
+    # they must not depend on which other cells share the batch
+    f = zeros._Poly(P_CUBE, 128)
+    cells = []
+    for k in range(1, 13):
+        y = Fraction(round(float(lattice_t(k)) * 1000) + 37, 1000)
+        cells.append(Rectangle(Fraction(-1, 8), Fraction(1, 9), y - Fraction(1, 8),
+                               y + Fraction(1, 7)))
+    starts = [complex(float(c.re_lo + c.re_hi) / 2, float(c.im_lo + c.im_hi) / 2)
+              for c in cells]
+    batch = zeros._np_newton(f, cells, starts)
+    assert any(z is not None for z in batch)
+    assert [zeros._np_newton(f, [c], [z])[0] for c, z in zip(cells, starts)] == batch
 
 
 def test_polish_keeps_zero_when_first_step_leaves_cell():
