@@ -95,7 +95,10 @@ def load_gram(cache_dir, P: DirichletPolynomial, r, bits: int,
 
 def cache_gc(cache_dir, max_bytes: int) -> int:
     """Evict least-recently-used entries until the directory fits. Returns
-    the number of files removed."""
+    the number of files removed. max_bytes = 0 evicts every entry; a
+    negative limit is refused."""
+    if max_bytes < 0:
+        raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
     directory = Path(cache_dir)
     if not directory.is_dir():
         return 0

@@ -1,5 +1,9 @@
 """Command-line interface.
 
+Each subcommand reads its flags (through ``_load_cfg`` where they are
+config keys), calls one library function and writes its result once, through
+``_emit``: the library computes and opens no file.
+
 Exit codes: 0 success, 1 configuration or I/O problems (including bad
 flags), 2 mathematical failures (singular systems, contour trouble,
 precision exhaustion, failed acceptance criteria).
@@ -10,18 +14,15 @@ import json
 import sys
 from typing import Optional
 
-from mpmath import mp, mpf
-
 from .acceptance import run_acceptance
-from .config import config_from_json, load_config, parse_rect
-from .dpcore import DirichletPolynomial
+from .config import config_from_json, load_config
 from .errors import XdpError
 from .exact import as_fraction, to_mp
-from .experiments import (_write_sweep, constant_c_json, decay_fit_json,
+from .experiments import (_sweep_text, constant_c_json, decay_fit_json,
                           report_to_json, run_criterion_report, run_decay_fit,
                           run_distance_sweep, zero_report_json)
 from .cache import cache_gc
-from .lubinsky import kernel_asymptotics_report, min_norm, psi_eval
+from .lubinsky import kernel_asymptotics_report, min_norm
 from .numio import mp_to_str
 from .precision import resolve_bits, working
 from .zeros import constant_C, find_zeros
@@ -119,10 +120,16 @@ def _load_cfg(args, extra: Optional[dict] = None):
     return config_from_json({}, overrides)
 
 
-def _emit(payload: dict, out: Optional[str]) -> None:
-    text = json.dumps(payload, indent=1)
+def _emit(result, out: Optional[str]) -> None:
+    """Write a subcommand's result to the file out, or to stdout when out is
+    None: ready text as it is, a JSON payload with indent 1. A payload
+    printed to stdout ends with a newline; its file does not."""
+    if isinstance(result, str):
+        text, end = result, ""
+    else:
+        text, end = json.dumps(result, indent=1), "\n"
     if out is None:
-        print(text)
+        sys.stdout.write(text + end)
     else:
         with open(out, "w") as fh:
             fh.write(text)
@@ -130,34 +137,28 @@ def _emit(payload: dict, out: Optional[str]) -> None:
 
 def _cmd_distance(args) -> int:
     cfg = _load_cfg(args)
-    rows = run_distance_sweep(cfg)
-    if cfg.output is None:
-        _write_sweep(rows, cfg.format, sys.stdout)
+    _emit(_sweep_text(run_distance_sweep(cfg), cfg.format), cfg.output)
     return 0
 
 
 def _cmd_zeros(args) -> int:
     if args.poly is None or args.rect is None:
         raise _UsageError("zeros needs --poly and --rect")
-    P = DirichletPolynomial.parse(args.poly)
-    bits = resolve_bits(args.precision)
-    rect = parse_rect(args.rect)
+    cfg = _load_cfg(args)
+    P = cfg.polynomial()
     tol = as_fraction(args.tol) if args.tol is not None else None
-    zs = find_zeros(P, rect, tol=tol, bits=bits)
-    _emit(zero_report_json(P, zs, bits), args.out)
+    zs = find_zeros(P, cfg.rect, tol=tol, bits=cfg.precision_bits)
+    _emit(zero_report_json(P, zs, cfg.precision_bits), cfg.output)
     return 0
 
 
 def _cmd_constant_c(args) -> int:
     if args.poly is None or args.height is None:
         raise _UsageError("constant-c needs --poly and --height")
-    P = DirichletPolynomial.parse(args.poly)
-    bits = resolve_bits(args.precision)
-    r = as_fraction(args.r) if args.r is not None else 0
-    line_tol = as_fraction(args.line_tol) if args.line_tol is not None \
-        else as_fraction("1e-9")
-    c = constant_C(P, r, as_fraction(args.height), line_tol, bits=bits)
-    _emit(constant_c_json(c, bits), args.out)
+    cfg = _load_cfg(args)
+    c = constant_C(cfg.polynomial(), cfg.r, cfg.T, cfg.line_tol,
+                   bits=cfg.precision_bits)
+    _emit(constant_c_json(c, cfg.precision_bits), cfg.output)
     return 0
 
 
@@ -171,45 +172,29 @@ def _cmd_lubinsky(args) -> int:
     for row in rows:
         lines.append(f"{row.n},{u_str},{mp_to_str(row.value, bits)},"
                      f"{mp_to_str(row.ratio, bits)}")
-    text = "\n".join(lines) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
 def _cmd_min_norm(args) -> int:
     bits = resolve_bits(args.precision)
-    with working(bits):
-        ts = [to_mp(as_fraction(p)) for p in args.t.split(",")]
-        sol = min_norm(args.n, ts, bits=bits, with_coeffs=True)
-        worst = mpf(0)
-        for t in ts:
-            val = mp.fsum(c * psi_eval(k + 1, t, bits=bits)
-                          for k, c in enumerate(sol.coeffs))
-            worst = max(worst, abs(val - 1))
+    sol = min_norm(args.n, [as_fraction(p) for p in args.t.split(",")], bits)
     _emit({"n": args.n,
-           "t": [mp_to_str(t, bits) for t in ts],
+           "t": [mp_to_str(t, bits) for t in sol.t],
            "value": mp_to_str(sol.value, bits),
-           "interp_residual": mp_to_str(worst, bits)}, args.out)
+           "interp_residual": mp_to_str(sol.residual, bits)}, args.out)
     return 0
 
 
 def _cmd_report(args) -> int:
     cfg = _load_cfg(args)
-    rep = run_criterion_report(cfg)
-    if cfg.output is None:
-        _emit(report_to_json(rep, cfg.precision_bits), None)
+    _emit(report_to_json(run_criterion_report(cfg), cfg.precision_bits), cfg.output)
     return 0
 
 
 def _cmd_decay_fit(args) -> int:
     cfg = _load_cfg(args)
-    fit = run_decay_fit(cfg)
-    if cfg.output is None:
-        _emit(decay_fit_json(fit), None)
+    _emit(decay_fit_json(run_decay_fit(cfg)), cfg.output)
     return 0
 
 
@@ -220,17 +205,16 @@ def _cmd_validate(args) -> int:
     if args.criteria is not None:
         indices = tuple(int(p) for p in args.criteria.split(","))
     results = run_acceptance(indices)
-    failed = 0
-    for res in results:
-        status = "PASS" if res.passed else "FAIL"
-        print(f"{status} {res.index:2d} {res.name} ({res.elapsed:.2f}s): {res.detail}")
-        failed += 0 if res.passed else 1
-    print(f"{len(results) - failed}/{len(results)} criteria passed")
+    failed = sum(not res.passed for res in results)
+    lines = [f"{'PASS' if res.passed else 'FAIL'} {res.index:2d} {res.name} "
+             f"({res.elapsed:.2f}s): {res.detail}\n" for res in results]
+    lines.append(f"{len(results) - failed}/{len(results)} criteria passed\n")
+    _emit("".join(lines), None)
     return 0 if failed == 0 else 2
 
 
 def _cmd_cache_gc(args) -> int:
-    print(cache_gc(args.cache_dir, args.max_bytes))
+    _emit(f"{cache_gc(args.cache_dir, args.max_bytes)}\n", None)
     return 0
 
 

@@ -7,7 +7,7 @@ from typing import Optional
 
 from .dpcore import DirichletPolynomial
 from .exact import as_fraction
-from .precision import MIN_PRECISION_BITS
+from .precision import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS
 from .zeros import Rectangle
 
 DEFAULT_SCHEDULE = (1, 2, 4, 8, 16, 32, 64, 128, 256)
@@ -93,10 +93,10 @@ class ExperimentConfig:
     poly: str
     r: Fraction = Fraction(0)
     n_schedule: tuple = DEFAULT_SCHEDULE
-    precision_bits: int = 256
+    precision_bits: int = DEFAULT_PRECISION_BITS
     rect: Optional[Rectangle] = None
     T: Optional[Fraction] = None
-    output: Optional[str] = None
+    output: Optional[str] = None        # written by the CLI, not by the library
     format: str = "csv"
     cache_dir: Optional[str] = None
     line_tol: Fraction = Fraction(1, 10 ** 9)

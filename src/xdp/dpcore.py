@@ -121,26 +121,6 @@ class DirichletPolynomial:
     def to_text(self) -> str:
         return ",".join(f"{k}:{_format_coeff(a)}" for k, a in self.items())
 
-    def to_json(self) -> dict:
-        return {"coeffs": [[k, str(a.re), str(a.im)] for k, a in self.items()]}
-
-    @classmethod
-    def from_json(cls, obj) -> "DirichletPolynomial":
-        if isinstance(obj, str):
-            return cls.parse(obj)
-        rows = obj["coeffs"] if isinstance(obj, dict) else obj
-        entries: dict[int, GaussianRational] = {}
-        for row in rows:
-            k, re_v, im_v = row
-            k = int(k)
-            if k < 1 or k in entries:
-                raise ValueError(f"bad coefficient index {k}")
-            entries[k] = GaussianRational(as_fraction(re_v), as_fraction(im_v))
-        if 1 not in entries:
-            raise ValueError("coefficient list must define a_1")
-        top = max(entries)
-        return cls([entries.get(k, GaussianRational(0)) for k in range(1, top + 1)])
-
     def __eq__(self, other):
         if not isinstance(other, DirichletPolynomial):
             return NotImplemented

@@ -1,16 +1,17 @@
 """Experiment orchestration: sweeps, criterion reports, decay fits.
 
-Everything here is deterministic for a fixed config and cache state: numeric
-output goes through the exact decimal round-trip serializers, so a warm-cache
-rerun reproduces output files byte for byte.
+The run_* functions compute and open no file; ``_sweep_text`` and the
+``*_json`` functions give the text and JSON forms of their results, and the
+CLI writes them. Everything here is deterministic for a fixed config and
+cache state: numeric output goes through the exact decimal round-trip
+serializers, so a warm-cache rerun reproduces the CLI's output byte for byte.
 """
 
 import csv
+import io
 import json
 import math
-from dataclasses import dataclass, replace
-from fractions import Fraction
-from typing import Optional
+from dataclasses import dataclass
 
 from mpmath import mp, mpf
 
@@ -39,7 +40,7 @@ class SweepRow:
 
 
 def run_distance_sweep(cfg: ExperimentConfig) -> list:
-    """One SweepRow per scheduled n; writes cfg.output when set.
+    """One SweepRow per scheduled n.
 
     With cfg.cache_dir, a stored profile covering the schedule is used as
     stored, at the precision it was computed at; on a miss the audited
@@ -67,13 +68,10 @@ def run_distance_sweep(cfg: ExperimentConfig) -> list:
                                  d_squared_times_log_n=d2 * mp.log(n),
                                  precision_bits=used,
                                  min_pivot=running[n - 1]))
-    if cfg.output is not None:
-        with open(cfg.output, "w", newline="") as fh:
-            _write_sweep(rows, cfg.format, fh)
     return rows
 
 
-def _write_sweep(rows, fmt: str, fh) -> None:
+def _sweep_text(rows, fmt: str) -> str:
     """The sweep as CSV or JSON text; each row at its own precision."""
     def fmt_row(row):
         bits = row.precision_bits
@@ -84,14 +82,15 @@ def _write_sweep(rows, fmt: str, fh) -> None:
                 "min_pivot": mp_to_str(row.min_pivot, bits)}
 
     if fmt == "json":
-        json.dump({"columns": list(SWEEP_COLUMNS), "rows": [fmt_row(r) for r in rows]},
-                  fh, indent=1)
-    else:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SWEEP_COLUMNS)
-        for row in rows:
-            d = fmt_row(row)
-            writer.writerow([d[c] for c in SWEEP_COLUMNS])
+        return json.dumps({"columns": list(SWEEP_COLUMNS),
+                           "rows": [fmt_row(r) for r in rows]}, indent=1)
+    fh = io.StringIO()
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(SWEEP_COLUMNS)
+    for row in rows:
+        d = fmt_row(row)
+        writer.writerow([d[c] for c in SWEEP_COLUMNS])
+    return fh.getvalue()
 
 
 # =========================================================================
@@ -109,30 +108,25 @@ class DecayFit:
 def run_decay_fit(cfg: ExperimentConfig) -> DecayFit:
     """Least-squares slope of log d^2 against log n over the schedule's
     upper half; all-zero (or any exactly-zero) tail reports slope -inf."""
-    rows = tuple(run_distance_sweep(replace(cfg, output=None)))
+    rows = tuple(run_distance_sweep(cfg))
     half = cfg.n_schedule[len(cfg.n_schedule) // 2:]
     chosen = [row for row in rows if row.n in half]
     if any(row.d_squared <= 0 for row in chosen):
-        fit = DecayFit(slope=float("-inf"), residual=0.0, n_used=tuple(half),
-                       rows=rows)
-    else:
-        xs = [math.log(row.n) for row in chosen]
-        ys = [math.log(float(row.d_squared)) for row in chosen]
-        nn = len(xs)
-        mx = sum(xs) / nn
-        my = sum(ys) / nn
-        var = sum((x - mx) ** 2 for x in xs)
-        if var == 0:
-            raise ValueError("decay fit needs at least two distinct n")
-        slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / var
-        inter = my - slope * mx
-        rss = sum((y - (inter + slope * x)) ** 2 for x, y in zip(xs, ys))
-        fit = DecayFit(slope=slope, residual=math.sqrt(rss / nn),
-                       n_used=tuple(half), rows=rows)
-    if cfg.output is not None:
-        with open(cfg.output, "w") as fh:
-            json.dump(decay_fit_json(fit), fh, indent=1)
-    return fit
+        return DecayFit(slope=float("-inf"), residual=0.0, n_used=tuple(half),
+                        rows=rows)
+    xs = [math.log(row.n) for row in chosen]
+    ys = [math.log(float(row.d_squared)) for row in chosen]
+    nn = len(xs)
+    mx = sum(xs) / nn
+    my = sum(ys) / nn
+    var = sum((x - mx) ** 2 for x in xs)
+    if var == 0:
+        raise ValueError("decay fit needs at least two distinct n")
+    slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / var
+    inter = my - slope * mx
+    rss = sum((y - (inter + slope * x)) ** 2 for x, y in zip(xs, ys))
+    return DecayFit(slope=slope, residual=math.sqrt(rss / nn),
+                    n_used=tuple(half), rows=rows)
 
 
 def decay_fit_json(fit: DecayFit) -> dict:
@@ -166,7 +160,7 @@ def run_criterion_report(cfg: ExperimentConfig) -> CriterionReport:
     strip = strip_bounds(P, bits=bits)
     zs = find_zeros(P, cfg.rect, bits=bits)
     C = constant_C(P, cfg.r, cfg.T, cfg.line_tol, bits=bits)
-    rows = run_distance_sweep(replace(cfg, output=None))
+    rows = run_distance_sweep(cfg)
     distances = tuple(DistanceResult(n=row.n, r=cfg.r, d_squared=row.d_squared,
                                      method="det-ratio", coeffs=None,
                                      precision_bits=row.precision_bits)
@@ -228,13 +222,9 @@ def run_criterion_report(cfg: ExperimentConfig) -> CriterionReport:
         verdict = "consistent-zero-free"
     else:
         verdict = "inconclusive"
-    report = CriterionReport(strip=strip, zeros_found=zs, C=C,
-                             distances=distances, verdict=verdict,
-                             evidence=tuple(evidence))
-    if cfg.output is not None:
-        with open(cfg.output, "w") as fh:
-            json.dump(report_to_json(report, bits), fh, indent=1)
-    return report
+    return CriterionReport(strip=strip, zeros_found=zs, C=C,
+                           distances=distances, verdict=verdict,
+                           evidence=tuple(evidence))
 
 
 def zero_report_json(P: DirichletPolynomial, zs: ZeroSet, bits: int) -> dict:

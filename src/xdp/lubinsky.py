@@ -12,8 +12,10 @@ value 1^T H^{-1} 1 lower-bounds the approximation distances computed in
 from its exact kernel sums to ``linalg.ldl_profile`` by one shift, with no
 mpf matrix on the way, and passes the audit that every d^2 passes: a pivot
 in the indeterminate band rebuilds H at doubled precision, and a dropped
-pivot raises NSingular. The value and the coefficients come from the same
-integer factorization. The kernel sums themselves are exact integers: each
+pivot raises NSingular. The value, the coefficients and the interpolation
+residual come from the same integer factorization; the residual is
+max_i |(S x)_i - 1| on the kernel sums S themselves, with no second pass
+over psi. The kernel sums themselves are exact integers: each
 block of stream rows is summed in one float64 product of 16-bit limbs,
 exact by its size bound (_kernel_sums).
 
@@ -34,7 +36,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 from mpmath import bernfrac, mp, mpc, mpf
-from mpmath.libmp import from_man_exp, round_nearest
+from mpmath.libmp import from_int, from_man_exp, mpf_shift, mpf_sqrt, round_nearest
 
 from .dpcore import _prime_phase, _spf_sieve
 from .errors import DuplicateOrdinates, NSingular, RemainderNotProven
@@ -392,10 +394,32 @@ def kernel_matrix(n: int, t: Sequence, bits: Optional[int] = None) -> KernelMatr
 
 @dataclass(frozen=True)
 class MinNormSolution:
+    """value = 1^T H^{-1} 1, and residual = max_i |sum_k c_k psi_k(t_i) - 1|
+    for the exact coefficients of x = H^{-1} 1; both rounded once at bits.
+    coeffs, those coefficients rounded once each, only on request."""
+
     value: mpf
+    residual: mpf
     coeffs: Optional[list]
     n: int
     t: tuple
+
+
+def _interp_residual(S, xs, P: int, bits: int):
+    """max_i |(S x)_i - 1| from the kernel sums S at 2^-2P and x at 2^-P.
+
+    S_ij = sum_k psi_k(t_i) conj(psi_k(t_j)) exactly, so (S x)_i is
+    sum_k c_k psi_k(t_i) for c_k = sum_j conj(psi_k(t_j)) x_j: the
+    interpolation residual of the coefficients, an exact Gaussian integer at
+    2^-3P. The largest modulus is rounded once, to nearest, at bits.
+    """
+    one = 1 << (3 * P)
+    worst = 0
+    for row in S:
+        re = sum(a * xr - b * xi for (a, b), (xr, xi) in zip(row, xs)) - one
+        im = sum(a * xi + b * xr for (a, b), (xr, xi) in zip(row, xs))
+        worst = max(worst, re * re + im * im)
+    return mp.make_mpf(mpf_shift(mpf_sqrt(from_int(worst), bits, round_nearest), -3 * P))
 
 
 def _min_norms(grid: Sequence[int], t: Sequence, bits: int, with_coeffs: bool = False):
@@ -404,27 +428,30 @@ def _min_norms(grid: Sequence[int], t: Sequence, bits: int, with_coeffs: bool = 
 
     H enters ``linalg.audited_profile`` as its sums shifted to the fixed
     point: a pivot in the band rebuilds H from a new pass at doubled
-    precision, and a dropped pivot gives NSingular with the smallest pivot.
-    value = 1^T H^{-1} 1 is the factorization's unclamped sum of
-    |z_i|^2 / p_i, rounded once at bits. Each coefficient conj(psi_k) . x,
-    with x = H^{-1} 1 by back-substitution in the same integers, is summed
-    exactly against the stream at the audited precision and rounded once.
+    precision, with its own sums, and a dropped pivot gives NSingular with
+    the smallest pivot. value = 1^T H^{-1} 1 is the factorization's
+    unclamped sum of |z_i|^2 / p_i, rounded once at bits. x = H^{-1} 1 comes
+    by back-substitution in the same integers, and the residual from x and
+    the sums of the audited build (_interp_residual). Each coefficient
+    conj(psi_k) . x is summed exactly against the stream at the audited
+    precision and rounded once.
     """
     ts, sums = _kernel_grid(grid, t, bits)
     for n, S in sums:
 
         def build(p):
-            return _fixed_kernel(S if p == bits else next(_kernel_sums([n], ts, p))[1], p)
+            Sp = S if p == bits else next(_kernel_sums([n], ts, p))[1]
+            return (*_fixed_kernel(Sp, p), Sp)
 
-        _, prof, used = audited_profile(build, bits)
+        (_, _, S_used), prof, used = audited_profile(build, bits)
         if prof.dropped:
             i = min(range(len(prof.pivots)), key=prof.pivots.__getitem__)
             yield NSingular(i, prof.pivots[i])
             continue
         P = used + _GUARD
+        xs = prof.solve()
         coeffs = None
         if with_coeffs:
-            xs = prof.solve()
             coeffs = []
             for psi in _psi_stream(n, ts, P):
                 cr = sum(pr * xr + pi * xi for (pr, pi), (xr, xi) in zip(psi, xs))
@@ -432,6 +459,7 @@ def _min_norms(grid: Sequence[int], t: Sequence, bits: int, with_coeffs: bool = 
                 coeffs.append(mp.make_mpc((_rounded(cr, -2 * P, bits),
                                            _rounded(ci, -2 * P, bits))))
         yield MinNormSolution(value=mp.make_mpf(_rounded(prof.inner, -P, bits)),
+                              residual=_interp_residual(S_used, xs, P, bits),
                               coeffs=coeffs, n=n, t=ts)
 
 
@@ -442,7 +470,9 @@ def min_norm(n: int, t: Sequence, bits: Optional[int] = None,
     The optimum is value = 1^T H^{-1} 1; it lower-bounds the squared
     approximation distances whenever the t_i are ordinates of critical-line
     zeros and H is the corresponding kernel matrix. H passes the d^2 pivot
-    audit: a pivot below 2^{-p/2} of the largest raises NSingular.
+    audit: a pivot below 2^{-p/2} of the largest raises NSingular. The
+    residual, how far the exact coefficients miss 1 at the ordinates, comes
+    with every solution; the coefficients themselves only with with_coeffs.
     """
     sol = next(_min_norms([n], t, resolve_bits(bits), with_coeffs))
     if isinstance(sol, NSingular):

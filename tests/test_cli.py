@@ -11,7 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+from xdp import lubinsky
 from xdp.cli import main
+from xdp.lubinsky import min_norm
+from xdp.numio import mp_to_str
 from xdp.precision import working
 
 
@@ -122,6 +125,24 @@ def test_min_norm_json(tmp_path):
                  "--out", str(tmp_path / "m2.json")]) == 2
 
 
+def test_min_norm_prints_the_library_residual(monkeypatch, capsys):
+    # one pass of the stream: the residual comes from the kernel sums the
+    # value is factored from, with no second evaluation of psi
+    passes = []
+    stream = lubinsky._psi_stream
+
+    def spy(n, ts, P):
+        passes.append(n)
+        return stream(n, ts, P)
+    monkeypatch.setattr(lubinsky, "_psi_stream", spy)
+    assert main(["min-norm", "--n", "40", "--t", "0,5/2,-7", "--precision", "128"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert passes == [40]
+    sol = min_norm(40, [Fraction(0), Fraction(5, 2), Fraction(-7)], bits=128)
+    assert payload["interp_residual"] == mp_to_str(sol.residual, 128)
+    assert payload["value"] == mp_to_str(sol.value, 128)
+
+
 @pytest.mark.parametrize("n", [0, -3])
 def test_min_norm_order_below_one_exits_1(n, capsys):
     # a single n is not a grid, and the message says so
@@ -203,6 +224,19 @@ def test_cache_gc_cli(tmp_path, capsys):
     assert main(["cache-gc", "--cache-dir", str(tmp_path),
                  "--max-bytes", "1000"]) == 0
     assert "0" in capsys.readouterr().out
+
+
+def test_cache_gc_refuses_a_negative_limit(tmp_path, capsys):
+    entry = tmp_path / "xdp-gram-0.json"
+    entry.write_text("{}")
+    argv = ["cache-gc", "--cache-dir", str(tmp_path), "--max-bytes"]
+    assert main(argv + ["-1"]) == 1
+    assert entry.exists()
+    assert capsys.readouterr().err == "xdp: max_bytes must be >= 0, got -1\n"
+    # 0 still evicts every entry
+    assert main(argv + ["0"]) == 0
+    assert capsys.readouterr().out == "1\n"
+    assert not entry.exists()
 
 
 def test_config_file_with_flag_override(tmp_path):

@@ -70,15 +70,6 @@ def test_parse_and_canonical_text():
         DirichletPolynomial.parse("1:1,1:2")  # duplicate index
 
 
-def test_json_form_roundtrip():
-    q = DirichletPolynomial.parse("1:1,3:-1/3+2i")
-    j = q.to_json()
-    assert DirichletPolynomial.from_json(j) == q
-    # numeric entries accepted on read
-    p = DirichletPolynomial.from_json({"coeffs": [[1, 1, 0], [2, -1, 0]]})
-    assert p == P_BASE
-
-
 coeff_ints = st.integers(min_value=-4, max_value=4)
 
 

@@ -1,6 +1,7 @@
 """Sweep, report, and fit orchestration."""
 
 import csv
+import io
 import json
 import math
 from fractions import Fraction
@@ -10,8 +11,9 @@ from mpmath import mp, mpf
 
 from fixedpoint import fixed_system
 from xdp import distance, linalg
+from xdp.cli import main
 from xdp.config import ExperimentConfig
-from xdp.experiments import (CriterionReport, run_criterion_report,
+from xdp.experiments import (CriterionReport, _sweep_text, run_criterion_report,
                              run_decay_fit, run_distance_sweep)
 from xdp.precision import working
 
@@ -24,14 +26,12 @@ def _cfg(**kw):
     return ExperimentConfig(**kw)
 
 
-def test_sweep_trivial_polynomial_all_zero(tmp_path):
-    out = tmp_path / "sweep.csv"
-    cfg = _cfg(poly="1:1", r=0, n_schedule=(1, 2, 4), output=str(out))
+def test_sweep_trivial_polynomial_all_zero():
+    cfg = _cfg(poly="1:1", r=0, n_schedule=(1, 2, 4))
     rows = run_distance_sweep(cfg)
     assert [row.n for row in rows] == [1, 2, 4]
     assert all(row.d_squared == 0 for row in rows)
-    with out.open() as fh:
-        data = list(csv.reader(fh))
+    data = list(csv.reader(io.StringIO(_sweep_text(rows, "csv"))))
     assert data[0] == HEADER
     assert len(data) == 4
     assert data[1][1] == "0.0"
@@ -54,11 +54,12 @@ def test_sweep_pinned_value_and_logn_column():
 def test_sweep_warm_cache_identical_bytes(tmp_path):
     out = tmp_path / "sweep.csv"
     cache = tmp_path / "cache"
-    cfg = _cfg(r=0, n_schedule=(1, 2, 4), output=str(out), cache_dir=str(cache))
-    run_distance_sweep(cfg)
+    argv = ["distance", "--poly", "1:1,2:-1", "--r", "0", "--schedule", "1,2,4",
+            "--precision", "128", "--cache-dir", str(cache), "--out", str(out)]
+    assert main(argv) == 0
     cold = out.read_bytes()
     assert len(list(cache.glob("*.json"))) == 1
-    run_distance_sweep(cfg)
+    assert main(argv) == 0
     assert out.read_bytes() == cold
 
 
@@ -82,9 +83,8 @@ def test_sweep_reports_escalated_precision(tmp_path, monkeypatch):
                             [Fraction(1, 2), Fraction(1, 2 ** 25)], bits)
         return G, g, 0
     monkeypatch.setattr(distance, "_build_gram", fake)
-    out = tmp_path / "sweep.csv"
     cache = tmp_path / "cache"
-    cfg = _cfg(r=0, n_schedule=(1, 2), output=str(out), cache_dir=str(cache))
+    cfg = _cfg(r=0, n_schedule=(1, 2), cache_dir=str(cache))
     rows = run_distance_sweep(cfg)
     assert [row.precision_bits for row in rows] == [256, 256]
     with working(256):
@@ -92,34 +92,45 @@ def test_sweep_reports_escalated_precision(tmp_path, monkeypatch):
         assert rows[1].min_pivot == mpf(2) ** -48
     stored = [json.loads(p.read_text()) for p in cache.glob("*.json")]
     assert [s["precision_bits"] for s in stored] == [256]
-    cold = out.read_bytes()
-    assert list(csv.reader(out.open()))[1][3] == "256"
-    run_distance_sweep(cfg)                       # warm: reads the stored profile
-    assert out.read_bytes() == cold
+    cold = _sweep_text(rows, "csv")
+    assert list(csv.reader(io.StringIO(cold)))[1][3] == "256"
+    # warm: reads the stored profile
+    assert _sweep_text(run_distance_sweep(cfg), "csv") == cold
 
 
 def test_warm_sweep_builds_and_factors_nothing(tmp_path, monkeypatch):
     out = tmp_path / "sweep.json"
-    cfg = _cfg(r=Fraction(1, 3), n_schedule=(1, 4, 16), output=str(out),
-               format="json", cache_dir=str(tmp_path / "cache"))
-    run_distance_sweep(cfg)
+    argv = ["distance", "--poly", "1:1,2:-1", "--r", "1/3", "--schedule", "1,4,16",
+            "--precision", "128", "--format", "json",
+            "--cache-dir", str(tmp_path / "cache"), "--out", str(out)]
+    assert main(argv) == 0
     cold = out.read_bytes()
 
     def spy(*args, **kwargs):
         raise AssertionError("warm sweep recomputed the profile")
     monkeypatch.setattr(distance, "_build_gram", spy)
     monkeypatch.setattr(linalg, "ldl_profile", spy)
-    run_distance_sweep(cfg)
+    assert main(argv) == 0
     assert out.read_bytes() == cold
 
 
-def test_sweep_json_output(tmp_path):
-    out = tmp_path / "sweep.json"
-    cfg = _cfg(r=0, n_schedule=(1,), output=str(out), format="json")
-    run_distance_sweep(cfg)
-    payload = json.loads(out.read_text())
+def test_sweep_json_output():
+    rows = run_distance_sweep(_cfg(r=0, n_schedule=(1,), format="json"))
+    payload = json.loads(_sweep_text(rows, "json"))
     assert payload["rows"][0]["n"] == 1
     assert payload["rows"][0]["d_squared"].startswith("0.85355339059327376220")
+
+
+def test_run_functions_write_no_file(tmp_path):
+    # cfg.output is the CLI's to write: the library leaves it alone
+    out = tmp_path / "out"
+    out.mkdir()
+    cfg = _cfg(r=-1, n_schedule=(1, 2, 4), rect="-2,1,-20,20", T=20,
+               output=str(out / "result"))
+    run_distance_sweep(cfg)
+    run_decay_fit(cfg)
+    run_criterion_report(cfg)
+    assert list(out.iterdir()) == []
 
 
 def test_decay_fit_degenerate_and_negative_slope():

@@ -200,6 +200,48 @@ def test_min_norm_band_pivot_escalates_once(monkeypatch):
         assert abs(value - want) <= mpf(2) ** -126 * want
 
 
+def _resummed_residual(n, ts, bits):
+    """(max_i |sum_k c_k psi_k(t_i) - 1| rounded once at bits, audited bits):
+    x = H^{-1} 1 from the audited build, each c_k = sum_j conj(psi_k(t_j)) x_j
+    unrounded, and the sum over k re-run in integers on the stream rows."""
+    def build(p):
+        return lubinsky._fixed_kernel(next(lubinsky._kernel_sums([n], ts, p))[1], p)
+    _, prof, used = linalg.audited_profile(build, bits)
+    P = used + _GUARD
+    xs = prof.solve()
+    res = [[-(1 << (3 * P)), 0] for _ in ts]
+    for psi in lubinsky._psi_stream(n, ts, P):
+        cr = sum(pr * xr + pi * xi for (pr, pi), (xr, xi) in zip(psi, xs))
+        ci = sum(pr * xi - pi * xr for (pr, pi), (xr, xi) in zip(psi, xs))
+        for r, (ar, ai) in zip(res, psi):
+            r[0] += cr * ar - ci * ai
+            r[1] += cr * ai + ci * ar
+    worst = max(a * a + b * b for a, b in res)
+    with mp.workprec(worst.bit_length() + 1):
+        exact = mpf(worst)
+    with working(bits):
+        return mp.ldexp(mp.sqrt(exact), -3 * P), used
+
+
+@pytest.mark.parametrize("case", ["one", "three", "band"])
+@pytest.mark.parametrize("bits", [128, 256])
+def test_min_norm_residual_is_the_resummed_interpolation_error(case, bits):
+    # the residual from the kernel sums is the interpolation error of the
+    # exact coefficients, rounded once, and far below 2^-bits; the band case
+    # is the one of test_min_norm_band_pivot_escalates_once, whose residual
+    # comes from the rebuilt sums
+    n, t = {"one": (40, [mpf("9.06")]),
+            "three": (40, [0, mpf("2.5"), mpf("-7")]),
+            "band": (64, [0, mpf("1e-6")])}[case]
+    with working(bits):
+        ts = [mpf(x) for x in t]
+    sol = min_norm(n, ts, bits=bits)
+    want, used = _resummed_residual(n, ts, bits)
+    assert used == (256 if case == "band" and bits == 128 else bits)
+    assert sol.residual == want
+    assert sol.residual < mpf(2) ** -(bits + 32)
+
+
 def test_min_norm_exhausts_precision_in_the_band(monkeypatch):
     # fake sums whose second pivot 2^{-3 bits/8} stays in the band at every
     # precision: three doublings, then PrecisionExhausted
