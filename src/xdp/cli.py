@@ -11,6 +11,7 @@ precision exhaustion, failed acceptance criteria).
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional
 
@@ -102,7 +103,7 @@ def _build_parser():
     return parser, sub
 
 
-def _load_cfg(args, extra: Optional[dict] = None):
+def _load_cfg(args):
     overrides = {"poly": getattr(args, "poly", None),
                  "r": getattr(args, "r", None),
                  "schedule": getattr(args, "schedule", None),
@@ -114,10 +115,24 @@ def _load_cfg(args, extra: Optional[dict] = None):
                  "format": getattr(args, "format", None),
                  "cache_dir": getattr(args, "cache_dir", None),
                  "line_tol": getattr(args, "line_tol", None)}
-    overrides.update(extra or {})
-    if getattr(args, "config", None):
-        return load_config(args.config, overrides)
-    return config_from_json({}, overrides)
+    cfg = (load_config(args.config, overrides) if getattr(args, "config", None)
+           else config_from_json({}, overrides))
+    _check_out(cfg.output)
+    return cfg
+
+
+def _check_out(out: Optional[str]) -> None:
+    """Raise OSError unless out is None (stdout) or a file a result can be
+    written to: not a directory, in one that exists, and writable."""
+    if out is None:
+        return
+    if os.path.isdir(out):
+        raise IsADirectoryError(f"output {out!r} is a directory")
+    parent = os.path.dirname(out) or "."
+    if not os.path.isdir(parent):
+        raise FileNotFoundError(f"output directory {parent!r} does not exist")
+    if not os.access(out if os.path.exists(out) else parent, os.W_OK):
+        raise PermissionError(f"output {out!r} is not writable")
 
 
 def _emit(result, out: Optional[str]) -> None:
@@ -260,6 +275,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(_attach_dash_values(sub, argv))
         if args.command is None:
             raise _UsageError("a subcommand is required (see --help)")
+        _check_out(getattr(args, "out", None))
         return _DISPATCH[args.command](args)
     except _UsageError as exc:
         print(f"xdp: {exc}", file=sys.stderr)

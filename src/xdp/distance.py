@@ -6,9 +6,9 @@ partition, and it is summed exactly in Python integers on every profile: a
 step height S_a is a Gaussian rational (``kappa_partial_sums``), so
 S_a = s_a/Q with s_a a Gaussian integer; over D = j k lcm(1..m)
 every breakpoint 1/(j a), 1/(k b) is an integer. Each Gram entry is then one
-rational number. It is rounded once, to an integer at the factorization's
-fixed point, 2^-(bits + 64) relative to the largest diagonal entry G_11, and
-never to an mpf at the working precision on the way.
+rational number. It is rounded once, into the fixed point of ``exact``
+relative to the largest diagonal entry G_11, and never to an mpf at the
+working precision on the way.
 
 d_{n,r}^2 = min_b || 1 - sum_{k<=n} b_k rho_k ||^2 = 1 - g* G^{-1} g. One
 unpivoted LDL^H of G that carries z = L^{-1} g along gives the whole profile
@@ -34,11 +34,11 @@ from math import gcd, lcm
 from typing import Optional, Sequence
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, round_nearest
 
 from .dpcore import DirichletPolynomial, KappaProfile, dp_eval, kappa_partial_sums
-from .exact import as_fraction, fraction_to_mpf, to_mp
-from .linalg import _GUARD_BITS, audited_profile, ldl_factor, ldl_solve
+from .exact import (GUARD_BITS, as_fraction, fixed_mpc, fixed_mpf, fixed_ratio,
+                    fraction_to_mpf, to_mp)
+from .linalg import audited_profile, ldl_factor, ldl_solve
 from .precision import resolve_bits, working
 
 
@@ -86,16 +86,6 @@ def _indicator_numerator(s, L: int):
             sum(v * c for (_, v), c in zip(s, w)))
 
 
-def _fix(re: int, im: int, den: int, shift: int):
-    """(re + i im)/den * 2^shift as a Gaussian integer, each part rounded
-    once, to nearest (ties up)."""
-    if shift >= 0:
-        re, im = re << shift, im << shift
-    else:
-        den <<= -shift
-    return (2 * re + den) // (2 * den), (2 * im + den) // (2 * den)
-
-
 # =========================================================================
 # Gram data
 # =========================================================================
@@ -104,19 +94,18 @@ def _build_gram(P: DirichletPolynomial, r, n: int, bits: int):
     """(G, g, scale): the Gram data at ldl_profile's fixed point for ``bits``.
 
     G[k][j] = <rho_j, rho_k> and g[k] = <1, rho_k> as Gaussian integers
-    (re, im), each one exact rational rounded once: G times
-    2^(bits + 64 - scale) and g times 2^(bits + 64 - scale/2). The even
-    ``scale`` puts G_11 in [1/4, 2); G_11 is the largest diagonal entry,
-    as G_jj = G_11 / j, and its numerator is summed before the rest.
-    Only coprime pairs are summed; <rho_{dj}, rho_{dk}> is the same
-    numerator over d times the denominator, and <1, rho_k> that of
-    <1, rho_1> over k times it.
+    (re, im), each one exact rational rounded once: G relative to 2^scale
+    and g relative to 2^(scale/2). The even ``scale`` puts G_11 in
+    [1/4, 2); G_11 is the largest diagonal entry, as G_jj = G_11 / j, and
+    its numerator is summed before the rest. Only coprime pairs are summed;
+    <rho_{dj}, rho_{dk}> is the same numerator over d times the denominator,
+    and <1, rho_k> that of <1, rho_1> over k times it.
     """
     Q, L, s, prods = _integer_profile(kappa_partial_sums(P, r, bits=bits))
     coprime = {(1, 1): _pair_numerator(prods, L, 1, 1)}
     top = coprime[1, 1][0].bit_length() - (Q * Q * L).bit_length() + 1
     scale = top - (top & 1)
-    shift = bits + _GUARD_BITS - scale
+    shift = bits + GUARD_BITS - scale
     G = [[None] * n for _ in range(n)]
     for j in range(1, n + 1):
         for k in range(j, n + 1):
@@ -124,26 +113,25 @@ def _build_gram(P: DirichletPolynomial, r, n: int, bits: int):
             a, b = j // d, k // d
             if (a, b) not in coprime:
                 coprime[a, b] = _pair_numerator(prods, L, a, b)
-            x, y = _fix(*coprime[a, b], Q * Q * a * b * L * d, shift)
+            re, im = coprime[a, b]
+            den = Q * Q * a * b * L * d
+            x, y = fixed_ratio(re, den, shift), fixed_ratio(im, den, shift)
             # G[row k][col j] = <rho_j, rho_k>, and its conjugate mirrored
             G[k - 1][j - 1], G[j - 1][k - 1] = (x, y), (x, -y)
     re, im = _indicator_numerator(s, L)
-    g = [(x, -y) for x, y in (_fix(re, im, Q * L * k, shift + scale // 2)   # <1, rho_k>
-                              for k in range(1, n + 1))]
+    g = [(fixed_ratio(re, Q * L * k, shift + scale // 2),                # <1, rho_k>
+          -fixed_ratio(im, Q * L * k, shift + scale // 2)) for k in range(1, n + 1)]
     return G, g, scale
 
 
 def _rounded_gram(G, g, scale: int, bits: int):
-    """The fixed-point Gram data of _build_gram at ``bits`` as mpf (mpc
-    where the imaginary part is nonzero), each part rounded once, to
-    nearest, at ``bits``; only the projection check and
+    """The Gram data of _build_gram rounded out of the fixed point, as mpf
+    (mpc where the imaginary part is nonzero); only the projection check and
     approximant_distance take this form."""
-    frac = bits + _GUARD_BITS
+    frac = bits + GUARD_BITS
 
     def entry(x, y, exp):
-        re = from_man_exp(x, exp, bits, round_nearest)
-        return mp.make_mpc((re, from_man_exp(y, exp, bits, round_nearest))) if y \
-            else mp.make_mpf(re)
+        return fixed_mpc(x, y, exp, bits) if y else fixed_mpf(x, exp, bits)
     return ([[entry(x, y, scale - frac) for x, y in row] for row in G],
             [entry(x, y, scale // 2 - frac) for x, y in g])
 

@@ -1,10 +1,16 @@
-"""Exact Gaussian-rational arithmetic.
+"""Exact Gaussian-rational arithmetic, and the package's fixed-point format.
 
 Coefficients of Dirichlet polynomials are normalized to exact Gaussian
 rationals at construction time: every finite binary float is a dyadic
 rational and decimal strings parse exactly, so nothing is lost. Downstream
 this buys exact convolution identities always, and exact kappa partial sums
 and Gram entries whenever the shift exponent is an integer.
+
+Fixed point. The d^2 Gram data, the min-norm kernel sums, the psi stream and
+the zero polish compute in Python integers: at precision ``bits``, an int x
+stands for x * 2^-(bits + GUARD_BITS) (a product of k of them, 2^-k(...)). A
+value is rounded in to nearest, ties up (``fixed_ratio``, ``to_fixed``), and
+rounded out once, to nearest, at ``bits`` (``fixed_mpf``, ``fixed_mpc``).
 """
 
 from __future__ import annotations
@@ -13,6 +19,9 @@ import math
 from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_man_exp, round_nearest
+
+GUARD_BITS = 64
 
 
 def as_fraction(x) -> Fraction:
@@ -159,3 +168,27 @@ def to_mp(z):
     if isinstance(z, Fraction):
         return fraction_to_mpf(z)
     return mp.mpmathify(z)
+
+
+def fixed_ratio(num: int, den: int, P: int) -> int:
+    """floor(num / den * 2^P + 1/2) for den > 0 and P of either sign."""
+    if P < 0:
+        return fixed_ratio(num, den << -P, 0)
+    return ((num << (P + 1)) // den + 1) >> 1
+
+
+def to_fixed(q, P: int) -> int:
+    """floor(q * 2^P + 1/2) for anything ``as_fraction`` takes, exactly."""
+    q = as_fraction(q)
+    return fixed_ratio(q.numerator, q.denominator, P)
+
+
+def fixed_mpf(x: int, exp: int, bits: int) -> mpf:
+    """x * 2^exp rounded once, to nearest, at bits, whatever mp.prec is."""
+    return mp.make_mpf(from_man_exp(x, exp, bits, round_nearest))
+
+
+def fixed_mpc(x: int, y: int, exp: int, bits: int) -> mpc:
+    """(x + i y) * 2^exp, each part rounded once, to nearest, at bits."""
+    return mp.make_mpc((from_man_exp(x, exp, bits, round_nearest),
+                        from_man_exp(y, exp, bits, round_nearest)))

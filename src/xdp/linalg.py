@@ -3,10 +3,10 @@
 ``ldl_factor``/``ldl_solve`` are the pivoted factorization and solve on
 matrices of mpf/mpc, at the ambient mpmath precision (callers wrap them in
 ``precision.working``). They serve only ``distance_squared(method=
-"projection")``, the independent check on the profile. ``ldl_profile`` is
-the unpivoted factorization in fixed-point Gaussian integers that gives the
-whole d^2 profile and the min-norm value and coefficients, and
-``audited_profile`` runs it under the one pivot audit: an indeterminate
+"projection")``, the independent check on the profile. ``ldl_profile`` is the
+unpivoted factorization in Gaussian integers (the fixed point of ``exact``)
+that gives the whole d^2 profile and the min-norm value and coefficients,
+and ``audited_profile`` runs it under the one pivot audit: an indeterminate
 pivot rebuilds the system at doubled precision.
 """
 
@@ -19,7 +19,7 @@ from typing import Callable, Optional
 from mpmath import mp, mpf
 
 from .errors import NSingular, PrecisionExhausted
-from .precision import working
+from .exact import GUARD_BITS, fixed_mpf
 
 
 def _real(x):
@@ -108,7 +108,6 @@ def ldl_solve(f: LDLFactors, b):
 # d^2 profile: one unpivoted LDL^H in fixed point
 # =========================================================================
 
-_GUARD_BITS = 64
 _ESCALATION_LIMIT = 3
 
 
@@ -118,15 +117,15 @@ class LDLProfile:
 
     d_squared[i] = 1 - sum_{k<=i} |z_k|^2 / pivots[k] is d^2 for the first
     i + 1 generators, clamped to [0, 1]. pivots[i] = det(G_{i+1})/det(G_i)
-    is the leading-minor ratio. A pivot below 2^{-p/2} * max_pivot is dropped
-    (its generator adds nothing) and counted in ``dropped``. ``band`` is the
-    index of the first pivot in the indeterminate band
-    [2^{-p/2}, 2^{-p/4}) * max_pivot, where the factorization stops; it is
+    is the leading-minor ratio. A pivot below 2^{-bits/2} * max_pivot is
+    dropped (its generator adds nothing) and counted in ``dropped``. ``band``
+    is the index of the first pivot in the indeterminate band
+    [2^{-bits/2}, 2^{-bits/4}) * max_pivot, where the factorization stops; it is
     None when every pivot was decided. max_pivot is the largest diagonal
     entry, the first pivot a pivoted factorization would take.
 
     ``inner`` is g* G_n^{-1} g = sum |z_k|^2 / p_k over the kept pivots,
-    unclamped, as an int at the fixed point 2^-(p + 64): d^2 is 1 minus it.
+    unclamped, as an int at the fixed point of ``bits``: d^2 is 1 minus it.
     ``solve()`` gives x = G_n^{-1} g = L^{-H} D^{-1} z by back-substitution
     in the same integers, as (re, im) pairs at that fixed point, with 0 for
     a dropped pivot's component. A profile read back from the cache has
@@ -141,30 +140,28 @@ class LDLProfile:
     solve: Optional[Callable[[], list]] = field(default=None, repr=False, compare=False)
 
 
-def ldl_profile(G, g) -> LDLProfile:
+def ldl_profile(G, g, bits: int) -> LDLProfile:
     """d^2 = 1 - g* G_n^{-1} g for every leading order n of the Hermitian PSD G.
 
     By the Schur complement this is det(G_n - g g*)/det(G_n). G and g hold
-    Gaussian integers (re, im) at one fixed point: each stands for itself
-    times 2^-(p + 64), p the ambient precision. Only the lower triangle of G
-    is read. G scaled by 4^e and g by 2^e leave d^2 unchanged, so the caller
-    may place its data at the fixed point relative to any even power of two
-    (near the largest diagonal entry, so that p + 64 bits cover it); the
-    pivots come back in the units of the integers given. The loop is exact
-    but for one floor per product and quotient, and results round to mpf
-    once. Rows are built Crout-style, so every inner product is a C-level
-    dot product of two int lists.
+    Gaussian integers (re, im) at the fixed point of ``exact`` for bits; only
+    the lower triangle of G is read. G scaled by 4^e and g by 2^e leave d^2
+    unchanged, so the caller may place its data at the fixed point relative
+    to any even power of two (near the largest diagonal entry, so that
+    bits + GUARD_BITS cover it); the pivots come back in the units of the
+    integers given. The loop is exact but for one floor per product and
+    quotient, and results round out once. Rows are built Crout-style, so
+    every inner product is a C-level dot product of two int lists.
     """
     n = _check_square(G)
     if len(g) != n:
         raise ValueError(f"rhs length {len(g)} does not match order {n}")
-    prec = mp.prec
-    frac = prec + _GUARD_BITS
+    frac = bits + GUARD_BITS
     top = max(G[i][i][0] for i in range(n))
     if not top > 0:
-        raise NSingular(0, mpf((top, -frac)))
-    drop_at = top >> (prec // 2)
-    band_at = top >> (prec // 4)
+        raise NSingular(0, fixed_mpf(top, -frac, bits))
+    drop_at = top >> (bits // 2)
+    band_at = top >> (bits // 4)
 
     Lr, Li = [], []                 # Lr[j], Li[j]: row j of L left of the diagonal
     piv = []                        # fixed-point pivots, 0 where dropped
@@ -196,7 +193,7 @@ def ldl_profile(G, g) -> LDLProfile:
         gr, gi = g[i]
         zr_i = gr - ((sum(map(mul, lr, zr)) - sum(map(mul, li, zi))) >> frac)
         zi_i = gi - ((sum(map(mul, lr, zi)) + sum(map(mul, li, zr))) >> frac)
-        pivots.append(mpf((p, -frac)))
+        pivots.append(fixed_mpf(p, -frac, bits))
         if p < drop_at:
             dropped += 1
             p = 0
@@ -210,12 +207,7 @@ def ldl_profile(G, g) -> LDLProfile:
         piv.append(p)
         zr.append(zr_i)
         zi.append(zi_i)
-        if acc <= 0:
-            values.append(mpf(0))
-        elif acc >> frac:
-            values.append(mpf(1))
-        else:
-            values.append(mpf((acc, -frac)))
+        values.append(fixed_mpf(min(max(acc, 0), 1 << frac), -frac, bits))   # clamped to [0, 1]
 
     def solve():
         xr = [(a << frac) // p if p else 0 for a, p in zip(zr, piv)]
@@ -242,8 +234,7 @@ def audited_profile(build, bits: int):
     """
     for p in (bits << e for e in range(_ESCALATION_LIMIT + 1)):
         system = build(p)
-        with working(p):
-            prof = ldl_profile(system[0], system[1])
+        prof = ldl_profile(system[0], system[1], p)
         if prof.band is None:
             return system, prof, p
     raise PrecisionExhausted(

@@ -9,15 +9,15 @@ form an orthonormal family. K_n is the order-n reproducing kernel; the
 min-norm problem interpolates 1 at a finite set of ordinates and its optimal
 value 1^T H^{-1} 1 lower-bounds the approximation distances computed in
 ``distance`` when the ordinates come from zeros on the critical line. H goes
-from its exact kernel sums to ``linalg.ldl_profile`` by one shift, with no
-mpf matrix on the way, and passes the audit that every d^2 passes: a pivot
-in the indeterminate band rebuilds H at doubled precision, and a dropped
-pivot raises NSingular. The value, the coefficients and the interpolation
-residual come from the same integer factorization; the residual is
-max_i |(S x)_i - 1| on the kernel sums S themselves, with no second pass
-over psi. The kernel sums themselves are exact integers: each
-block of stream rows is summed in one float64 product of 16-bit limbs,
-exact by its size bound (_kernel_sums).
+from its exact kernel sums (the fixed point of ``exact``) to
+``linalg.ldl_profile`` by one shift, with no mpf matrix on the way, and
+passes the audit that every d^2 passes: a pivot in the indeterminate band
+rebuilds H at doubled precision, and a dropped pivot raises NSingular. The
+value, the coefficients and the interpolation residual come from the same
+integer factorization; the residual is max_i |(S x)_i - 1| on the kernel
+sums S themselves, with no second pass over psi. The kernel sums are exact
+integers: each block of stream rows is summed in one float64 product of
+16-bit limbs, exact by its size bound (_kernel_sums).
 
 The diagonal K_n(u, u) = sum_k |psi_k(u)|^2 takes one path at every u: the
 stream sums it up to a start that grows with bits and |u|, and
@@ -36,12 +36,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 from mpmath import bernfrac, mp, mpc, mpf
-from mpmath.libmp import from_int, from_man_exp, mpf_shift, mpf_sqrt, round_nearest
+from mpmath.libmp import from_int, mpf_shift, mpf_sqrt, round_nearest
 
 from .dpcore import _prime_phase, _spf_sieve
 from .errors import DuplicateOrdinates, NSingular, RemainderNotProven
-from .exact import to_mp
-from .linalg import _GUARD_BITS, audited_profile
+from .exact import GUARD_BITS, fixed_mpc, fixed_mpf, to_mp
+from .linalg import audited_profile
 from .precision import resolve_bits, working
 
 _DUPLICATE_GUARD = "1e-9"
@@ -61,10 +61,10 @@ def psi_eval(n: int, t, bits: Optional[int] = None):
         return mp.power(n, w) - mp.power(n - 1, w)
 
 
-# Kernel sums run in fixed point: every quantity is an integer times 2^-P with
-# P = bits + _GUARD, and sums of products are exact Python ints, rounded once
-# per entry at the end. P depends on bits alone, so K_n(u, v) is the same
-# integer whichever other ordinates or grid points share a pass.
+# Kernel sums run in the fixed point of ``exact``: every quantity is an integer
+# times 2^-P, P = bits + GUARD_BITS, and sums of products are exact Python
+# ints, rounded once per entry at the end. P depends on bits alone, so K_n(u, v)
+# is the same integer whichever other ordinates or grid points share a pass.
 #
 # Error of the stream, in units 2^-P (the proof of the guard). A prime phase
 # is cos/sin of t log p rounded to nearest (dpcore._prime_phase), half a unit
@@ -78,11 +78,9 @@ def psi_eval(n: int, t, bits: Optional[int] = None):
 # t = 0 too. Summed, ||eta||_2 <= 2 sqrt(2) (log2 n + 1) sqrt(n (n+1)) <= e
 # with e = 3 (log2 n + 3) n. As psi_1 = 1, ||psi(t)||^2 = K_n(t, t) >= 1, and
 # Cauchy-Schwarz bounds the error of a computed K_n(u, v) by
-# (2 eps + eps^2) sqrt(K_n(u, u) K_n(v, v)), eps = e 2^-P. _GUARD = 64 keeps
-# that below 2^-(bits+7) for n up to 2^48. It is ldl_profile's guard too, so
-# 2^-P is the factorization's fixed point at bits, and the min-norm system
-# enters it by one shift of the 2^-2P sums.
-_GUARD = _GUARD_BITS
+# (2 eps + eps^2) sqrt(K_n(u, u) K_n(v, v)), eps = e 2^-P. GUARD_BITS = 64
+# keeps that below 2^-(bits+7) for n up to 2^48, and the min-norm system enters
+# ldl_profile, whose fixed point is 2^-P too, by one shift of the 2^-2P sums.
 
 
 def _sqrt_fixed(k: int, P: int) -> int:
@@ -119,17 +117,17 @@ def psi_inner(n: int, m: int, bits: Optional[int] = None):
     if n < 1 or m < 1:
         raise ValueError(f"need indices >= 1, got ({n}, {m})")
     bits = resolve_bits(bits)
-    P = bits + _GUARD
+    P = bits + GUARD_BITS
     term = _inner_terms({n, m, n - 1, m - 1}, P)
     val = term(n, m) - term(n, m - 1) - term(n - 1, m) + term(n - 1, m - 1)
-    return mp.make_mpf(_rounded(val, -4 * P, bits))
+    return fixed_mpf(val, -4 * P, bits)
 
 
 def psi_inner_max_deviation(n_max: int, bits: Optional[int] = None):
     """max_{n,m <= n_max} |<psi_n, psi_m> - delta_{nm}| on the stream's sqrt(k).
 
-    Every pair is summed exactly from _inner_terms at P = bits + _GUARD, and
-    the largest deviation is rounded once, to nearest, at bits. Exact
+    Every pair is summed exactly from _inner_terms at P = bits + GUARD_BITS,
+    and the largest deviation is rounded once, to nearest, at bits. Exact
     arithmetic on exact square roots would give 0, so the value is how far
     the stream's fixed-point sqrt(k) keeps the psi_k from orthonormal.
 
@@ -151,7 +149,7 @@ def psi_inner_max_deviation(n_max: int, bits: Optional[int] = None):
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
     bits = resolve_bits(bits)
-    P = bits + _GUARD
+    P = bits + GUARD_BITS
     term = _inner_terms(range(n_max + 1), P)
     one = 1 << (4 * P)
     # Row n of the four-term formula reads term(n, 0..n) and
@@ -168,7 +166,7 @@ def psi_inner_max_deviation(n_max: int, bits: Optional[int] = None):
             if dev > worst:
                 worst = dev
         prev = cur
-    return mp.make_mpf(_rounded(worst, -4 * P, bits))
+    return fixed_mpf(worst, -4 * P, bits)
 
 
 def _phases(n: int, t, P: int, spf, logs: Optional[dict] = None):
@@ -212,11 +210,6 @@ def _psi_stream(n: int, ts, P: int):
         cur = [((s * x + half) >> P, (s * y + half) >> P) for x, y in es]
         yield [(a - c, b - d) for (a, b), (c, d) in zip(cur, prev)]
         prev = cur
-
-
-def _rounded(man: int, exp: int, bits: int):
-    """Raw mpf of man * 2^exp, rounded once, to nearest, at bits."""
-    return from_man_exp(man, exp, bits, round_nearest)
 
 
 # The limb product of _kernel_sums: limbs of _LIMB bits, blocks of at most
@@ -295,7 +288,7 @@ def _kernel_sums(grid: Sequence[int], ts, bits: int):
       sum_d D_d 2^(16 d) is one Python int per entry per block.
     So S is exactly the sum the pair loop over the stream gives.
     """
-    P = bits + _GUARD
+    P = bits + GUARD_BITS
     l = len(ts)
     upper = np.triu_indices(l)
     pairs = list(zip(*(a.tolist() for a in upper)))
@@ -318,11 +311,9 @@ def _kernel_sums(grid: Sequence[int], ts, bits: int):
 
 
 def _rounded_kernel(S, bits: int):
-    """H[i][j] = K_n(t_i, t_j) from the sums, mpf on the diagonal and mpc
-    off it, each part rounded once, to nearest, at bits."""
-    P = bits + _GUARD
-    return [[mp.make_mpf(_rounded(x, -2 * P, bits)) if i == j
-             else mp.make_mpc((_rounded(x, -2 * P, bits), _rounded(y, -2 * P, bits)))
+    """H[i][j] = K_n(t_i, t_j) out of the fixed point, mpf on the diagonal."""
+    P = bits + GUARD_BITS
+    return [[fixed_mpf(x, -2 * P, bits) if i == j else fixed_mpc(x, y, -2 * P, bits)
              for j, (x, y) in enumerate(row)] for i, row in enumerate(S)]
 
 
@@ -330,7 +321,7 @@ def _fixed_kernel(S, bits: int):
     """(H, 1) at ldl_profile's fixed point for bits, 2^-P: each part of the
     sums shifted once, to nearest. H is at least 1 on its diagonal
     (psi_1 = 1), so 2^-P needs no scale."""
-    P = bits + _GUARD
+    P = bits + GUARD_BITS
     half = 1 << (P - 1)
     return ([[((x + half) >> P, (y + half) >> P) for x, y in row] for row in S],
             [(1 << P, 0)] * len(S))
@@ -448,7 +439,7 @@ def _min_norms(grid: Sequence[int], t: Sequence, bits: int, with_coeffs: bool = 
             i = min(range(len(prof.pivots)), key=prof.pivots.__getitem__)
             yield NSingular(i, prof.pivots[i])
             continue
-        P = used + _GUARD
+        P = used + GUARD_BITS
         xs = prof.solve()
         coeffs = None
         if with_coeffs:
@@ -456,9 +447,8 @@ def _min_norms(grid: Sequence[int], t: Sequence, bits: int, with_coeffs: bool = 
             for psi in _psi_stream(n, ts, P):
                 cr = sum(pr * xr + pi * xi for (pr, pi), (xr, xi) in zip(psi, xs))
                 ci = sum(pr * xi - pi * xr for (pr, pi), (xr, xi) in zip(psi, xs))
-                coeffs.append(mp.make_mpc((_rounded(cr, -2 * P, bits),
-                                           _rounded(ci, -2 * P, bits))))
-        yield MinNormSolution(value=mp.make_mpf(_rounded(prof.inner, -P, bits)),
+                coeffs.append(fixed_mpc(cr, ci, -2 * P, bits))
+        yield MinNormSolution(value=fixed_mpf(prof.inner, -P, bits),
                               residual=_interp_residual(S_used, xs, P, bits),
                               coeffs=coeffs, n=n, t=ts)
 

@@ -29,14 +29,14 @@ to the requested tolerance (``_newton``). Only the converged iterate must
 lie in the cell, tested exactly against its Fraction edges. No contour is
 wound about a zero.
 
-The polish past doubles runs in fixed point, as the psi stream and the d^2
-factorization do: z = (X + iY) 2^-prec with prec = bits + _GUARD_BITS, and
-``_Poly.fixed_terms`` gives every b_k = a_k k^-z as a Gaussian integer under
-one block exponent. Newton steps, stop tests and the certificate's
-inequality are integer arithmetic on those, free of scale far from the axis
-and for coefficients beyond double range. mpmath evaluates P only for
-``find_zeros``' residuals (``dp_eval``). P is prepared once per call in all
-its forms (``_Poly``).
+The polish past doubles runs in the fixed point of ``exact``, as the psi
+stream and the d^2 factorization do: z = (X + iY) 2^-prec with prec = bits +
+GUARD_BITS, and ``_Poly.fixed_terms`` gives every b_k = a_k k^-z as a
+Gaussian integer under one block exponent. Newton steps, stop tests and the
+certificate's inequality are integer arithmetic on those, free of scale far
+from the axis and for coefficients beyond double range. mpmath evaluates P
+only for ``find_zeros``' residuals (``dp_eval``). P is prepared once per call
+in all its forms (``_Poly``).
 """
 
 from __future__ import annotations
@@ -50,13 +50,13 @@ from typing import Optional
 
 import numpy as np
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, mpf_exp, mpf_mul, round_nearest
+from mpmath.libmp import from_man_exp, mpf_exp, mpf_mul
 
 from .dpcore import (DirichletPolynomial, _fixed_log, _prime_phase, _spf_sieve, dp_eval,
                      strip_bounds)
 from .errors import ContourTooClose, NonConvergent, QuadratureNotConverged
-from .exact import as_fraction, fraction_to_mpf, to_mp
-from .linalg import _GUARD_BITS
+from .exact import (GUARD_BITS, as_fraction, fixed_mpc, fixed_ratio, fraction_to_mpf,
+                    to_fixed, to_mp)
 from .precision import resolve_bits, working
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(12)
@@ -136,19 +136,6 @@ def _log_abs(c) -> float:
     return (math.log(q.numerator) - math.log(q.denominator)) / 2
 
 
-def _fixed(q, P: int) -> int:
-    """round(q 2^P) for a Fraction, int, float or mpf q, exactly."""
-    q = as_fraction(q)
-    return _fixed_ratio(q.numerator, q.denominator, P)
-
-
-def _fixed_ratio(num: int, den: int, P: int) -> int:
-    """round(num / den 2^P), den > 0, for P of either sign."""
-    if P < 0:
-        return _fixed_ratio(num, den << -P, 0)
-    return ((num << (P + 1)) // den + 1) >> 1
-
-
 def _mid(lo: Fraction, hi: Fraction):
     """(lo + hi) / 2 as (num, den), den > 0, without reducing it."""
     return (lo.numerator * hi.denominator + hi.numerator * lo.denominator,
@@ -160,7 +147,7 @@ def _fixed_coeff(c, P: int):
     part rounded to P + 2 or P + 3 bits."""
     big = max(abs(c.re), abs(c.im))
     e = big.numerator.bit_length() - big.denominator.bit_length() - P - 2
-    return _fixed(c.re, -e), _fixed(c.im, -e), e
+    return to_fixed(c.re, -e), to_fixed(c.im, -e), e
 
 
 def _factor_chain(ks, m: int):
@@ -200,7 +187,7 @@ class _Poly:
     normal doubles), ``logk``, ``log_abs`` = log |a_k| and ``log_asum`` = log sum
     |a_k|, taken from exact logarithms, and ``shifts``, the arrays
     ``shifted`` has built, by c. Fixed point at 2^-prec, prec = bits +
-    _GUARD_BITS: ``fixed`` holds (k, L_k, a_k as ``_fixed_coeff``) per term,
+    GUARD_BITS: ``fixed`` holds (k, L_k, a_k as ``_fixed_coeff``) per term,
     L_k = round(2^prec log k), with ``log_max`` the largest L_k, and
     ``chain`` the primes (with L_p) and composites that build each k^-z.
     ``phase_logs`` keeps the primes' logs that ``_prime_phase`` reads,
@@ -220,7 +207,7 @@ class _Poly:
         if self.numpy_safe(0.0):
             self.a = np.array([complex(c) for _, c in items], dtype=np.complex128)
         self.shifts = {}
-        self.prec = prec = bits + _GUARD_BITS
+        self.prec = prec = bits + GUARD_BITS
         self.fixed = [(k, _fixed_log(k, prec), *_fixed_coeff(c, prec)) for k, c in items]
         self.log_max = max(L for _, L, *_ in self.fixed)
         primes, composites = _factor_chain([k for k, _ in items], P.m)
@@ -559,7 +546,7 @@ def _certify(f: _Poly, z, w: int):
     theorem against p_w x^w gives P(z + rho x) exactly w zeros in |x| < 1,
     counted with multiplicity, and none on |x| = 1.
 
-    Rounding, in units of 2^-prec, prec = bits + _GUARD_BITS. z and rho are
+    Rounding, in units of 2^-prec, prec = bits + GUARD_BITS. z and rho are
     exact. Each computed b_k, times 2^e, is within eta 2^-prec |b_k| + 2^e
     of the exact one, eta = |Re z| log m + 3 log2 m + 3: a_k is rounded to
     2^-(prec+2) of itself; k^-x, x = Re z, is a product of at most log2 k
@@ -599,7 +586,7 @@ def _certify(f: _Poly, z, w: int):
     top = math.factorial(w + 1)
     delta = ((abs(X) + abs(Y)) * (f.log_max + 1) + ((len(b) + w + 4) << 2 * P)) * top << (
         2 * w * P + 3 - f.bits)
-    R = _fixed(_RHO, P)
+    R = to_fixed(_RHO, P)
     if R * (f.log_max + 1) > 1 << 2 * P:
         return None
     for _ in range(5):
@@ -715,12 +702,6 @@ def _np_newton(f: _Poly, cells, starts) -> list:
     return [v if ok else None for v, ok in zip(z.tolist(), inside.tolist())]
 
 
-def _to_mpc(f: _Poly, z):
-    X, Y = z
-    return mp.make_mpc((from_man_exp(X, -f.prec, f.bits, round_nearest),
-                        from_man_exp(Y, -f.prec, f.bits, round_nearest)))
-
-
 @dataclass(frozen=True)
 class ZeroSet:
     zeros: tuple            # ((location, multiplicity), ...) ordered by height
@@ -793,16 +774,16 @@ def _polish(f: _Poly, cells, tol) -> list:
         found = _np_newton(f, [cells[i][0] for i in quick], [centres[i] for i in quick])
         for i, z in zip(quick, found):
             if z is not None:
-                starts[i] = (_fixed(z.real, P), _fixed(z.imag, P))
+                starts[i] = (to_fixed(z.real, P), to_fixed(z.imag, P))
     near, stop = _stop2(Fraction(_NEWTON_STOP), P), _stop2(as_fraction(tol) / 4, P)
     out = []
     for (cell, w), z, (x, y) in zip(cells, starts, mids):
         bounds = _bounds(cell, P)
         if z is None:
-            z = _newton(f, (_fixed_ratio(*x, P), _fixed_ratio(*y, P)), 1, bounds, near)
+            z = _newton(f, (fixed_ratio(*x, P), fixed_ratio(*y, P)), 1, bounds, near)
         first = None if z is None else _certify(f, z, w)
         z = None if first is None else _newton(f, z, w, bounds, stop, first)
-        out.append(None if z is None else (_to_mpc(f, z), w))
+        out.append(None if z is None else (fixed_mpc(*z, -P, f.bits), w))
     return out
 
 

@@ -3,9 +3,8 @@ hand over.
 
 ``fixed_system(G, g, bits)`` rounds each entry of a matrix and right-hand
 side of mpf/mpc, int or Fraction once, to nearest, to the Gaussian integers
-(re, im) that ``ldl_profile`` reads at working precision ``bits``: each
-stands for itself times 2^-(bits + 64), with no scaling, so pivots come back
-in the units of G.
+(re, im) that ``ldl_profile`` reads at ``bits``, in the fixed-point format of
+``xdp.exact`` with no scaling, so pivots come back in the units of G.
 """
 
 from fractions import Fraction
@@ -13,7 +12,7 @@ from fractions import Fraction
 from mpmath import mpc
 from mpmath.libmp import mpf_shift, round_nearest, to_int
 
-GUARD = 64
+from xdp.exact import GUARD_BITS
 
 
 def _fixed(x, frac: int) -> int:
@@ -29,5 +28,5 @@ def _pair(x, frac: int):
 
 
 def fixed_system(G, g, bits: int):
-    frac = bits + GUARD
+    frac = bits + GUARD_BITS
     return [[_pair(x, frac) for x in row] for row in G], [_pair(x, frac) for x in g]

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from xdp import lubinsky
+from xdp import cli, lubinsky
 from xdp.cli import main
 from xdp.lubinsky import min_norm
 from xdp.numio import mp_to_str
@@ -252,6 +252,34 @@ def test_config_file_with_flag_override(tmp_path):
     assert len(rows) == 2                      # header + single overridden row
     assert rows[1][3] == "128"                 # file setting survives
 
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the library ran before the output path was checked")
+
+
+@pytest.mark.parametrize("command, entry, argv", [
+    ("distance", "run_distance_sweep", ["--poly", "1:1,2:-1", "--r", "0"]),
+    ("report", "run_criterion_report", ["--poly", "1:1,2:-1", "--r", "0",
+                                        "--rect=-1,1,-5,5", "--height", "5"]),
+    ("lubinsky", "kernel_asymptotics_report", ["--u", "0", "--n-grid", "2,4"]),
+    ("min-norm", "min_norm", ["--n", "4", "--t", "0,1"]),
+])
+def test_bad_out_fails_before_computing(command, entry, argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, entry, _refuse)
+    assert main([command, *argv, "--out", str(tmp_path / "missing" / "x.csv")]) == 1
+    assert "does not exist" in capsys.readouterr().err
+    assert main([command, *argv, "--out", str(tmp_path)]) == 1
+    assert "is a directory" in capsys.readouterr().err
+
+
+def test_config_output_checked_before_computing(tmp_path, monkeypatch, capsys):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"poly": "1:1,2:-1",
+                                    "output": str(tmp_path / "missing" / "x.csv")}))
+    monkeypatch.setattr(cli, "run_distance_sweep", _refuse)
+    assert main(["distance", "--config", str(cfg_file)]) == 1
+    assert "does not exist" in capsys.readouterr().err
 
 @pytest.mark.parametrize("entry", [
     {"r": [1]}, {"rect": 5}, {"rect": [1, 2]}, {"schedule": [1, "a"]},

@@ -179,7 +179,7 @@ def test_build_gram_hermitian_psd():
         for j in range(8):
             assert G[i][j] == (G[j][i][0], -G[j][i][1])
     with working(192):
-        prof = ldl_profile(G, g)
+        prof = ldl_profile(G, g, 192)
     assert prof.dropped == 0 and prof.band is None
     assert min(prof.pivots) > 0
 

@@ -114,18 +114,18 @@ def test_random_hermitian_roundtrip():
 def test_profile_pivots_leading_minor_ratios():
     with working(128):
         A = [[mpf(2), mpf(1)], [mpf(1), mpf(3)]]
-        s = ldl_profile(*fixed_system(A, [0, 0], 128)).pivots
+        s = ldl_profile(*fixed_system(A, [0, 0], 128), 128).pivots
         assert abs(s[0] - 2) < mpf(2) ** -120
         assert abs(s[1] - mpf(5) / 2) < mpf(2) ** -120
         # rank-1 matrix: second pivot exactly zero, and that generator is dropped
-        f = ldl_profile(*fixed_system([[1, 1], [1, 1]], [1, 1], 128))
+        f = ldl_profile(*fixed_system([[1, 1], [1, 1]], [1, 1], 128), 128)
         assert len(f.pivots) == 2
         assert f.pivots[0] == 1
         assert f.pivots[1] == 0
         assert f.dropped == 1 and f.band is None
         assert f.d_squared == [0, 0]
         # Hilbert pivots are the classical minor ratios: det H_3 / det H_2
-        s = ldl_profile(*fixed_system(hilbert(3), [0] * 3, 128)).pivots
+        s = ldl_profile(*fixed_system(hilbert(3), [0] * 3, 128), 128).pivots
         d3, d2 = mpf(1) / 2160, mpf(1) / 12
         assert abs(s[2] - d3 / d2) < mpf(2) ** -110
 
@@ -143,7 +143,7 @@ def test_profile_matches_solve_and_determinant_ratio():
             A[i][i] = A[i][i] + 4
         g = [mpc(mpf(rng.randint(-4, 4)) / 7, mpf(rng.randint(-4, 4)) / 7)
              for _ in range(n)]
-        f = ldl_profile(*fixed_system(A, g, 256))
+        f = ldl_profile(*fixed_system(A, g, 256), 256)
         assert f.dropped == 0 and f.band is None
         for m in range(1, n + 1):
             sub = [row[:m] for row in A[:m]]
@@ -172,18 +172,20 @@ def test_profile_drops_and_flags_band_pivots():
     with working(128):
         one, tiny, mid = mpf(1), mpf(2) ** -100, mpf(2) ** -40
         z = mpf(0)
-        f = ldl_profile(*fixed_system([[one, z], [z, tiny]], [mpf(1) / 2, mpf(2) ** -50], 128))
+        f = ldl_profile(*fixed_system([[one, z], [z, tiny]], [mpf(1) / 2, mpf(2) ** -50], 128),
+                        128)
         assert f.dropped == 1 and f.band is None
         assert f.pivots[1] == tiny
         assert f.d_squared[0] == f.d_squared[1] == mpf(3) / 4  # dropped: adds nothing
         assert f.solve()[1] == (0, 0)
         f = ldl_profile(*fixed_system([[one, z, z], [z, mid, z], [z, z, tiny]],
-                                      [mpf(1) / 2, mpf(2) ** -21, mpf(2) ** -51], 128))
+                                      [mpf(1) / 2, mpf(2) ** -21, mpf(2) ** -51], 128), 128)
         assert f.band == 1
         assert len(f.d_squared) == 1 and len(f.pivots) == 2
     with working(256):
         # the same 2^-40 pivot is decided at 256 bits
-        f = ldl_profile(*fixed_system([[one, z], [z, mid]], [mpf(1) / 2, mpf(2) ** -21], 256))
+        f = ldl_profile(*fixed_system([[one, z], [z, mid]], [mpf(1) / 2, mpf(2) ** -21], 256),
+                        256)
         assert f.band is None and f.dropped == 0
         assert f.d_squared[1] == mpf(1) / 2
 
@@ -209,9 +211,9 @@ def test_profile_scale_invariant():
 def test_profile_validation():
     with working(128):
         with pytest.raises(ValueError):
-            ldl_profile([[(1, 0)]], [(1, 0), (0, 0)])
+            ldl_profile([[(1, 0)]], [(1, 0), (0, 0)], 128)
         with pytest.raises(NSingular):
-            ldl_profile([[(0, 0)]], [(0, 0)])
+            ldl_profile([[(0, 0)]], [(0, 0)], 128)
 
 
 def test_singular_solve_raises():

@@ -18,9 +18,9 @@ from xdp import linalg, lubinsky
 from xdp.distance import distance_profile
 from xdp.dpcore import DirichletPolynomial
 from xdp.errors import DuplicateOrdinates, NSingular, PrecisionExhausted, RemainderNotProven
+from xdp.exact import GUARD_BITS
 from xdp.lubinsky import (
     _EM_START,
-    _GUARD,
     kernel,
     kernel_asymptotics_report,
     kernel_matrix,
@@ -66,7 +66,7 @@ def test_psi_inner_max_deviation_matches_exact_fractions(n_max):
     # the row-reusing integer loop against four exact Fraction terms per pair,
     # on the stream's own fixed-point sqrt(k), rounded once at the end
     bits = 256
-    P = bits + _GUARD
+    P = bits + GUARD_BITS
     got = psi_inner_max_deviation(n_max, bits=bits)
     s = [math.isqrt(k << (2 * P)) for k in range(n_max + 1)]
     assert s == [lubinsky._sqrt_fixed(k, P) for k in range(n_max + 1)]
@@ -100,7 +100,7 @@ def test_psi_inner_max_deviation_within_documented_bound(bits):
     n_max = 500
     dev = psi_inner_max_deviation(n_max, bits=bits)
     with working(bits + 64):
-        bound = 4 * mpf(n_max) ** 1.5 * mpf(2) ** -(bits + _GUARD)
+        bound = 4 * mpf(n_max) ** 1.5 * mpf(2) ** -(bits + GUARD_BITS)
         assert 0 < dev < bound
 
 
@@ -207,7 +207,7 @@ def _resummed_residual(n, ts, bits):
     def build(p):
         return lubinsky._fixed_kernel(next(lubinsky._kernel_sums([n], ts, p))[1], p)
     _, prof, used = linalg.audited_profile(build, bits)
-    P = used + _GUARD
+    P = used + GUARD_BITS
     xs = prof.solve()
     res = [[-(1 << (3 * P)), 0] for _ in ts]
     for psi in lubinsky._psi_stream(n, ts, P):
@@ -248,7 +248,7 @@ def test_min_norm_exhausts_precision_in_the_band(monkeypatch):
     seen = []
 
     def band_sums(grid, ts, bits):
-        P = bits + lubinsky._GUARD
+        P = bits + GUARD_BITS
         seen.append(bits)
         one = 1 << (2 * P)
         for n in grid:
@@ -265,10 +265,10 @@ def test_profile_receives_integer_pairs_only(monkeypatch):
     received = []
     profile = linalg.ldl_profile
 
-    def spy(G, g):
+    def spy(G, g, bits):
         received.extend(x for row in G for x in row)
         received.extend(g)
-        return profile(G, g)
+        return profile(G, g, bits)
     monkeypatch.setattr(linalg, "ldl_profile", spy)
     distance_profile(DirichletPolynomial.parse("1:1,2:1i,3:-1/2"), 0, 6, bits=128)
     n_gram = len(received)
@@ -523,7 +523,7 @@ def test_phases_from_prime_phases(bits):
     # derivation), against mp.power at P + 32, past the magnitude of t log k;
     # e == 1 at t = 0
     n = 2000
-    P = bits + lubinsky._GUARD
+    P = bits + GUARD_BITS
     spf = lubinsky._spf_sieve(n)
     with working(bits):
         ts = [mpf(0), 2 * mp.pi / mp.log(2), mpf(-10) ** 4]
@@ -576,7 +576,7 @@ def test_kernel_grid_is_one_pass_of_separate_calls(monkeypatch):
     assert kernel_matrix(17, t[1:3], bits=bits).H[0][1] == kms[3][1][1][2]
     with pytest.raises(ValueError):
         lubinsky._kernel_grid([5, 5], t, bits)
-    assert set(scales) == {bits + lubinsky._GUARD}
+    assert set(scales) == {bits + GUARD_BITS}
     # and the stream does not depend on where it stops
     with working(bits):
         ts = [mpf(x) for x in t]
@@ -608,7 +608,7 @@ def test_zero_ordinate_next_to_nonzero_ones(bits):
 
 def _pair_loop_sums(grid, ts, bits):
     """The kernel sums by the plain pair loop over the same stream."""
-    P = bits + _GUARD
+    P = bits + GUARD_BITS
     l = len(ts)
     re = [[0] * l for _ in range(l)]
     im = [[0] * l for _ in range(l)]

@@ -18,7 +18,7 @@ from mpmath import mp, mpc, mpf
 
 from xdp.cli import main
 from xdp.dpcore import DirichletPolynomial, _mp_pair, _mp_terms, dp_eval
-from xdp.exact import GaussianRational, as_fraction, to_mp
+from xdp.exact import GaussianRational, as_fraction, to_fixed, to_mp
 from xdp.errors import ContourTooClose, QuadratureNotConverged
 from xdp import zeros
 from xdp.precision import working
@@ -116,7 +116,7 @@ def _lattice_point(k, bits):
 
 def _at(f, z):
     """z rounded to the fixed point (X, Y) of f's evaluator."""
-    return zeros._fixed(z.real, f.prec), zeros._fixed(z.imag, f.prec)
+    return to_fixed(z.real, f.prec), to_fixed(z.imag, f.prec)
 
 
 def _exact(f, z, bits):
