@@ -122,6 +122,8 @@ class ExperimentConfig:
             if path is not None and not isinstance(path, str):
                 raise ValueError(f"{name} must be a path, got {path!r}")
         object.__setattr__(self, "line_tol", _fraction("line_tol", self.line_tol))
+        if self.line_tol < 0:
+            raise ValueError(f"line_tol must be >= 0, got {self.line_tol}")
 
     def polynomial(self) -> DirichletPolynomial:
         return DirichletPolynomial.parse(self.poly)

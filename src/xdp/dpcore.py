@@ -27,7 +27,6 @@ from .precision import resolve_bits, working
 
 Scalar = Union[int, float, Fraction, complex, mpf, mpc, GaussianRational]
 
-_NUM = r"[+-]?\d+(?:\.\d+)?(?:/\d+)?"
 _ENTRY = _re.compile(r"^(\d+):(.+)$")
 
 
@@ -170,6 +169,22 @@ def _spf_sieve(n: int) -> array:
     return spf
 
 
+def _factor_chain(ks, m: int) -> list:
+    """The chain _phases walks to every k > 1 of ks (all k <= m) and the primes
+    and cofactors building them, by increasing k: (k, 0, 0) at a prime and
+    (k, i, j) at k = p q, p = spf[k], with i, j the positions (index + 1) of p, q."""
+    spf = _spf_sieve(m)
+    need = set()
+    for k in ks:
+        while k > 1 and k not in need:
+            p = spf[k] or k
+            need.update((k, p))
+            k //= p
+    ks = sorted(need)
+    pos = {k: i for i, k in enumerate(ks, 1)}
+    return [(k, pos[spf[k]], pos[k // spf[k]]) if spf[k] else (k, 0, 0) for k in ks]
+
+
 def _fixed_log(k: int, R: int) -> int:
     """round(2^R log k), within one unit: mpf_log at R + 16 bits, rounded once."""
     return to_int(mpf_shift(mpf_log(from_int(k), R + 16), R), round_nearest)
@@ -243,8 +258,8 @@ def _cos_sin_fixed(r: int, Q: int):
 
 def _prime_phase(t, p: int, P: int, logs: Optional[dict] = None):
     """p^{-it} 2^P rounded to nearest Gaussian integers; t is a raw mpf. The
-    one phase routine of the fixed-point code: the psi stream and the zero
-    engine's evaluator both build k^{-it} from it, a composite as a product.
+    prime step of _phases, through which the psi stream and the zero
+    engine's evaluator both build k^{-it}, a composite as a product.
 
     ``logs`` keeps round(2^R log p) per prime between calls, as p -> (L, R):
     the stream shares one dict across its ordinates, and ``zeros._Poly``
@@ -301,6 +316,27 @@ def _prime_phase(t, p: int, P: int, logs: Optional[dict] = None):
         if E < fr < top and E < fi < top:
             return (re + half) >> g, (im + half) >> g
         g *= 2
+
+
+def _phases(chain, t, P: int, logs: Optional[dict], keep: int):
+    """e_k = k^{-it} 2^P as Gaussian integers (re, im) along an increasing
+    chain of (k, i, j) (_factor_chain); t is a raw mpf. 1 and a prime take
+    _prime_phase, with the prime logs in ``logs``; a composite, the product
+    of the table's entries i and j, rounded once. The table keeps the
+    entries with k <= keep, a prefix of the chain holding every factor."""
+    half = 1 << (P - 1)
+    re, im = [0], [0]
+    for k, i, j in chain:
+        if not i:
+            x, y = _prime_phase(t, k, P, logs)
+        else:
+            a, b, c, d = re[i], im[i], re[j], im[j]
+            x = (a * c - b * d + half) >> P
+            y = (a * d + b * c + half) >> P
+        if k <= keep:
+            re.append(x)
+            im.append(y)
+        yield x, y
 
 
 def dp_eval(P: DirichletPolynomial, s: Scalar, bits: Optional[int] = None):

@@ -167,16 +167,15 @@ def run_criterion_report(cfg: ExperimentConfig) -> CriterionReport:
                       for row in rows)
     evidence = []
     with working(bits):
-        r_mp = fraction_to_mpf(cfg.r)
+        r_mp, line_tol = fraction_to_mpf(cfg.r), fraction_to_mpf(cfg.line_tol)
         tol9 = mpf(10) ** -9
         ds = [row.d_squared for row in rows]
 
-        # remark-1 floor from any located zero strictly right of Re = r
-        floor = None
-        floor_zero = None
+        # remark-1 floor from any located zero right of Re = r + line_tol
+        floor = floor_zero = None
         for z, mult in zs.zeros:
             delta = mp.re(z) - r_mp
-            if delta > 0:
+            if delta > line_tol:
                 cand = 2 * delta / abs(z - (r_mp - mpf(1) / 2)) ** 2
                 if floor is None or cand > floor:
                     floor, floor_zero = cand, z
@@ -188,7 +187,7 @@ def run_criterion_report(cfg: ExperimentConfig) -> CriterionReport:
                 f"{mp_to_str(floor, 64)} from zero at {floor_zero}")
         else:
             evidence.append("remark-1 floor not applicable: no located zero "
-                            "has Re(z) > r")
+                            f"has Re(z) - r > line_tol = {cfg.line_tol}")
 
         # monotone decay
         monotone = all(b <= a for a, b in zip(ds, ds[1:])) \
@@ -197,11 +196,10 @@ def run_criterion_report(cfg: ExperimentConfig) -> CriterionReport:
                         else "monotone decay not observed")
 
         # lower-bound inequality from on-line ordinates
+        theorem2 = True
         if len(C.ordinates) == 0:
-            theorem2 = True
             evidence.append("lower-bound inequality vacuous: no on-line zeros")
         else:
-            theorem2 = True
             worst = None
             sols = _min_norms([P.m * row.n for row in rows], C.ordinates, bits)
             for row, sol in zip(rows, sols):
@@ -213,8 +211,10 @@ def run_criterion_report(cfg: ExperimentConfig) -> CriterionReport:
                 if gap < -tol9:
                     theorem2 = False
             evidence.append(
+                "lower-bound inequality not checked: the min-norm system is "
+                "singular at every n" if worst is None else
                 f"lower-bound inequality {'observed' if theorem2 else 'violated'}"
-                f" (worst margin {mp_to_str(worst, 64) if worst is not None else 'n/a'})")
+                f" (worst margin {mp_to_str(worst, 64)})")
 
     if floor_observed:
         verdict = "consistent-zeros-present"

@@ -30,6 +30,7 @@ K_n(u, u) ~ (1/4 + u^2) log n be followed to n = 10^12.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from itertools import islice
 from typing import Optional, Sequence
@@ -38,7 +39,7 @@ import numpy as np
 from mpmath import bernfrac, mp, mpc, mpf
 from mpmath.libmp import from_int, mpf_shift, mpf_sqrt, round_nearest
 
-from .dpcore import _prime_phase, _spf_sieve
+from .dpcore import _phases, _spf_sieve
 from .errors import DuplicateOrdinates, NSingular, RemainderNotProven
 from .exact import GUARD_BITS, fixed_mpc, fixed_mpf, to_mp
 from .linalg import audited_profile
@@ -66,10 +67,10 @@ def psi_eval(n: int, t, bits: Optional[int] = None):
 # ints, rounded once per entry at the end. P depends on bits alone, so K_n(u, v)
 # is the same integer whichever other ordinates or grid points share a pass.
 #
-# Error of the stream, in units 2^-P (the proof of the guard). A prime phase
-# is cos/sin of t log p rounded to nearest (dpcore._prime_phase), half a unit
-# in each part, so |e_p - p^-it| <= 1/sqrt(2). A composite k = p m takes
-# round(e_p e_m), whose error is at most |e_p - p^-it| + |e_m - m^-it| +
+# Error of the stream, in units 2^-P (the proof of the guard). The phases are
+# dpcore._phases: a prime phase is cos/sin of t log p rounded to nearest, half
+# a unit in each part, so |e_p - p^-it| <= 1/sqrt(2). A composite k = p m
+# takes round(e_p e_m), whose error is at most |e_p - p^-it| + |e_m - m^-it| +
 # 1/sqrt(2) (up to O(2^-P) terms); by induction on the number of prime
 # factors, |e_k - k^-it| <= sqrt(2) log2 k <= 2 log2 k. With
 # floor(sqrt(k) 2^P) and one rounding, A_k = round(sqrt(k) e_k) is within
@@ -169,43 +170,24 @@ def psi_inner_max_deviation(n_max: int, bits: Optional[int] = None):
     return fixed_mpf(worst, -4 * P, bits)
 
 
-def _phases(n: int, t, P: int, spf, logs: Optional[dict] = None):
-    """e_k = k^{-it} * 2^P as Gaussian integers (re, im), k = 1..n.
-
-    Primes (and k = 1) take _prime_phase, with the prime logs in ``logs``;
-    a composite k = p m, p = spf[k], takes e_p e_m rounded once. m <= n // 2
-    and p <= sqrt(n), so the table keeps e_m for m <= n // 2 only.
-    """
-    keep = n // 2
-    half = 1 << (P - 1)
-    re, im = [0], [0]
-    for k in range(1, n + 1):
-        p = spf[k]
-        if not p:
-            x, y = _prime_phase(t, k, P, logs)
-        else:
-            a, b, c, d = re[p], im[p], re[k // p], im[k // p]
-            x = (a * c - b * d + half) >> P
-            y = (a * d + b * c + half) >> P
-        if k <= keep:
-            re.append(x)
-            im.append(y)
-        yield x, y
-
-
 def _psi_stream(n: int, ts, P: int):
     """[psi_k(t) * 2^P for t in ts] for k = 1..n, as Gaussian integers.
 
     psi_k = A_k - A_{k-1} with A_k = round(sqrt(k) e_k), and sqrt(k) * 2^P
-    is _sqrt_fixed(k, P). At t = 0, e_k = 2^P exactly. Every kernel sum reads
-    this one stream. The ordinates run in lockstep and share one dict of
-    prime logs, so each log p is formed once per pass.
+    is _sqrt_fixed(k, P). e_k is dpcore._phases over every k <= n, each at
+    position k, its table kept to the cofactors m <= n // 2; at t = 0,
+    e_k = 2^P exactly. Every kernel sum reads this one stream. The ordinates
+    run in lockstep and share one dict of prime logs, so each log p is
+    formed once per pass.
     """
     spf = _spf_sieve(n)
+    cof = array("I", (k // p if p else 0 for k, p in enumerate(spf)))
     logs = {}
     half = 1 << (P - 1)
     prev = [(0, 0)] * len(ts)
-    for k, es in enumerate(zip(*[_phases(n, t._mpf_, P, spf, logs) for t in ts]), 1):
+    phases = [_phases(zip(range(1, n + 1), islice(spf, 1, None), islice(cof, 1, None)),
+                      t._mpf_, P, logs, n // 2) for t in ts]
+    for k, es in enumerate(zip(*phases), 1):
         s = _sqrt_fixed(k, P)
         cur = [((s * x + half) >> P, (s * y + half) >> P) for x, y in es]
         yield [(a - c, b - d) for (a, b), (c, d) in zip(cur, prev)]

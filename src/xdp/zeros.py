@@ -50,9 +50,9 @@ from typing import Optional
 
 import numpy as np
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, mpf_exp, mpf_mul
+from mpmath.libmp import fone, from_man_exp, mpf_exp, mpf_mul
 
-from .dpcore import (DirichletPolynomial, _fixed_log, _prime_phase, _spf_sieve, dp_eval,
+from .dpcore import (DirichletPolynomial, _factor_chain, _fixed_log, _phases, dp_eval,
                      strip_bounds)
 from .errors import ContourTooClose, NonConvergent, QuadratureNotConverged
 from .exact import (GUARD_BITS, as_fraction, fixed_mpc, fixed_ratio, fraction_to_mpf,
@@ -150,22 +150,6 @@ def _fixed_coeff(c, P: int):
     return to_fixed(c.re, -e), to_fixed(c.im, -e), e
 
 
-def _factor_chain(ks, m: int):
-    """(primes, composites) that build every k > 1 of ks, all k <= m: the
-    primes dividing them, and (k, p, k // p) with p the smallest prime factor
-    of k, in increasing k, for every composite k and composite cofactor on
-    the way."""
-    spf = _spf_sieve(m)
-    need = set()
-    for k in ks:
-        while k > 1 and k not in need:
-            p = spf[k] or k
-            need.update((k, p))
-            k //= p
-    primes = [k for k in sorted(need) if not spf[k]]
-    return primes, [(k, spf[k], k // spf[k]) for k in sorted(need) if spf[k]]
-
-
 def _log_sum(logs) -> float:
     """log sum e^v over the v in logs."""
     top = max(logs)
@@ -187,15 +171,15 @@ class _Poly:
     normal doubles), ``logk``, ``log_abs`` = log |a_k| and ``log_asum`` = log sum
     |a_k|, taken from exact logarithms, and ``shifts``, the arrays
     ``shifted`` has built, by c. Fixed point at 2^-prec, prec = bits +
-    GUARD_BITS: ``fixed`` holds (k, L_k, a_k as ``_fixed_coeff``) per term,
-    L_k = round(2^prec log k), with ``log_max`` the largest L_k, and
-    ``chain`` the primes (with L_p) and composites that build each k^-z.
-    ``phase_logs`` keeps the primes' logs that ``_prime_phase`` reads,
-    widened when an ordinate needs more bits.
+    GUARD_BITS: ``fixed`` holds (i, L_k, a_k as ``_fixed_coeff``) per term,
+    i the position of k in ``chain``, the support's factor chain (0 for
+    k = 1), and L_k = round(2^prec log k), with ``log_max`` the largest L_k
+    and ``chain_logs`` L_p at the chain's primes. ``phase_logs`` keeps the
+    primes' logs that the phases read, widened as ordinates need.
     """
 
     __slots__ = ("P", "bits", "a", "logk", "log_abs", "log_asum", "shifts", "prec", "fixed",
-                 "chain", "log_max", "phase_logs")
+                 "chain", "chain_logs", "log_max", "phase_logs")
 
     def __init__(self, P: DirichletPolynomial, bits: int):
         self.P, self.bits = P, bits
@@ -208,10 +192,11 @@ class _Poly:
             self.a = np.array([complex(c) for _, c in items], dtype=np.complex128)
         self.shifts = {}
         self.prec = prec = bits + GUARD_BITS
-        self.fixed = [(k, _fixed_log(k, prec), *_fixed_coeff(c, prec)) for k, c in items]
+        self.chain = _factor_chain([k for k, _ in items], P.m)
+        pos = {k: i for i, (k, _, _) in enumerate([(1, 0, 0)] + self.chain)}
+        self.fixed = [(pos[k], _fixed_log(k, prec), *_fixed_coeff(c, prec)) for k, c in items]
         self.log_max = max(L for _, L, *_ in self.fixed)
-        primes, composites = _factor_chain([k for k, _ in items], P.m)
-        self.chain = [(p, _fixed_log(p, prec)) for p in primes], composites
+        self.chain_logs = {k: _fixed_log(k, prec) for k, i, _ in self.chain if not i}
         self.phase_logs = {}
 
     def numpy_safe(self, sigma_max: float, log_asum: Optional[float] = None) -> bool:
@@ -252,32 +237,23 @@ class _Poly:
         in the order of ``fixed``, at z = (X + iY) 2^-prec.
 
         One block exponent e serves every term: the largest part lies
-        between 2^(prec-1) and 2^prec. At a prime p, p^-x is mpf_exp of the
-        exact -X L_p 2^-2prec and p^-iy the shared ``_prime_phase``; a
-        composite k = p m takes both as products, each rounded once.
+        between 2^(prec-1) and 2^prec. One walk of ``chain`` gives k^-iy
+        (dpcore._phases) and k^-x: mpf_exp of the exact -X L_p 2^-2prec at
+        a prime p, and p^-x m^-x rounded once at a composite k = p m.
         """
         P = self.prec
-        half = 1 << (P - 1)
-        x2, y = -X, from_man_exp(Y, -P)
-        mag, phase = {}, {}
-        primes, composites = self.chain
-        for p, L in primes:
-            mag[p] = mpf_exp(from_man_exp(x2 * L, -2 * P), P + 8)
-            phase[p] = _prime_phase(y, p, P, self.phase_logs)
-        for k, p, m in composites:
-            mag[k] = mpf_mul(mag[p], mag[m], P + 8)
-            a, b = phase[p]
-            c, d = phase[m]
-            phase[k] = ((a * c - b * d + half) >> P, (a * d + b * c + half) >> P)
+        mag, phase = [fone], [(1 << P, 0)]
+        walk = _phases(self.chain, from_man_exp(Y, -P), P, self.phase_logs, self.P.m)
+        for (k, i, j), e in zip(self.chain, walk):
+            mag.append(mpf_mul(mag[i], mag[j], P + 8) if i else
+                       mpf_exp(from_man_exp(-X * self.chain_logs[k], -2 * P), P + 8))
+            phase.append(e)
         raw = []
         top = None
-        for k, _, ar, ai, ea in self.fixed:
-            if k == 1:
-                cr, ci, ex = ar, ai, ea
-            else:
-                _, man, exp, _ = mag[k]
-                er, ei = phase[k]
-                cr, ci, ex = (ar * er - ai * ei) * man, (ar * ei + ai * er) * man, ea + exp - P
+        for i, _, ar, ai, ea in self.fixed:
+            _, man, exp, _ = mag[i]
+            er, ei = phase[i]
+            cr, ci, ex = (ar * er - ai * ei) * man, (ar * ei + ai * er) * man, ea + exp - P
             size = ex + max(abs(cr), abs(ci)).bit_length()
             if top is None or size > top:
                 top = size
@@ -552,8 +528,9 @@ def _certify(f: _Poly, z, w: int):
     2^-(prec+2) of itself; k^-x, x = Re z, is a product of at most log2 k
     prime powers p^-x, each mpf_exp of the exact x L_p 2^-2prec with
     |L_p - 2^prec log p| <= 1/2, so within |x| log k 2^-prec + log2 k
-    2^-(prec+6) of itself; |e_k - 2^prec k^-iy| <= 2 log2 k, the psi stream's
-    bound, at any height; and the block shift rounds each part to nearest.
+    2^-(prec+6) of itself; e_k is dpcore._phases, as in the psi stream, so
+    |e_k - 2^prec k^-iy| <= 2 log2 k, the stream's bound, at any height; and
+    the block shift rounds each part to nearest.
     The largest part is at least 2^(prec-1), so 2^e <= 2^(1-prec) (1 + 2^-prec)
     max_k |b_k|, and with rho log m <= 1 (checked), sum_{j<=w} (rho log m)^j / j!
     <= e. L_k 2^-prec in place of log k moves (log k)^j by at most 2j 2^-prec
@@ -907,6 +884,8 @@ def constant_C(P: DirichletPolynomial, r, T, line_tol, bits: Optional[int] = Non
     bits = resolve_bits(bits)
     r_q = as_fraction(r)
     line_tol_q = as_fraction(line_tol)
+    if line_tol_q < 0:
+        raise ValueError(f"need line_tol >= 0, got {line_tol_q}")
     if P.m == 1:
         return ConstantC(r=r_q, partial=mpf(0), T=T, tail_bound=mpf(0),
                          line_tolerance=line_tol_q, ordinates=(), multiplicities=())

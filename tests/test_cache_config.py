@@ -151,6 +151,9 @@ def test_config_defaults_and_validation():
         ExperimentConfig(poly="1:1", format="xml")
     with pytest.raises(ValueError):
         ExperimentConfig(poly="")
+    with pytest.raises(ValueError, match="line_tol"):
+        ExperimentConfig(poly="1:1", line_tol=-1)
+    assert ExperimentConfig(poly="1:1", line_tol=0).line_tol == 0
 
 
 def test_schedule_and_rect_parsing():

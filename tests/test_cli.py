@@ -110,6 +110,14 @@ def test_constant_c_json(tmp_path):
         assert abs(partial + tail / 2 - target) <= tail
 
 
+def test_constant_c_negative_line_tol_exits_1(tmp_path, capsys):
+    out = tmp_path / "c.json"
+    assert main(["constant-c", "--poly", "1:1,2:-1", "--height", "10",
+                 "--line-tol", "-1", "--out", str(out)]) == 1
+    assert "line_tol" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_min_norm_json(tmp_path):
     out = tmp_path / "m.json"
     assert main(["min-norm", "--n", "2", "--t", "0",

@@ -16,9 +16,12 @@ from mpmath import mp, mpc, mpf
 from xdp import dpcore
 from xdp.dpcore import (
     DirichletPolynomial,
+    _factor_chain,
     _mp_pair,
     _mp_terms,
+    _phases,
     _prime_phase,
+    _spf_sieve,
     dp_eval,
     inverse_coeffs,
     kappa_partial_sums,
@@ -322,3 +325,23 @@ def test_prime_phase_widens_until_the_rounding_is_decided(monkeypatch):
     for t in ts:
         for p in (2, 3, 97):
             assert _prime_phase(t._mpf_, p, P) == _phase_reference(t, p, P)
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+@pytest.mark.parametrize("support", [(1, 2, 4, 8), (1, 6, 9, 12)])
+def test_sparse_chain_phases_match_the_dense_chain(support, bits):
+    # the zero engine walks only the support's chain, the psi stream every
+    # k <= n: both round the same products, so at each k they agree exactly
+    P = bits + 64
+    m = support[-1]
+    chain = _factor_chain(support, m)
+    assert {k for k, _, _ in chain} >= set(support) - {1}
+    spf = _spf_sieve(m)
+    dense = [(k, p, k // p if p else 0) for k, p in enumerate(spf) if k]
+    with mp.workprec(bits):
+        ts = [mpf(0), mpf("9.06472"), mpf(10) ** 30]
+    for t in ts:
+        want = dict(enumerate(_phases(dense, t._mpf_, P, {}, m), 1))
+        got = list(_phases(chain, t._mpf_, P, {}, m))
+        assert [want[k] for k, _, _ in chain] == got, (support, bits, t)
+

@@ -183,6 +183,29 @@ def test_report_zero_free_cases():
     assert any("monotone" in line for line in rep_half.evidence)
 
 
+def test_report_at_r_0_counts_no_on_line_zero_as_right_of_r():
+    # every zero of 1 - 2^{-s} lies on Re s = 0; at 128 bits the polish
+    # leaves one at Re ~ 1.6e-58, which must not raise the remark-1 floor
+    rep = run_criterion_report(_cfg(r=0, n_schedule=(1, 2, 4, 8, 16),
+                                    rect="-2,1,-20,20", T=20))
+    assert rep.zeros_found.total_count == 5
+    assert len(rep.C.ordinates) == 5
+    assert rep.verdict == "consistent-zero-free"
+    assert rep.evidence[0] == ("remark-1 floor not applicable: no located zero "
+                               "has Re(z) - r > line_tol = 1/1000000000")
+    assert rep.evidence[2].startswith("lower-bound inequality observed (worst margin ")
+
+
+def test_report_says_when_every_min_norm_system_is_singular():
+    # 5 on-line ordinates, and only n m = 2 and 4 rows: NSingular at every n
+    rep = run_criterion_report(_cfg(r=0, n_schedule=(1, 2),
+                                    rect="-2,1,-20,20", T=20))
+    assert len(rep.C.ordinates) == 5
+    assert rep.evidence[2] == ("lower-bound inequality not checked: the min-norm "
+                               "system is singular at every n")
+    assert rep.verdict == "consistent-zero-free"
+
+
 def test_report_requires_rect_and_height():
     with pytest.raises(ValueError):
         run_criterion_report(_cfg(r=0, n_schedule=(1, 2)))

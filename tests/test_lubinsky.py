@@ -16,7 +16,7 @@ from mpmath.libmp import from_rational, round_nearest
 
 from xdp import linalg, lubinsky
 from xdp.distance import distance_profile
-from xdp.dpcore import DirichletPolynomial
+from xdp.dpcore import DirichletPolynomial, _phases
 from xdp.errors import DuplicateOrdinates, NSingular, PrecisionExhausted, RemainderNotProven
 from xdp.exact import GUARD_BITS
 from xdp.lubinsky import (
@@ -525,10 +525,11 @@ def test_phases_from_prime_phases(bits):
     n = 2000
     P = bits + GUARD_BITS
     spf = lubinsky._spf_sieve(n)
+    chain = [(k, p, k // p if p else 0) for k, p in enumerate(spf) if k]
     with working(bits):
         ts = [mpf(0), 2 * mp.pi / mp.log(2), mpf(-10) ** 4]
     for t in ts:
-        gen = lubinsky._phases(n, t._mpf_, P, spf)
+        gen = _phases(chain, t._mpf_, P, None, n // 2)
         with working(P + 32):
             for k, (x, y) in enumerate(gen, 1):
                 # spy: the product table never holds more than m <= n // 2

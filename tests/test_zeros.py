@@ -185,8 +185,8 @@ def test_fixed_pair_builds_composites_from_primes(z):
     # _mp_pair (the bound in _certify's docstring), far left of the axis too
     P = DirichletPolynomial.parse("1:1,6:-1/3,9:1i,12:1/5+2/7i")
     f = zeros._Poly(P, 128)
-    assert f.chain == ([(p, zeros._fixed_log(p, f.prec)) for p in (2, 3)],
-                       [(6, 2, 3), (9, 3, 3), (12, 2, 6)])
+    assert f.chain == [(2, 0, 0), (3, 0, 0), (6, 1, 2), (9, 2, 2), (12, 1, 3)]
+    assert f.chain_logs == {p: zeros._fixed_log(p, f.prec) for p in (2, 3)}
     at = _at(f, z)
     (pr, pi), (dr, di) = f.fixed_pair(*at)
     _, e = f.fixed_terms(*at)
@@ -440,6 +440,12 @@ def test_constant_c_trivial_polynomial():
     assert c.tail_bound == 0
     assert c.ordinates == ()
     assert c.multiplicities == ()
+
+
+def test_constant_c_refuses_a_negative_line_tolerance():
+    with pytest.raises(ValueError, match="line_tol"):
+        constant_C(P_BASE, 0, 10, -1, bits=128)
+    assert constant_C(P_ONE, 0, 10, 0, bits=128).line_tolerance == 0
 
 
 def test_constant_c_small_height():
