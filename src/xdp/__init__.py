@@ -18,7 +18,7 @@ from .exact import GaussianRational, as_fraction
 from .experiments import (CriterionReport, DecayFit, SweepRow,
                           run_criterion_report, run_decay_fit,
                           run_distance_sweep)
-from .linalg import LDLFactors, LDLProfile, ldl_factor, ldl_profile, ldl_solve
+from .linalg import LDLProfile, ldl_profile
 from .lubinsky import (KernelAsymptoticsRow, KernelMatrix, MinNormSolution,
                        kernel, kernel_asymptotics_report, kernel_matrix,
                        min_norm, psi_eval, psi_inner, psi_inner_max_deviation)
@@ -43,7 +43,7 @@ __all__ = [
     "GaussianRational", "as_fraction",
     "CriterionReport", "DecayFit", "SweepRow", "run_criterion_report",
     "run_decay_fit", "run_distance_sweep",
-    "LDLFactors", "LDLProfile", "ldl_factor", "ldl_profile", "ldl_solve",
+    "LDLProfile", "ldl_profile",
     "KernelAsymptoticsRow", "KernelMatrix", "MinNormSolution", "kernel",
     "kernel_asymptotics_report", "kernel_matrix", "min_norm", "psi_eval",
     "psi_inner", "psi_inner_max_deviation",

@@ -17,9 +17,10 @@ complement is the determinant ratio det(G_n - g g*)/det(G_n). The
 factorization (``linalg.ldl_profile``) takes those integers as they are and
 carries the one pivot audit (``linalg.audited_profile``): negligible pivots
 are dropped, and an indeterminate one rebuilds the Gram data at doubled
-precision. The pivoted ``projection`` solve rounds the same integers to mpf
-at the precision the audit settled on, only when asked for, and stays, in
-its own arithmetic, the independent check.
+precision. The ``projection`` check rounds the same integers to mpf at the
+precision the audit settled on, only when asked for, and solves them with
+mpmath's partially pivoted LU (``mp.lu_solve``): in its own arithmetic and
+with no factorization of ours, it stays the independent check.
 
 Since rho_a and rho_b live on (0, 1/max(a, b)], substituting y = d x gives
 <rho_{da}, rho_{db}> = <rho_a, rho_b>/d and <1, rho_k> = <1, rho_1>/k, so
@@ -36,9 +37,10 @@ from typing import Optional, Sequence
 from mpmath import mp, mpf
 
 from .dpcore import DirichletPolynomial, KappaProfile, dp_eval, kappa_partial_sums
+from .errors import NSingular
 from .exact import (GUARD_BITS, as_fraction, fixed_mpc, fixed_mpf, fixed_ratio,
                     fraction_to_mpf, to_mp)
-from .linalg import audited_profile, ldl_factor, ldl_solve
+from .linalg import audited_profile
 from .precision import resolve_bits, working
 
 
@@ -176,8 +178,10 @@ def distance_squared(P: DirichletPolynomial, r, n: int, method: str = "det-ratio
     """d^2 for the first n generators at the audited precision.
 
     ``projection`` rounds the same Gram data to mpf and solves G x = g with
-    a pivoted LDL^H, dropping components whose pivot is below 2^{-p/2} of
-    the largest.
+    mpmath's LU at the audited precision p (which pivots partially, at
+    p + 10 bits); d^2 = 1 - Re g* x and coeffs = x. LU has no drop rule, so
+    when the audit dropped a generator (a pivot below 2^{-p/2} of the
+    largest) the projection raises NSingular with the smallest pivot.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -188,9 +192,12 @@ def distance_squared(P: DirichletPolynomial, r, n: int, method: str = "det-ratio
     if method == "det-ratio":
         return DistanceResult(n=n, r=r_q, d_squared=prof.d_squared[-1], method=method,
                               coeffs=None, precision_bits=used)
+    if prof.dropped:
+        i = min(range(len(prof.pivots)), key=prof.pivots.__getitem__)
+        raise NSingular(i, prof.pivots[i])
     with working(used):
         G, g = _rounded_gram(*system, used)
-        x = ldl_solve(ldl_factor(G), g)
+        x = list(mp.lu_solve(G, g))
         inner = mp.fsum(mp.conj(gv) * xv for gv, xv in zip(g, x))
         d2 = _clamp01(mp.re(mpf(1) - inner))
     return DistanceResult(n=n, r=r_q, d_squared=d2, method=method,

@@ -351,8 +351,11 @@ def dp_eval(P: DirichletPolynomial, s: Scalar, bits: Optional[int] = None):
 # =========================================================================
 
 def _integer_root(n: int, q: int) -> Optional[int]:
+    """The integer c with c^q = n, or None."""
     if n == 1:
         return 1
+    if q >= n.bit_length():     # then 2^q > n: no c >= 2 has c^q = n
+        return None
     r0 = int(round(n ** (1.0 / q)))
     for c in (r0 - 1, r0, r0 + 1):
         if c >= 1 and c ** q == n:
@@ -391,15 +394,21 @@ class KappaProfile:
 
 
 _KAPPA_GUARD_BITS = 32
+_MAX_POWER_BITS = 1 << 24       # bits of the largest k^e kappa_partial_sums forms
 
 
 def kappa_partial_sums(P: DirichletPolynomial, r, bits: Optional[int] = None) -> KappaProfile:
     """S_j = sum_{k<=j} a_k k^e, e = 1/2 - r, summed exactly as Gaussian
     rationals. A power k^e is the exact Fraction when it is rational, else
     k^e rounded once at bits + 32; ``exact`` says whether every power was
-    rational, and ``precision_bits`` is None then."""
+    rational, and ``precision_bits`` is None then. A shift whose powers
+    could need more than 2^24 bits, |e| ceil(log2 m) > 2^24, is refused
+    with ValueError."""
     r_q = as_fraction(r)
     e = Fraction(1, 2) - r_q
+    if abs(e) * (P.m - 1).bit_length() > _MAX_POWER_BITS:
+        raise ValueError(f"shift r = {r_q} is out of range: the powers k^(1/2 - r), "
+                         f"k <= {P.m}, could need more than 2^24 bits")
     bits = resolve_bits(bits)
     exact = True
     run = GaussianRational(0)

@@ -17,7 +17,7 @@ from mpmath import mp, mpf
 
 from .cache import load_gram, store_gram
 from .config import ExperimentConfig
-from .distance import DistanceResult, _audited_profile
+from .distance import _audited_profile
 from .dpcore import DirichletPolynomial, StripBounds, strip_bounds
 from .errors import NSingular
 from .exact import fraction_to_mpf
@@ -143,7 +143,7 @@ class CriterionReport:
     strip: StripBounds
     zeros_found: ZeroSet
     C: ConstantC
-    distances: tuple
+    distances: tuple     # the sweep's SweepRows
     verdict: str
     evidence: tuple
 
@@ -160,11 +160,7 @@ def run_criterion_report(cfg: ExperimentConfig) -> CriterionReport:
     strip = strip_bounds(P, bits=bits)
     zs = find_zeros(P, cfg.rect, bits=bits)
     C = constant_C(P, cfg.r, cfg.T, cfg.line_tol, bits=bits)
-    rows = run_distance_sweep(cfg)
-    distances = tuple(DistanceResult(n=row.n, r=cfg.r, d_squared=row.d_squared,
-                                     method="det-ratio", coeffs=None,
-                                     precision_bits=row.precision_bits)
-                      for row in rows)
+    rows = tuple(run_distance_sweep(cfg))
     evidence = []
     with working(bits):
         r_mp, line_tol = fraction_to_mpf(cfg.r), fraction_to_mpf(cfg.line_tol)
@@ -223,7 +219,7 @@ def run_criterion_report(cfg: ExperimentConfig) -> CriterionReport:
     else:
         verdict = "inconclusive"
     return CriterionReport(strip=strip, zeros_found=zs, C=C,
-                           distances=distances, verdict=verdict,
+                           distances=rows, verdict=verdict,
                            evidence=tuple(evidence))
 
 

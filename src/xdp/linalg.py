@@ -1,13 +1,10 @@
-"""Dense Hermitian LDL^H factorizations.
+"""The one Hermitian factorization: an unpivoted LDL^H in Gaussian integers.
 
-``ldl_factor``/``ldl_solve`` are the pivoted factorization and solve on
-matrices of mpf/mpc, at the ambient mpmath precision (callers wrap them in
-``precision.working``). They serve only ``distance_squared(method=
-"projection")``, the independent check on the profile. ``ldl_profile`` is the
-unpivoted factorization in Gaussian integers (the fixed point of ``exact``)
-that gives the whole d^2 profile and the min-norm value and coefficients,
-and ``audited_profile`` runs it under the one pivot audit: an indeterminate
-pivot rebuilds the system at doubled precision.
+``ldl_profile`` factors at the fixed point of ``exact`` and gives the whole
+d^2 profile and the min-norm value and coefficients, and ``audited_profile``
+runs it under the one pivot audit: an indeterminate pivot rebuilds the
+system at doubled precision. The independent check on it,
+``distance_squared(method="projection")``, solves with mpmath's own LU.
 """
 
 from __future__ import annotations
@@ -16,92 +13,8 @@ from dataclasses import dataclass, field
 from operator import mul
 from typing import Callable, Optional
 
-from mpmath import mp, mpf
-
 from .errors import NSingular, PrecisionExhausted
 from .exact import GUARD_BITS, fixed_mpf
-
-
-def _real(x):
-    return x.real if hasattr(x, "real") and not isinstance(x, mpf) else x
-
-
-def _check_square(A) -> int:
-    n = len(A)
-    if n == 0 or any(len(row) != n for row in A):
-        raise ValueError("matrix must be square and nonempty")
-    return n
-
-
-@dataclass(frozen=True)
-class LDLFactors:
-    """P A P^T = L D L^H; perm[i] is the source index of permuted row i."""
-
-    L: list
-    d: list
-    perm: list
-
-
-def ldl_factor(A) -> LDLFactors:
-    """P A P^T = L D L^H; each step pivots on the largest remaining diagonal
-    entry."""
-    n = _check_square(A)
-    M = [list(row) for row in A]
-    perm = list(range(n))
-    L = [[mpf(1) if i == j else mpf(0) for j in range(n)] for i in range(n)]
-    d = [mpf(0)] * n
-    for j in range(n):
-        p = max(range(j, n), key=lambda i: _real(M[i][i]))
-        if p != j:
-            M[j], M[p] = M[p], M[j]
-            for row in M:
-                row[j], row[p] = row[p], row[j]
-            perm[j], perm[p] = perm[p], perm[j]
-            for c in range(j):
-                L[j][c], L[p][c] = L[p][c], L[j][c]
-        dj = _real(M[j][j])
-        d[j] = dj
-        if dj == 0:
-            continue  # PSD remainder is (numerically) zero; skip the update
-        for i in range(j + 1, n):
-            L[i][j] = M[i][j] / dj
-        for i in range(j + 1, n):
-            row = M[i]
-            c = L[i][j] * dj
-            for k in range(j + 1, n):
-                row[k] = row[k] - c * mp.conj(L[k][j])
-    return LDLFactors(L=L, d=d, perm=perm)
-
-
-def ldl_solve(f: LDLFactors, b):
-    """Solve A x = b given factors of A.
-
-    Components whose pivot is below 2^{-p/2} of the largest, p the ambient
-    precision, are set to zero: their generators are dropped, at the
-    threshold where ``ldl_profile`` drops them.
-    """
-    n = len(f.d)
-    if len(b) != n:
-        raise ValueError(f"rhs length {len(b)} does not match order {n}")
-    drop_at = max(f.d) * mpf(2) ** (-(mp.prec // 2))
-    y = [b[f.perm[i]] for i in range(n)]
-    z = [mpf(0)] * n
-    for i in range(n):
-        acc = y[i]
-        for k in range(i):
-            acc = acc - f.L[i][k] * z[k]
-        z[i] = acc
-    w = [z[i] / f.d[i] if f.d[i] >= drop_at else mpf(0) for i in range(n)]
-    x = [mpf(0)] * n
-    for i in reversed(range(n)):
-        acc = w[i]
-        for k in range(i + 1, n):
-            acc = acc - mp.conj(f.L[k][i]) * x[k]
-        x[i] = acc
-    out = [mpf(0)] * n
-    for i in range(n):
-        out[f.perm[i]] = x[i]
-    return out
 
 
 # =========================================================================
@@ -153,7 +66,9 @@ def ldl_profile(G, g, bits: int) -> LDLProfile:
     quotient, and results round out once. Rows are built Crout-style, so
     every inner product is a C-level dot product of two int lists.
     """
-    n = _check_square(G)
+    n = len(G)
+    if n == 0 or any(len(row) != n for row in G):
+        raise ValueError("matrix must be square and nonempty")
     if len(g) != n:
         raise ValueError(f"rhs length {len(g)} does not match order {n}")
     frac = bits + GUARD_BITS

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+from bounded import run_bounded
 from xdp import cli, lubinsky
 from xdp.cli import main
 from xdp.lubinsky import min_norm
@@ -52,6 +53,24 @@ def test_distance_bad_poly_exits_1(tmp_path):
                  "--out", str(tmp_path / "x.csv")]) == 1
     assert main(["distance", "--poly", "1:1", "--precision", "16",
                  "--out", str(tmp_path / "x.csv")]) == 1
+
+
+_CLI_SHIFTS = """
+from xdp.cli import main
+base = ["distance", "--poly", "1:1,2:-1"]
+assert main(base + ["--r", "1e30", "--n-max", "2"]) == 1
+assert main(base + ["--r=-1e30", "--n-max", "2"]) == 1
+assert main(base + ["--r", "1e-30", "--n-max", "8"]) == 0
+"""
+
+
+def test_distance_shift_out_of_range_exits_1_and_tiny_shift_runs():
+    # each of these once ran without end, so they run in a child
+    done = run_bounded(["-c", _CLI_SHIFTS])
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.count("is out of range") == 2
+    assert done.stdout.splitlines()[0] == "n,d_squared,d_squared_times_log_n,precision_bits,min_pivot"
+    assert [line.split(",")[0] for line in done.stdout.splitlines()[1:]] == ["1", "2", "4", "8"]
 
 
 def test_zeros_json_report(tmp_path):

@@ -17,6 +17,7 @@ import pytest
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import from_rational, round_nearest
 
+from bounded import run_bounded
 from fixedpoint import fixed_system
 from xdp import distance
 from xdp.dpcore import DirichletPolynomial, dp_eval, kappa_partial_sums
@@ -31,9 +32,9 @@ from xdp.distance import (
     distance_squared,
     mellin_identity_residual,
 )
-from xdp.errors import PrecisionExhausted
-from xdp.exact import GaussianRational, to_mp
-from xdp.linalg import ldl_factor, ldl_profile, ldl_solve
+from xdp.errors import NSingular, PrecisionExhausted
+from xdp.exact import GUARD_BITS, GaussianRational, to_mp
+from xdp.linalg import audited_profile, ldl_profile
 from xdp.precision import working
 
 P_ONE = DirichletPolynomial.parse("1:1")
@@ -239,18 +240,6 @@ def test_profile_matches_projection_complex():
             assert abs(res.d_squared - alt.d_squared) / denom < mpf(2) ** -128
 
 
-def test_profile_mpc_twin_identical():
-    # an entry held as an mpc with zero imaginary part changes nothing on the
-    # pivoted projection path, the one that still takes mpf entries
-    G, g = _rounded_gram(*_build_gram(P_BASE, 0, 16, 256), 256)
-    assert not any(isinstance(x, mpc) for row in G for x in row)
-    with working(256):
-        twin = ldl_solve(ldl_factor([[mpc(x, 0) for x in row] for row in G]),
-                         [mpc(x, 0) for x in g])
-        plain = ldl_solve(ldl_factor(G), g)
-    assert twin == plain
-
-
 def test_build_gram_exact_matches_per_pair_build():
     # the integer build rounds each entry once, as the Gaussian-rational
     # oracle rounded once to the fixed point gives it: every entry is ==,
@@ -315,6 +304,25 @@ def test_profile_against_a_768_bit_build(bits):
             assert abs(res.d_squared - want.d_squared) <= mpf(2) ** -(bits - 2) * want.d_squared, res.n
 
 
+_TINY_SHIFTS = """
+from mpmath import mpf
+from xdp.distance import distance_profile
+from xdp.dpcore import DirichletPolynomial
+P = DirichletPolynomial.parse("1:1,2:-1")
+base = distance_profile(P, 0, 8, bits=256)
+for r in ("1e-30", "1e-9"):
+    near = distance_profile(P, r, 8, bits=256)
+    assert max(abs(a.d_squared - b.d_squared) for a, b in zip(base, near)) < 2 * mpf(r)
+"""
+
+
+def test_tiny_shift_is_near_r_zero():
+    # r = 10^-30 puts a 10^30-th root in the kappa profile, once a sweep
+    # that never returned; each d^2_n, n <= 8, is within 2 r of r = 0
+    done = run_bounded(["-c", _TINY_SHIFTS])
+    assert done.returncode == 0, done.stderr
+
+
 def _band_gram(bits):
     # pivot 2^{-3 bits / 8} sits in [2^{-bits/2}, 2^{-bits/4}) at every precision
     G, g = fixed_system([[1, 0], [0, Fraction(1, 2 ** (3 * bits // 8))]],
@@ -364,6 +372,39 @@ def test_profile_reports_escalated_precision(monkeypatch):
     proj = distance_squared(P_BASE, 0, 2, method="projection", bits=128)
     assert proj.precision_bits == 256
     assert proj.d_squared == mpf(1) / 2
+
+
+def test_projection_refuses_a_dropped_generator(monkeypatch):
+    # LU has no drop rule: a generator the audit drops (here the second of
+    # two equal ones, pivot 0) is an NSingular on the projection, while the
+    # profile goes on without it
+    def dependent(P, r, n, bits):
+        return (*fixed_system([[1, 1], [1, 1]], [1, 1], bits), 0)
+    monkeypatch.setattr(distance, "_build_gram", dependent)
+    assert distance_squared(P_BASE, 0, 2, bits=128).d_squared == 0
+    with pytest.raises(NSingular) as err:
+        distance_squared(P_BASE, 0, 2, method="projection", bits=128)
+    assert err.value.index == 1 and err.value.pivot == 0
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_profile_solve_matches_projection_coeffs(bits):
+    # x = G^{-1} g by the profile's integer back-substitution, in units of
+    # 2^-(bits + GUARD_BITS + scale/2), against mpmath's LU on the rounded
+    # Gram data, at n = 48
+    n = 48
+    for poly, r in (("1:1,2:-1", 0), ("1:1,2:1i,3:-1/2", 0),
+                    ("1:1,2:1/2+1/2i,3:-1/3i", Fraction(1, 3))):
+        P = DirichletPolynomial.parse(poly)
+        (_, _, scale), prof, used = audited_profile(lambda p: _build_gram(P, r, n, p), bits)
+        proj = distance_squared(P, r, n, method="projection", bits=bits)
+        assert used == proj.precision_bits == bits
+        exp = -(bits + GUARD_BITS) - scale // 2
+        with working(bits + 64):
+            x = [mpc(mp.ldexp(xr, exp), mp.ldexp(xi, exp)) for xr, xi in prof.solve()]
+            top = max(abs(v) for v in proj.coeffs)
+            err = max(abs(a - b) for a, b in zip(x, proj.coeffs))
+            assert err <= mpf(2) ** -(bits - 24) * top, (poly, mp.log(err / top, 2))
 
 
 def test_approximant_distance_pinned():

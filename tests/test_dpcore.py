@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
+from bounded import run_bounded
 from xdp import dpcore
 from xdp.dpcore import (
     DirichletPolynomial,
@@ -148,6 +149,35 @@ def test_kappa_partial_sums_pinned():
     assert prof.S[0] == 1                       # 1^e is rational: exact
     with mp.workprec(256):
         assert abs(to_mp(prof.S[1]) - (1 - mp.sqrt(2))) < mpf(2) ** -250
+
+
+_SHIFT_LIMITS = """
+from fractions import Fraction
+from xdp.dpcore import DirichletPolynomial, _integer_root, kappa_partial_sums
+assert _integer_root(2, 10 ** 30) is None and _integer_root(3, 10 ** 9) is None
+assert _integer_root(2 ** 40, 40) == 2 and _integer_root(7, 1) == 7
+P = DirichletPolynomial.parse("1:1,2:-1")
+for r in ("1e-30", "1e-9"):
+    prof = kappa_partial_sums(P, r, bits=128)
+    assert not prof.exact and prof.S[0] == 1
+for r in ("1e30", "-1e30", "1e8", Fraction(1, 2) - 10 ** 30):
+    try:
+        kappa_partial_sums(P, r, bits=128)
+    except ValueError as exc:
+        assert "out of range" in str(exc)
+    else:
+        raise AssertionError(r)
+"""
+
+
+def test_kappa_shifts_tiny_and_out_of_range():
+    # r = 10^-30 asks _integer_root for a 10^30-th root, and r = 10^30 for
+    # powers of about 10^30 bits: the root is ruled out by its bit length,
+    # and the power refused with ValueError, each at once; a P with m = 1
+    # needs no power, so any r goes
+    done = run_bounded(["-c", _SHIFT_LIMITS])
+    assert done.returncode == 0, done.stderr
+    assert kappa_partial_sums(P_ONE, 10 ** 30).S == (GaussianRational(1),)
 
 
 def test_kappa_tail_is_dp_value():
