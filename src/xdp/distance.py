@@ -37,7 +37,6 @@ from typing import Optional, Sequence
 from mpmath import mp, mpf
 
 from .dpcore import DirichletPolynomial, KappaProfile, dp_eval, kappa_partial_sums
-from .errors import NSingular
 from .exact import (GUARD_BITS, as_fraction, fixed_mpc, fixed_mpf, fixed_ratio,
                     fraction_to_mpf, to_mp)
 from .linalg import audited_profile
@@ -192,9 +191,9 @@ def distance_squared(P: DirichletPolynomial, r, n: int, method: str = "det-ratio
     if method == "det-ratio":
         return DistanceResult(n=n, r=r_q, d_squared=prof.d_squared[-1], method=method,
                               coeffs=None, precision_bits=used)
-    if prof.dropped:
-        i = min(range(len(prof.pivots)), key=prof.pivots.__getitem__)
-        raise NSingular(i, prof.pivots[i])
+    singular = prof.singular()
+    if singular is not None:
+        raise singular
     with working(used):
         G, g = _rounded_gram(*system, used)
         x = list(mp.lu_solve(G, g))

@@ -157,10 +157,10 @@ def run_criterion_report(cfg: ExperimentConfig) -> CriterionReport:
         raise ValueError("criterion report needs a height T")
     P = cfg.polynomial()
     bits = cfg.precision_bits
+    rows = tuple(run_distance_sweep(cfg))     # first: it refuses an out-of-range r
     strip = strip_bounds(P, bits=bits)
     zs = find_zeros(P, cfg.rect, bits=bits)
     C = constant_C(P, cfg.r, cfg.T, cfg.line_tol, bits=bits)
-    rows = tuple(run_distance_sweep(cfg))
     evidence = []
     with working(bits):
         r_mp, line_tol = fraction_to_mpf(cfg.r), fraction_to_mpf(cfg.line_tol)

@@ -52,6 +52,13 @@ class LDLProfile:
     inner: Optional[int] = field(default=None, compare=False)
     solve: Optional[Callable[[], list]] = field(default=None, repr=False, compare=False)
 
+    def singular(self) -> Optional[NSingular]:
+        """NSingular at the first smallest pivot if one was dropped, else None."""
+        if not self.dropped:
+            return None
+        i = min(range(len(self.pivots)), key=self.pivots.__getitem__)
+        return NSingular(i, self.pivots[i])
+
 
 def ldl_profile(G, g, bits: int) -> LDLProfile:
     """d^2 = 1 - g* G_n^{-1} g for every leading order n of the Hermitian PSD G.

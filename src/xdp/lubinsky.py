@@ -417,9 +417,9 @@ def _min_norms(grid: Sequence[int], t: Sequence, bits: int, with_coeffs: bool = 
             return (*_fixed_kernel(Sp, p), Sp)
 
         (_, _, S_used), prof, used = audited_profile(build, bits)
-        if prof.dropped:
-            i = min(range(len(prof.pivots)), key=prof.pivots.__getitem__)
-            yield NSingular(i, prof.pivots[i])
+        singular = prof.singular()
+        if singular is not None:
+            yield singular
             continue
         P = used + GUARD_BITS
         xs = prof.solve()

@@ -8,11 +8,12 @@ or error, and ``winding_count`` is its one-rectangle case, which raises the
 error. Rectangles go in blocks of _BLOCK (``_np_windings``): one
 contact-sample evaluation for the block, then per level one evaluation of
 P'/P at the nodes of every rectangle not yet settled, each with its own
-panels, contact test, resolution test and stabilization. A rectangle on
+panels, contact test, resolution test and stabilization (``_np_pair``
+gives (P, P') in doubles, here and in the double Newton). A rectangle on
 which some term of P would overflow, underflow or go subnormal in doubles
-(``_Poly.numpy_safe``) is wound as the same problem for Q(s) = 2^-E
-P(s + c), c the integer nearest its real centre, translated by -c
-(``_Poly.shifted``): an exact identity, so the count is P's.
+(``_Poly.numpy_safe``) is wound as Q(s) = 2^-E P(s + c), c the integer
+nearest its real centre, translated by -c (``_Poly.shifted``): an exact
+identity, so the count is P's.
 
 One engine, ``_zeros_in``, locates zeros for both callers: ``find_zeros``
 runs it on its rectangle and ``constant_C`` on its whole strip. A cell is
@@ -25,18 +26,19 @@ _NEWTON_STOP of a zero, in doubles for the whole batch at once
 (``_np_newton``); a Rouché certificate that exactly as many zeros as the
 cell holds lie within a small radius of that point, from the Taylor
 coefficients of P there (``_certify``); and Newton with that multiplicity
-to the requested tolerance (``_newton``). Only the converged iterate must
-lie in the cell, tested exactly against its Fraction edges. No contour is
-wound about a zero.
+to the requested tolerance (``_newton``); a start the certificate refuses
+is refined in fixed point first. Only the converged iterate must lie in
+the cell, tested exactly against its Fraction edges. No contour is wound
+about a zero.
 
 The polish past doubles runs in the fixed point of ``exact``, as the psi
 stream and the d^2 factorization do: z = (X + iY) 2^-prec with prec = bits +
 GUARD_BITS, and ``_Poly.fixed_terms`` gives every b_k = a_k k^-z as a
-Gaussian integer under one block exponent. Newton steps, stop tests and the
-certificate's inequality are integer arithmetic on those, free of scale far
-from the axis and for coefficients beyond double range. mpmath evaluates P
-only for ``find_zeros``' residuals (``dp_eval``). P is prepared once per call
-in all its forms (``_Poly``).
+Gaussian integer under one block exponent, summed by ``_Poly.fixed_sums``.
+Newton steps, stop tests and the certificate's inequality are integer
+arithmetic on those, free of scale far from the axis and for coefficients
+beyond double range. mpmath evaluates P only for ``find_zeros``' residuals
+(``dp_eval``). P is prepared once per call in all its forms (``_Poly``).
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional
 
 import numpy as np
@@ -269,49 +272,43 @@ class _Poly:
                 b.append((cr << -sh, ci << -sh))
         return b, e
 
-    def fixed_pair(self, X: int, Y: int):
-        """(p, d): P(z) = p 2^e and P'(z) = d 2^(e - prec) as Gaussian
-        integers, for one block exponent e, at z = (X + iY) 2^-prec."""
+    def fixed_sums(self, X: int, Y: int, w: int):
+        """(b, [s_0, ..., s_w]) at z = (X + iY) 2^-prec: b and e from ``fixed_terms``,
+        s_j = sum_k b_k (-L_k)^j, so P(z) = s_0 2^e and P'(z) = s_1 2^(e - prec)."""
         b, _ = self.fixed_terms(X, Y)
-        pr = pi = dr = di = 0
-        for (br, bi), (_, L, *_) in zip(b, self.fixed):
-            pr += br
-            pi += bi
-            dr -= L * br
-            di -= L * bi
-        return (pr, pi), (dr, di)
+        logs = [-t[1] for t in self.fixed]
+        re, im = zip(*b)
+        sums = [(sum(re), sum(im))]
+        for _ in range(w):
+            re, im = tuple(map(mul, logs, re)), tuple(map(mul, logs, im))
+            sums.append((sum(re), sum(im)))
+        return b, sums
 
 
 # =========================================================================
 # contour integration
 # =========================================================================
 
-def _np_terms(a, logk, s):
-    """(log k, a_k k^-s at the nodes s) term by term; k = 1 needs no exp."""
-    for ak, lk in zip(a.tolist(), logk.tolist()):
-        yield lk, (np.exp(-lk * s) * ak if lk else ak)
-
-
-def _np_values(a, logk, s):
-    """P at the nodes, _CHUNK of them at a time."""
-    out = np.zeros(len(s), dtype=np.complex128)
+def _np_pair(a, logk, s):
+    """(P, P') at the nodes s in doubles, _CHUNK of them at a time, the terms
+    a_k k^-s added in order of k; k = 1 needs no exp. Each term is one array,
+    formed in place, and times -log k (a real product) for P'."""
+    p = np.zeros(len(s), dtype=np.complex128)
+    d = np.zeros(len(s), dtype=np.complex128)
     for lo in range(0, len(s), _CHUNK):
-        for _, t in _np_terms(a, logk, s[lo:lo + _CHUNK]):
-            out[lo:lo + _CHUNK] += t
-    return out
-
-
-def _np_ratio(a, logk, s):
-    """P'/P at the nodes, _CHUNK of them at a time; inf or nan where P is 0.0."""
-    num = np.zeros(len(s), dtype=np.complex128)
-    den = np.zeros(len(s), dtype=np.complex128)
-    for lo in range(0, len(s), _CHUNK):
-        for lk, t in _np_terms(a, logk, s[lo:lo + _CHUNK]):
-            den[lo:lo + _CHUNK] += t
-            if lk:
-                num[lo:lo + _CHUNK] -= lk * t
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.divide(num, den, out=num)
+        z, hi = s[lo:lo + _CHUNK], lo + _CHUNK
+        for ak, lk in zip(a.tolist(), logk.tolist()):
+            if not lk:
+                p[lo:hi] += ak
+                continue
+            t = np.multiply(z, -lk)
+            np.exp(t, out=t)
+            t *= ak
+            p[lo:hi] += t
+            parts = t.view(np.float64)
+            parts *= -lk
+            d[lo:hi] += t
+    return p, d
 
 
 def _layout(rects):
@@ -371,18 +368,18 @@ def _np_windings(a, logk, rects) -> list:
     verdict: its count, or the ContourTooClose or QuadratureNotConverged it
     gets in place of one.
 
-    One evaluation of |P| at _CONTACT equispaced samples per edge tests
-    every rectangle: one whose samples dip below 1e-12 of its largest is too
-    close. Then each level evaluates P'/P in one call at the nodes of every
-    rectangle not yet settled, for up to 13 levels; a rectangle with a node
-    where P is 0.0 exactly is too close. A rectangle keeps its own base <<
-    level panels per edge, resolution test and stabilization; rectangles
-    with the same base panels are laid out as one array.
+    One ``_np_pair`` call gives |P| at _CONTACT equispaced samples per edge:
+    a rectangle whose samples dip below 1e-12 of its largest is too close.
+    Then each level divides P' by P from one ``_np_pair`` call at the nodes
+    of every rectangle not yet settled, for up to 13 levels; a rectangle
+    with a node where P is 0.0 exactly is too close. A rectangle keeps its
+    own base << level panels per edge, resolution test and stabilization;
+    rectangles with the same base panels are laid out as one array.
     """
     corners, edges, lengths, base = _layout(rects)
     tau = np.arange(_CONTACT) / _CONTACT
-    sv = np.abs(_np_values(a, logk, (corners[..., None] + tau * edges[..., None]).ravel()))
-    sv = sv.reshape(len(rects), -1)
+    sv, _ = _np_pair(a, logk, (corners[..., None] + tau * edges[..., None]).ravel())
+    sv = np.abs(sv).reshape(len(rects), -1)
     amax = sv.max(axis=1)
     touch = (amax == 0) | (sv.min(axis=1) < amax * 1e-12)
     counts = [ContourTooClose("polynomial nearly vanishes on the contour") if t else None
@@ -412,7 +409,9 @@ def _np_windings(a, logk, rects) -> list:
                              [t.size for t, _ in nodes], axis=1)
             laid.append((rows, z, wdz, near))
         if laid:
-            ratio = _np_ratio(a, logk, np.concatenate([z.ravel() for _, z, _, _ in laid]))
+            p, ratio = _np_pair(a, logk, np.concatenate([z.ravel() for _, z, _, _ in laid]))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio /= p
         lo = 0
         for rows, z, wdz, near in laid:
             r = ratio[lo:lo + z.size].reshape(z.shape)
@@ -495,11 +494,11 @@ def winding_count(P, rect, bits: Optional[int] = None) -> int:
 # =========================================================================
 
 def _certify(f: _Poly, z, w: int):
-    """(p, d) as ``fixed_pair`` gives them at z = (X + iY) 2^-prec if exactly
+    """(s_0, s_1) of ``_Poly.fixed_sums`` at z = (X + iY) 2^-prec if exactly
     w zeros of P lie within rho of z, for one of the radii rho = 10^-6 0.7^i,
     i = 0..4, each rounded down to 2^-prec; else None.
 
-    With b_k = a_k k^-z from ``fixed_terms``, formed once, and
+    With b_k = a_k k^-z from ``fixed_sums``, formed once, and
     p_j = rho^j sum_k b_k (-log k)^j / j!, the test is
 
         |p_w| > (sum_{j<w} |p_j| + sum_k |b_k| k^rho ((rho log k)^{w+1} / (w+1)! + delta))
@@ -549,17 +548,10 @@ def _certify(f: _Poly, z, w: int):
     """
     X, Y = z
     P = f.prec
-    b, _ = f.fixed_terms(X, Y)
-    logs = [L for _, L, *_ in f.fixed]
-    s = [[0, 0] for _ in range(w + 1)]      # s_j = sum_k b_k (-L_k)^j
-    for (br, bi), L in zip(b, logs):
-        for sj in s:
-            sj[0] += br
-            sj[1] += bi
-            br, bi = -L * br, -L * bi
+    b, s = f.fixed_sums(X, Y, w)
     size = [math.isqrt(x * x + y * y) for x, y in s]
     babs = [math.isqrt(x * x + y * y) + 1 for x, y in b]
-    lup = [L + 1 if L else 0 for L in logs]          # 2^prec log k <= lup
+    lup = [L + 1 if L else 0 for _, L, *_ in f.fixed]      # 2^prec log k <= lup
     top = math.factorial(w + 1)
     delta = ((abs(X) + abs(Y)) * (f.log_max + 1) + ((len(b) + w + 4) << 2 * P)) * top << (
         2 * w * P + 3 - f.bits)
@@ -574,7 +566,7 @@ def _certify(f: _Poly, z, w: int):
             rl = R * lu
             rhs += B * ((1 << P) - (-2 * rl >> P)) * (rl ** (w + 1) + delta)
         if lhs > rhs - (-rhs >> f.bits // 2):
-            return tuple(s[0]), tuple(s[1])
+            return s[0], s[1]
         R = R * _SHRINK.numerator // _SHRINK.denominator
     return None
 
@@ -608,7 +600,7 @@ def _stop2(stop: Fraction, P: int) -> int:
 
 def _newton(f: _Poly, z, mult: int, bounds, stop2: int, first=None):
     """Newton steps z <- z - mult P(z)/P'(z) on z = (X + iY) 2^-prec, in
-    integers: the step is mult p conj(d) / |d|^2 from ``fixed_pair``, rounded
+    integers: the step is mult p conj(d) / |d|^2 from ``fixed_sums``, rounded
     to 2^-prec, and ``first``, when given, is the pair at the start.
 
     Returns (X, Y) after the first step S with |S|^2 <= stop2 if it lies
@@ -621,7 +613,7 @@ def _newton(f: _Poly, z, mult: int, bounds, stop2: int, first=None):
     (x0, x1, y0, y1), (u0, u1, v0, v1) = bounds
     pair = first
     for _ in range(_NEWTON_STEPS):
-        (pr, pi), (dr, di) = pair or f.fixed_pair(X, Y)
+        (pr, pi), (dr, di) = pair or f.fixed_sums(X, Y, 1)[1]
         pair = None
         if not (pr or pi):
             break
@@ -648,8 +640,8 @@ def _np_newton(f: _Poly, cells, starts) -> list:
     step no longer than _NEWTON_STOP if it lies inside the cell, else None.
     A cell stops stepping, and gives None, once an iterate leaves it widened
     by its own width and height on each side, when P' vanishes or doubles
-    overflow, or after _NEWTON_STEPS steps. P and P' are summed row by row,
-    so a cell gets the same iterate whichever cells share its batch.
+    overflow, or after _NEWTON_STEPS steps. ``_np_pair`` sums P and P' node
+    by node, so a cell gets the same iterate whichever cells share its batch.
     """
     x0, x1, y0, y1 = np.array([[float(c.re_lo), float(c.re_hi), float(c.im_lo),
                                 float(c.im_hi)] for c in cells]).T
@@ -661,8 +653,7 @@ def _np_newton(f: _Poly, cells, starts) -> list:
         if not live.size:
             break
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            t = f.a * np.exp(-np.multiply.outer(z[live], f.logk))
-            p, d = t.sum(axis=1), -(t * f.logk).sum(axis=1)
+            p, d = _np_pair(f.a, f.logk, z[live])
             ok = np.isfinite(p) & np.isfinite(d)
             hit = ok & (p == 0)
             moving = ok & ~hit & (d != 0)
@@ -731,13 +722,14 @@ def _polish(f: _Poly, cells, tol) -> list:
     """(zero, multiplicity) out of each (cell, w) holding w zeros, or None
     to split it.
 
-    Newton from the centre settles within _NEWTON_STOP of a zero: in doubles,
+    Newton from the centre settles within _NEWTON_STOP of a zero in doubles,
     for all cells at once, where the terms fit and doubles resolve s that
-    finely; else, or when they do not settle, in fixed point. ``_certify``
-    must then show that exactly w zeros lie within a small radius of it.
-    Newton with multiplicity w polishes in fixed point until a step is at
-    most tol/4, its first step from the certificate's (P, P'). Only the
-    converged iterate must lie in the cell, tested exactly.
+    finely. ``_certify`` must show that exactly w zeros lie within a small
+    radius of it. Without a double start, or when the certificate refuses
+    it, Newton runs on in fixed point from it (or the centre) and the
+    certificate is asked again. Newton with multiplicity w then polishes
+    until a step is at most tol/4, its first step from the certificate's
+    (P, P'). Only the converged iterate must lie in the cell, tested exactly.
     """
     P = f.prec
     mids = [(_mid(c.re_lo, c.re_hi), _mid(c.im_lo, c.im_hi)) for c, _ in cells]
@@ -756,9 +748,10 @@ def _polish(f: _Poly, cells, tol) -> list:
     out = []
     for (cell, w), z, (x, y) in zip(cells, starts, mids):
         bounds = _bounds(cell, P)
-        if z is None:
-            z = _newton(f, (fixed_ratio(*x, P), fixed_ratio(*y, P)), 1, bounds, near)
         first = None if z is None else _certify(f, z, w)
+        if first is None:
+            z = _newton(f, z or (fixed_ratio(*x, P), fixed_ratio(*y, P)), 1, bounds, near)
+            first = None if z is None else _certify(f, z, w)
         z = None if first is None else _newton(f, z, w, bounds, stop, first)
         out.append(None if z is None else (fixed_mpc(*z, -P, f.bits), w))
     return out

@@ -10,7 +10,7 @@ import pytest
 from mpmath import mp, mpf
 
 from fixedpoint import fixed_system
-from xdp import distance, linalg
+from xdp import distance, experiments, linalg
 from xdp.cli import main
 from xdp.config import ExperimentConfig
 from xdp.experiments import (CriterionReport, _sweep_text, run_criterion_report,
@@ -204,6 +204,17 @@ def test_report_says_when_every_min_norm_system_is_singular():
     assert rep.evidence[2] == ("lower-bound inequality not checked: the min-norm "
                                "system is singular at every n")
     assert rep.verdict == "consistent-zero-free"
+
+
+def test_report_refuses_an_out_of_range_r_before_the_census(monkeypatch):
+    def spent(*args, **kwargs):
+        raise AssertionError("census work before the shift was checked")
+
+    cfg = _cfg(r=10 ** 30, n_schedule=(1, 2), rect="-2,1,-20,20", T=20)
+    for name in ("strip_bounds", "find_zeros", "constant_C"):
+        monkeypatch.setattr(experiments, name, spent)
+    with pytest.raises(ValueError):
+        run_criterion_report(cfg)
 
 
 def test_report_requires_rect_and_height():

@@ -11,6 +11,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -179,7 +180,7 @@ def test_certificate_pair_within_its_error_of_a_finer_mp_pair(P, bits, w, zero):
 
 
 @pytest.mark.parametrize("z", [mpc("0.3", "5.1"), mpc(-30, "1e6"), mpc("17.5", "-2.25")])
-def test_fixed_pair_builds_composites_from_primes(z):
+def test_fixed_sums_build_composites_from_primes(z):
     # 6, 9 and 12 without 2 or 3 among the terms: every k^-z is a product of
     # prime powers; (P, P') within eps (1 + log m) sum |b_k| of a bits + 256
     # _mp_pair (the bound in _certify's docstring), far left of the axis too
@@ -188,8 +189,9 @@ def test_fixed_pair_builds_composites_from_primes(z):
     assert f.chain == [(2, 0, 0), (3, 0, 0), (6, 1, 2), (9, 2, 2), (12, 1, 3)]
     assert f.chain_logs == {p: zeros._fixed_log(p, f.prec) for p in (2, 3)}
     at = _at(f, z)
-    (pr, pi), (dr, di) = f.fixed_pair(*at)
-    _, e = f.fixed_terms(*at)
+    b, ((pr, pi), (dr, di)) = f.fixed_sums(*at, 1)
+    terms, e = f.fixed_terms(*at)
+    assert b == terms
     with working(128 + 256):
         x = _exact(f, at, 128 + 256)
         want = _mp_pair(_mp_terms(P), x)
@@ -357,6 +359,41 @@ def test_constant_c_winds_each_level_in_one_call(monkeypatch):
     assert len(c.ordinates) == 221 and set(c.multiplicities) == {2}
     assert len(calls) <= 10
     assert sum(calls) == 4619
+
+
+P_NINE = DirichletPolynomial.parse(
+    "1:1,2:-1/2,3:1/3,4:-1/4,5:1/5,6:-1/6,7:1/7,8:-1/8,9:1/9")
+
+
+@pytest.mark.parametrize("P, c", [(P_BASE, None), (P_NINE, None), (P_THREE, None),
+                                  (DirichletPolynomial.parse("1:1,6:-1/3,9:1i,12:1/5+2/7i"),
+                                   None),
+                                  (P_NINE, -40)])
+def test_double_pair_within_rounding_of_mp_pair(P, c):
+    # (P, P') in doubles at more than _CHUNK nodes, on P's coefficients or on
+    # those of a shift, against a 128-bit _mp_pair on the same coefficients
+    # at the nodes across the chunk boundary and a spread of others. Each of
+    # the n terms has its exp argument s log k rounded, which moves it by
+    # |s| log m 2^-52 of itself at most, and its exp, product and sum add a
+    # few ulps: both values lie within (n + 4 + |s| log m) 2^-52
+    # sum |a_k k^-s| (1 + log m) of the exact ones
+    f = zeros._Poly(P, 128)
+    a = f.a if c is None else f.shifted(c)[0]
+    rng = random.Random(5)
+    n = zeros._CHUNK + 300
+    s = np.array([complex(rng.uniform(-1, 1), rng.uniform(-40, 40)) for _ in range(n)])
+    p, d = zeros._np_pair(a, f.logk, s)
+    at = sorted(set(range(zeros._CHUNK - 150, zeros._CHUNK + 150)) | set(range(0, n, 997)))
+    with working(128):
+        terms = [(mpc(ak), mp.log(k)) for ak, (k, _) in zip(a.tolist(), P.items())]
+        log_m = mp.log(P.m)
+        for i in at:
+            z = mpc(s[i])
+            size = mp.fsum(abs(ak) * mp.exp(-z.real * lk) for ak, lk in terms)
+            bound = ((len(terms) + 4 + abs(z) * log_m) * mpf(2) ** -52 * size
+                     * (1 + log_m))
+            for have, want in zip((p[i], d[i]), _mp_pair(terms, z)):
+                assert abs(mpc(have) - want) <= bound, i
 
 
 def test_windings_give_each_rectangle_its_own_verdict():
@@ -576,8 +613,10 @@ def test_constant_c_ordinates_sorted_disjoint():
 
 def test_double_newton_alone_equals_its_row_in_the_batch():
     # Newton with multiplicity 1 creeps to the triple zeros of P_CUBE, so
-    # the last bits of P' at each step decide the double start a cell gets:
-    # they must not depend on which other cells share the batch
+    # the last bits of P' at each step decide where the double start lands.
+    # The census no longer rests on them (a start the certificate refuses is
+    # refined in fixed point), but reruns must still give the same start
+    # whichever other cells share the batch
     f = zeros._Poly(P_CUBE, 128)
     cells = []
     for k in range(1, 13):
@@ -589,6 +628,41 @@ def test_double_newton_alone_equals_its_row_in_the_batch():
     batch = zeros._np_newton(f, cells, starts)
     assert any(z is not None for z in batch)
     assert [zeros._np_newton(f, [c], [z])[0] for c, z in zip(cells, starts)] == batch
+
+
+def _moved_double_starts(monkeypatch):
+    # every double start 1e-5 i off where the double Newton stopped: ten
+    # times the certificate's first radius, so no start is certified as it
+    # stands
+    real = zeros._np_newton
+
+    def moved(f, cells, starts):
+        return [None if z is None else z + 1e-5j for z in real(f, cells, starts)]
+
+    monkeypatch.setattr(zeros, "_np_newton", moved)
+
+
+_SQUARE = Rectangle(Fraction(-2, 5), Fraction(2, 5), Fraction(-2, 5), Fraction(2, 5))
+
+
+@pytest.mark.parametrize("P, rect, mults", [
+    (P_BASE, Rectangle(-1, 1, Fraction(1, 2), Fraction(201, 2)), [1] * 11),
+    (P_SQ, _SQUARE, [2]),
+    (P_CUBE, _SQUARE, [3]),
+])
+def test_refused_double_start_is_refined_in_fixed_point(P, rect, mults, monkeypatch):
+    # a double start the certificate refuses goes on in fixed-point Newton
+    # and is certified from there, as a cell with no double start is; the
+    # cell is not split for it
+    _moved_double_starts(monkeypatch)
+    zs = find_zeros(P, rect, tol=Fraction(1, 10 ** 30), bits=128)
+    assert [m for _, m in zs.zeros] == mults
+
+
+def test_constant_c_survives_refused_double_starts(monkeypatch):
+    _moved_double_starts(monkeypatch)
+    c = constant_C(P_SQ, 0, 100, Fraction(1, 10 ** 9), bits=128)
+    assert len(c.ordinates) == 23 and c.multiplicities == (2,) * 23
 
 
 def test_polish_keeps_zero_when_first_step_leaves_cell():
