@@ -6,10 +6,9 @@ from .cache import cache_gc, load_gram, store_gram
 from .config import (DEFAULT_SCHEDULE, ExperimentConfig, config_from_json,
                      geometric_schedule, load_config, parse_rect,
                      parse_schedule)
-from .distance import (DistanceResult, approximant_distance, distance_profile,
-                       distance_squared, mellin_identity_residual)
-from .dpcore import (DirichletPolynomial, InverseCoeffs, KappaProfile,
-                     StripBounds, dp_eval, inverse_coeffs,
+from .distance import (DistanceResult, distance_profile, distance_squared,
+                       mellin_identity_residual)
+from .dpcore import (DirichletPolynomial, KappaProfile, StripBounds, dp_eval,
                      kappa_partial_sums, strip_bounds)
 from .errors import (ContourTooClose, DuplicateOrdinates, NonConvergent,
                      NSingular, PrecisionExhausted, QuadratureNotConverged,
@@ -21,10 +20,10 @@ from .experiments import (CriterionReport, DecayFit, SweepRow,
 from .linalg import LDLProfile, ldl_profile
 from .lubinsky import (KernelAsymptoticsRow, KernelMatrix, MinNormSolution,
                        kernel, kernel_asymptotics_report, kernel_matrix,
-                       min_norm, psi_eval, psi_inner, psi_inner_max_deviation)
+                       min_norm, psi_inner, psi_inner_max_deviation)
 from .precision import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS
 from .zeros import (ConstantC, Rectangle, ZeroSet, constant_C, find_zeros,
-                    winding_count, zeros_on_line)
+                    winding_count)
 
 __version__ = "0.1.0"
 
@@ -33,10 +32,10 @@ __all__ = [
     "cache_gc", "load_gram", "store_gram",
     "DEFAULT_SCHEDULE", "ExperimentConfig", "config_from_json",
     "geometric_schedule", "load_config", "parse_rect", "parse_schedule",
-    "DistanceResult", "approximant_distance", "distance_profile",
-    "distance_squared", "mellin_identity_residual",
-    "DirichletPolynomial", "InverseCoeffs", "KappaProfile", "StripBounds",
-    "dp_eval", "inverse_coeffs", "kappa_partial_sums", "strip_bounds",
+    "DistanceResult", "distance_profile", "distance_squared",
+    "mellin_identity_residual",
+    "DirichletPolynomial", "KappaProfile", "StripBounds", "dp_eval",
+    "kappa_partial_sums", "strip_bounds",
     "ContourTooClose", "DuplicateOrdinates", "NonConvergent",
     "NSingular", "PrecisionExhausted", "QuadratureNotConverged",
     "RemainderNotProven", "XdpError",
@@ -45,9 +44,9 @@ __all__ = [
     "run_decay_fit", "run_distance_sweep",
     "LDLProfile", "ldl_profile",
     "KernelAsymptoticsRow", "KernelMatrix", "MinNormSolution", "kernel",
-    "kernel_asymptotics_report", "kernel_matrix", "min_norm", "psi_eval",
-    "psi_inner", "psi_inner_max_deviation",
+    "kernel_asymptotics_report", "kernel_matrix", "min_norm", "psi_inner",
+    "psi_inner_max_deviation",
     "DEFAULT_PRECISION_BITS", "MIN_PRECISION_BITS",
     "ConstantC", "Rectangle", "ZeroSet", "constant_C", "find_zeros",
-    "winding_count", "zeros_on_line",
+    "winding_count",
 ]

@@ -1,7 +1,7 @@
 """Experiment configuration: parsing, defaults, validation."""
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -15,6 +15,8 @@ _FORMATS = ("csv", "json")
 
 
 def parse_schedule(text: str):
+    """The n schedule from comma-separated integers, strictly increasing
+    and positive: '1,2,4' gives (1, 2, 4)."""
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
         raise ValueError("empty schedule")
@@ -47,6 +49,7 @@ def geometric_schedule(n_max: int):
 
 
 def parse_rect(text: str) -> Rectangle:
+    """Rectangle from 'x0,x1,y0,y1', each bound read as an exact number."""
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 4:
         raise ValueError(f"rectangle needs 4 comma-separated bounds: {text!r}")
@@ -117,6 +120,8 @@ class ExperimentConfig:
             object.__setattr__(self, "rect", _rectangle(self.rect))
         if self.T is not None:
             object.__setattr__(self, "T", _fraction("T", self.T))
+            if self.T <= 0:
+                raise ValueError(f"T must be > 0, got {self.T}")
         for name in ("output", "cache_dir"):
             path = getattr(self, name)
             if path is not None and not isinstance(path, str):
@@ -155,6 +160,8 @@ def config_from_json(obj: dict, overrides: Optional[dict] = None) -> ExperimentC
 
 
 def load_config(path: str, overrides: Optional[dict] = None) -> ExperimentConfig:
+    """Config from a JSON file that holds one object, as ``config_from_json``
+    reads it: overrides (CLI flags) win key by key."""
     with open(path) as fh:
         obj = json.load(fh)
     if not isinstance(obj, dict):

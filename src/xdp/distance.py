@@ -127,8 +127,8 @@ def _build_gram(P: DirichletPolynomial, r, n: int, bits: int):
 
 def _rounded_gram(G, g, scale: int, bits: int):
     """The Gram data of _build_gram rounded out of the fixed point, as mpf
-    (mpc where the imaginary part is nonzero); only the projection check and
-    approximant_distance take this form."""
+    (mpc where the imaginary part is nonzero); only the projection check
+    takes this form."""
     frac = bits + GUARD_BITS
 
     def entry(x, y, exp):
@@ -214,22 +214,6 @@ def distance_profile(P: DirichletPolynomial, r, n_max: int,
     return [DistanceResult(n=i + 1, r=r_q, d_squared=v, method="det-ratio",
                            coeffs=None, precision_bits=used)
             for i, v in enumerate(prof.d_squared)]
-
-
-def approximant_distance(P: DirichletPolynomial, r, b: Sequence,
-                         bits: Optional[int] = None):
-    """|| 1 - sum b_k rho_k ||^2 = 1 - 2 Re(b* g) + b* G b for explicit b."""
-    if not b:
-        raise ValueError("coefficient vector is empty")
-    bits = resolve_bits(bits)
-    n = len(b)
-    with working(bits):
-        G, g = _rounded_gram(*_build_gram(P, r, n, bits), bits)
-        bv = [to_mp(x) for x in b]
-        cross = mp.fsum(mp.conj(bv[k]) * g[k] for k in range(n))
-        quad = mp.fsum(mp.conj(bv[j]) * G[j][k] * bv[k]
-                       for j in range(n) for k in range(n))
-        return mp.re(mpf(1) - 2 * mp.re(cross) + quad)
 
 
 def mellin_identity_residual(P: DirichletPolynomial, r, b: Sequence, s,

@@ -387,11 +387,6 @@ class KappaProfile:
     def m(self) -> int:
         return len(self.S)
 
-    @property
-    def tail_value(self):
-        """Constant value past x = m; equals P(r - 1/2)."""
-        return self.S[-1]
-
 
 _KAPPA_GUARD_BITS = 32
 _MAX_POWER_BITS = 1 << 24       # bits of the largest k^e kappa_partial_sums forms
@@ -472,6 +467,16 @@ def _solve_increasing(fn, target, bits: int) -> mpf:
 
 
 def strip_bounds(P: DirichletPolynomial, bits: Optional[int] = None) -> StripBounds:
+    """alpha <= Re rho <= beta for every zero rho of P, from the triangle
+    inequality, each edge found by bisection to within 2^-(bits/2).
+
+    Right of beta, where sum_{k>=2} |a_k| k^-beta = |a_1|, the term k = 1
+    outweighs the rest; left of alpha, where sum_{k<m} |a_k| (m/k)^alpha
+    = |a_m|, the term k = m does. The edges are sharp when each k > 1 of
+    the support sits on its own prime (Kronecker lets the phases align),
+    and can be loose otherwise. For m = 1, P is a nonzero constant:
+    no_zeros, with both edges None.
+    """
     bits = resolve_bits(bits)
     if P.m == 1:
         return StripBounds(alpha=None, beta=None, no_zeros=True, precision_bits=bits)
@@ -490,34 +495,3 @@ def strip_bounds(P: DirichletPolynomial, bits: Optional[int] = None) -> StripBou
         beta = _solve_increasing(lambda s: -head_tail(s), -mags[1], bits)
         alpha = _solve_increasing(lead_rest, mags[m], bits)
     return StripBounds(alpha=alpha, beta=beta, no_zeros=False, precision_bits=bits)
-
-
-# =========================================================================
-# formal Dirichlet inverse
-# =========================================================================
-
-@dataclass(frozen=True)
-class InverseCoeffs:
-    """mu(1..N) with sum_{d|n, d<=m} a_d mu(n/d) = [n == 1]; always exact."""
-
-    mu: tuple
-    N: int
-
-
-def inverse_coeffs(P: DirichletPolynomial, N: int) -> InverseCoeffs:
-    if N < 1:
-        raise ValueError(f"need N >= 1, got {N}")
-    a1 = P.coeffs[0]
-    inv_a1 = GaussianRational(1) / a1
-    mu = [GaussianRational(0)] * N
-    mu[0] = inv_a1
-    for n in range(2, N + 1):
-        acc = GaussianRational(0)
-        for d in range(2, min(P.m, n) + 1):
-            if n % d == 0:
-                a_d = P.coeffs[d - 1]
-                if a_d:
-                    acc = acc + a_d * mu[n // d - 1]
-        if acc:
-            mu[n - 1] = -inv_a1 * acc
-    return InverseCoeffs(mu=tuple(mu), N=N)

@@ -48,20 +48,6 @@ from .precision import resolve_bits, working
 _DUPLICATE_GUARD = "1e-9"
 
 
-def psi_eval(n: int, t, bits: Optional[int] = None):
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if n == 1:
-        return mpf(1)
-    bits = resolve_bits(bits)
-    with working(bits):
-        t_mp = to_mp(t)
-        if t_mp == 0:
-            return mp.sqrt(n) - mp.sqrt(n - 1)
-        w = mpc(mpf(1) / 2, -t_mp)
-        return mp.power(n, w) - mp.power(n - 1, w)
-
-
 # Kernel sums run in the fixed point of ``exact``: every quantity is an integer
 # times 2^-P, P = bits + GUARD_BITS, and sums of products are exact Python
 # ints, rounded once per entry at the end. P depends on bits alone, so K_n(u, v)
@@ -89,53 +75,58 @@ def _sqrt_fixed(k: int, P: int) -> int:
     return math.isqrt(k << (2 * P))
 
 
-def _inner_terms(keys, P: int):
-    """term(a, b) = sqrt(a) sqrt(b) <(a/b)^{it}>_w * 2^{4P} in integers.
+def _cq(k: int, P: int):
+    """(c_k, q_k) = (s_k (2^{2P} // s_k), s_k^2) with s_k = _sqrt_fixed(k, P),
+    and (0, 0) at k = 0: the per-k integers the audit factors into.
 
-    The weighted inner <x^{it}>_w = min(x, 1/x)^{1/2} enters as s_lo inv_hi,
-    with s_k = _sqrt_fixed(k, P) and inv_k = 2^{2P} // s_k, so
-    term(a, b) = s_a s_b s_lo inv_hi = c_hi q_lo with c_k = s_k inv_k and
-    q_k = s_k^2: min(a, b) * 2^{4P} up to rounding, symmetric and exact, and
-    <psi_n, psi_m> 2^{4P}
-        = term(n, m) - term(n, m-1) - term(n-1, m) + term(n-1, m-1).
+    The weighted inner <x^{it}>_w = min(x, 1/x)^{1/2} makes
+    sqrt(a) sqrt(b) <(a/b)^{it}>_w 2^{4P} = s_a s_b s_lo (2^{2P} // s_hi)
+    = c_hi q_lo, lo = min(a, b), hi = max(a, b): min(a, b) 2^{4P} up to
+    rounding. Of the four such terms of <psi_n, psi_m> 2^{4P}, rows n and
+    n - 1 share q_m and q_{m-1} when m < n, so
+        <psi_n, psi_m> 2^{4P} = (c_n - c_{n-1}) (q_m - q_{m-1})    (m < n),
+        <psi_n, psi_n> 2^{4P} = c_n q_n - 2 c_n q_{n-1} + c_{n-1} q_{n-1}.
     """
-    c, q = {0: 0}, {0: 0}
-    for k in keys:
-        if k > 0:
-            s = _sqrt_fixed(k, P)
-            c[k], q[k] = s * ((1 << 2 * P) // s), s * s
-
-    def term(a, b):
-        return c[a] * q[b] if a >= b else c[b] * q[a]
-    return term
+    if not k:
+        return 0, 0
+    s = _sqrt_fixed(k, P)
+    return s * ((1 << 2 * P) // s), s * s
 
 
 def psi_inner(n: int, m: int, bits: Optional[int] = None):
     """<psi_n, psi_m> in the weighted space; delta_{nm} up to rounding.
 
-    The four terms are summed exactly and rounded once, to nearest, at bits.
+    The closed form of _cq is summed exactly and rounded once, to nearest,
+    at bits; it is symmetric in n and m.
     """
     if n < 1 or m < 1:
         raise ValueError(f"need indices >= 1, got ({n}, {m})")
     bits = resolve_bits(bits)
     P = bits + GUARD_BITS
-    term = _inner_terms({n, m, n - 1, m - 1}, P)
-    val = term(n, m) - term(n, m - 1) - term(n - 1, m) + term(n - 1, m - 1)
+    n, m = max(n, m), min(n, m)
+    c, q = _cq(n, P)
+    c1, q1 = _cq(n - 1, P)
+    if n == m:
+        val = c * q - 2 * c * q1 + c1 * q1
+    else:
+        val = (c - c1) * (_cq(m, P)[1] - _cq(m - 1, P)[1])
     return fixed_mpf(val, -4 * P, bits)
 
 
 def psi_inner_max_deviation(n_max: int, bits: Optional[int] = None):
     """max_{n,m <= n_max} |<psi_n, psi_m> - delta_{nm}| on the stream's sqrt(k).
 
-    Every pair is summed exactly from _inner_terms at P = bits + GUARD_BITS,
-    and the largest deviation is rounded once, to nearest, at bits. Exact
-    arithmetic on exact square roots would give 0, so the value is how far
-    the stream's fixed-point sqrt(k) keeps the psi_k from orthonormal.
+    Every pair is summed exactly from the closed form of _cq at
+    P = bits + GUARD_BITS, in one pass over k: q_k is strictly increasing,
+    so the largest off-diagonal entry of row n is |c_n - c_{n-1}| times the
+    largest q_m - q_{m-1} over m < n, kept as k runs. The largest deviation
+    is rounded once, to nearest, at bits. Exact arithmetic on exact square
+    roots would give 0, so the value is how far the stream's fixed-point
+    sqrt(k) keeps the psi_k from orthonormal.
 
     Bound. Write S = 2^P, s_k = sqrt(k) S - e_k with 0 <= e_k < 1, and
-    c_k = s_k (S^2 // s_k) = S^2 - g_k with g_k = S^2 mod s_k, so
-    0 <= g_k < s_k <= sqrt(k) S (s_k and inv_k are each within one unit).
-    Rows n and n-1 share q_m = s_m^2 for m < n, so off the diagonal
+    c_k = S^2 - g_k with g_k = S^2 mod s_k, so 0 <= g_k < s_k <= sqrt(k) S
+    (s_k and S^2 // s_k are each within one unit). Off the diagonal
         <psi_n, psi_m> S^4 = (g_{n-1} - g_n) (q_m - q_{m-1}),
     with |g_{n-1} - g_n| < sqrt(n) S and 0 < q_m - q_{m-1} <= S^2 + 2 sqrt(m) S:
     the deviation is below sqrt(n) 2^-P (1 + 2 sqrt(m) 2^-P). On the diagonal
@@ -151,22 +142,13 @@ def psi_inner_max_deviation(n_max: int, bits: Optional[int] = None):
         raise ValueError(f"need n_max >= 1, got {n_max}")
     bits = resolve_bits(bits)
     P = bits + GUARD_BITS
-    term = _inner_terms(range(n_max + 1), P)
     one = 1 << (4 * P)
-    # Row n of the four-term formula reads term(n, 0..n) and
-    # term(n-1, 0..n); by symmetry the previous row plus
-    # term(n-1, n) = term(n, n-1) covers the second half.
-    worst = 0
-    prev = [0]
+    worst = step = c1 = q1 = 0      # step: max of q_m - q_{m-1} over m < n
     for n in range(1, n_max + 1):
-        cur = [term(n, m) for m in range(n + 1)]
-        prev.append(cur[n - 1])
-        for m in range(1, n + 1):
-            val = cur[m] - cur[m - 1] - prev[m] + prev[m - 1]
-            dev = abs(val - one) if n == m else abs(val)
-            if dev > worst:
-                worst = dev
-        prev = cur
+        c, q = _cq(n, P)
+        worst = max(worst, abs(c * q - 2 * c * q1 + c1 * q1 - one), abs(c - c1) * step)
+        step = max(step, q - q1)
+        c1, q1 = c, q
     return fixed_mpf(worst, -4 * P, bits)
 
 

@@ -176,13 +176,14 @@ class _Poly:
     ``shifted`` has built, by c. Fixed point at 2^-prec, prec = bits +
     GUARD_BITS: ``fixed`` holds (i, L_k, a_k as ``_fixed_coeff``) per term,
     i the position of k in ``chain``, the support's factor chain (0 for
-    k = 1), and L_k = round(2^prec log k), with ``log_max`` the largest L_k
-    and ``chain_logs`` L_p at the chain's primes. ``phase_logs`` keeps the
-    primes' logs that the phases read, widened as ordinates need.
+    k = 1), and L_k = round(2^prec log k), with ``neg_logs`` the -L_k in
+    that order, ``log_max`` the largest L_k and ``chain_logs`` L_p at the
+    chain's primes. ``phase_logs`` keeps the primes' logs that the phases
+    read, widened as ordinates need.
     """
 
     __slots__ = ("P", "bits", "a", "logk", "log_abs", "log_asum", "shifts", "prec", "fixed",
-                 "chain", "chain_logs", "log_max", "phase_logs")
+                 "neg_logs", "chain", "chain_logs", "log_max", "phase_logs")
 
     def __init__(self, P: DirichletPolynomial, bits: int):
         self.P, self.bits = P, bits
@@ -198,6 +199,7 @@ class _Poly:
         self.chain = _factor_chain([k for k, _ in items], P.m)
         pos = {k: i for i, (k, _, _) in enumerate([(1, 0, 0)] + self.chain)}
         self.fixed = [(pos[k], _fixed_log(k, prec), *_fixed_coeff(c, prec)) for k, c in items]
+        self.neg_logs = [-L for _, L, *_ in self.fixed]
         self.log_max = max(L for _, L, *_ in self.fixed)
         self.chain_logs = {k: _fixed_log(k, prec) for k, i, _ in self.chain if not i}
         self.phase_logs = {}
@@ -276,11 +278,10 @@ class _Poly:
         """(b, [s_0, ..., s_w]) at z = (X + iY) 2^-prec: b and e from ``fixed_terms``,
         s_j = sum_k b_k (-L_k)^j, so P(z) = s_0 2^e and P'(z) = s_1 2^(e - prec)."""
         b, _ = self.fixed_terms(X, Y)
-        logs = [-t[1] for t in self.fixed]
         re, im = zip(*b)
         sums = [(sum(re), sum(im))]
         for _ in range(w):
-            re, im = tuple(map(mul, logs, re)), tuple(map(mul, logs, im))
+            re, im = tuple(map(mul, self.neg_logs, re)), tuple(map(mul, self.neg_logs, im))
             sums.append((sum(re), sum(im)))
         return b, sums
 
@@ -838,11 +839,6 @@ def _on_line(zeros, r, line_tol, bits: int) -> list:
         tol = to_mp(line_tol)
         out = [(mp.im(z), m) for (z, m) in zeros if abs(mp.re(z) - r_mp) <= tol]
     return sorted(out, key=lambda tm: float(tm[0]))
-
-
-def zeros_on_line(zs: ZeroSet, r, line_tol) -> list:
-    """Ordinates of the zeros whose real part is within line_tol of r."""
-    return [t for t, _ in _on_line(zs.zeros, r, line_tol, resolve_bits(None))]
 
 
 # =========================================================================

@@ -27,7 +27,6 @@ from xdp.distance import (
     _integer_profile,
     _pair_numerator,
     _rounded_gram,
-    approximant_distance,
     distance_profile,
     distance_squared,
     mellin_identity_residual,
@@ -407,27 +406,6 @@ def test_profile_solve_matches_projection_coeffs(bits):
             assert err <= mpf(2) ** -(bits - 24) * top, (poly, mp.log(err / top, 2))
 
 
-def test_approximant_distance_pinned():
-    with working(256):
-        # E([1]) = 1 - 2(1 - sqrt2/2) + (2 - sqrt2) = 1, exactly
-        e1 = approximant_distance(P_BASE, 0, [1], bits=256)
-        assert abs(e1 - 1) < mpf(2) ** -245
-        # at the optimum it matches d^2 and dominates it nearby
-        opt = distance_squared(P_BASE, 0, 1, method="projection", bits=256)
-        e_opt = approximant_distance(P_BASE, 0, opt.coeffs, bits=256)
-        assert abs(e_opt - opt.d_squared) < mpf(2) ** -200
-        for delta in ("0.01", "-0.02"):
-            e = approximant_distance(P_BASE, 0, [opt.coeffs[0] + mpf(delta)], bits=256)
-            assert e > e_opt - mpf(2) ** -200
-
-
-def test_approximant_distance_multi_n():
-    with working(192):
-        opt = distance_squared(P_MIX, 0, 4, method="projection", bits=192)
-        e = approximant_distance(P_MIX, 0, opt.coeffs, bits=192)
-        assert abs(e - opt.d_squared) < mpf(2) ** -150
-
-
 def test_mellin_identity_pinned_and_random():
     with working(256):
         # P == 1, b = [1], r = 0: both sides are 1/s
@@ -453,5 +431,3 @@ def test_input_validation():
         distance_squared(P_BASE, 0, 3, method="nope")
     with pytest.raises(ValueError):
         distance_squared(P_BASE, 0, 0, method="projection")
-    with pytest.raises(ValueError):
-        approximant_distance(P_BASE, 0, [])

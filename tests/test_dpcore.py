@@ -1,4 +1,4 @@
-"""Dirichlet-polynomial algebra: evaluation, kappa sums, strip bounds, inverse.
+"""Dirichlet-polynomial algebra: evaluation, kappa sums, strip bounds, phases.
 
 Expected values are frozen closed forms; oracles are computed here with raw
 mpmath/Fraction arithmetic, independent of the implementation under test.
@@ -24,7 +24,6 @@ from xdp.dpcore import (
     _prime_phase,
     _spf_sieve,
     dp_eval,
-    inverse_coeffs,
     kappa_partial_sums,
     strip_bounds,
 )
@@ -142,7 +141,7 @@ def test_kappa_partial_sums_pinned():
     prof = kappa_partial_sums(P_BASE, Fraction(1, 2))
     assert list(prof.S) == [GaussianRational(1), GaussianRational(0)]
     assert prof.exact
-    assert prof.tail_value == GaussianRational(0)
+    assert prof.S[-1] == GaussianRational(0)
 
     prof = kappa_partial_sums(P_BASE, 0, bits=256)
     assert not prof.exact
@@ -189,7 +188,7 @@ def test_kappa_tail_is_dp_value():
                 rq = Fraction(r)
                 shift = mpf(rq.numerator) / rq.denominator - mpf(1) / 2
                 want = dp_eval(p, shift, bits=192)
-                got = prof.tail_value
+                got = prof.S[-1]
                 if isinstance(got, GaussianRational):
                     got = to_mp(got)
                 assert abs(got - want) < mpf(2) ** -180
@@ -245,57 +244,6 @@ def test_strip_bounds_ordering_property():
     for text in ("1:1,2:1,3:1", "1:3,2:-1/2,4:1/7", "1:1,6:-5", "1:-2,2:1+1i,3:0.5"):
         sb = strip_bounds(DirichletPolynomial.parse(text), bits=128)
         assert sb.alpha <= sb.beta
-
-
-# =========================================================================
-# formal Dirichlet inverse
-# =========================================================================
-
-def test_inverse_coeffs_pinned():
-    inv = inverse_coeffs(P_BASE, 8)
-    assert [c for c in inv.mu] == [GaussianRational(v) for v in (1, 1, 0, 1, 0, 0, 0, 1)]
-
-    inv = inverse_coeffs(DirichletPolynomial.parse("1:1,2:1"), 8)
-    # mu(2^j) = (-1)^j, zero elsewhere
-    expect = {1: 1, 2: -1, 4: 1, 8: -1}
-    for n in range(1, 9):
-        assert inv.mu[n - 1] == GaussianRational(expect.get(n, 0))
-
-    inv = inverse_coeffs(DirichletPolynomial.parse("1:2/3"), 5)
-    assert inv.mu[0] == GaussianRational(Fraction(3, 2))   # mu(1) = 1/a_1
-
-
-def poly_from_ints(nums, dens):
-    coeffs = [Fraction(n, d) for n, d in zip(nums, dens)]
-    if coeffs[0] == 0:
-        coeffs[0] = Fraction(1)
-    return DirichletPolynomial(coeffs)
-
-
-@given(st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=6),
-       st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=30))
-@settings(max_examples=60, deadline=None)
-def test_convolution_identity_exact(nums, den, N):
-    # sum_{d | n, d <= m} a_d mu(n/d) = [n == 1], exactly in rational arithmetic
-    p = poly_from_ints(nums, [den] * len(nums))
-    inv = inverse_coeffs(p, N)
-    for n in range(1, N + 1):
-        total = GaussianRational(0)
-        for d in range(1, min(p.m, n) + 1):
-            if n % d == 0:
-                total = total + p.coeffs[d - 1] * inv.mu[n // d - 1]
-        assert total == GaussianRational(1 if n == 1 else 0)
-
-
-def test_convolution_identity_gaussian():
-    p = DirichletPolynomial.parse("1:1+1i,2:-1/2,3:2-1/3i")
-    inv = inverse_coeffs(p, 24)
-    for n in (1, 2, 6, 12, 24):
-        total = GaussianRational(0)
-        for d in range(1, min(p.m, n) + 1):
-            if n % d == 0:
-                total = total + p.coeffs[d - 1] * inv.mu[n // d - 1]
-        assert total == GaussianRational(1 if n == 1 else 0)
 
 
 # -- prime phases: round(2^P p^{-it}) exactly -------------------------------

@@ -12,7 +12,7 @@ from mpmath import mp, mpf
 from fixedpoint import fixed_system
 from xdp import distance, experiments, linalg
 from xdp.cli import main
-from xdp.config import ExperimentConfig
+from xdp.config import ExperimentConfig, config_from_json
 from xdp.experiments import (CriterionReport, _sweep_text, run_criterion_report,
                              run_decay_fit, run_distance_sweep)
 from xdp.precision import working
@@ -215,6 +215,19 @@ def test_report_refuses_an_out_of_range_r_before_the_census(monkeypatch):
         monkeypatch.setattr(experiments, name, spent)
     with pytest.raises(ValueError):
         run_criterion_report(cfg)
+
+
+def test_report_refuses_a_non_positive_height_before_the_sweep(monkeypatch, capsys):
+    def spent(*args, **kwargs):
+        raise AssertionError("sweep work before the height was checked")
+
+    for T in (0, -2):
+        with pytest.raises(ValueError, match="T must be > 0"):
+            config_from_json({"poly": "1:1,2:-1", "T": T})
+    monkeypatch.setattr(experiments, "run_distance_sweep", spent)
+    assert main(["report", "--poly", "1:1,2:-1", "--r", "0", "--rect=-2,1,-20,20",
+                 "--height", "0"]) == 1
+    assert capsys.readouterr().err == "xdp: T must be > 0, got 0\n"
 
 
 def test_report_requires_rect_and_height():

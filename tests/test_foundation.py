@@ -1,7 +1,10 @@
 """Exact arithmetic, the fixed-point format, precision policy, and
 serialization round-trips."""
 
+import ast
+import inspect
 import math
+import pathlib
 import types
 from fractions import Fraction
 
@@ -219,3 +222,29 @@ def test_package_exports_names_not_submodules():
     failures = {name for name, obj in vars(xdp.errors).items()
                 if isinstance(obj, type) and issubclass(obj, xdp.errors.XdpError)}
     assert failures <= set(xdp.__all__)
+
+
+def test_every_exported_function_has_a_docstring():
+    bare = [name for name in xdp.__all__ if inspect.isfunction(getattr(xdp, name))
+            and not (getattr(xdp, name).__doc__ or "").strip()]
+    assert bare == []
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # stdlib ast in place of a linter: every name a module binds by import
+    # is read by some Name node of the same module
+    unused = []
+    for path in sorted(pathlib.Path(xdp.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []

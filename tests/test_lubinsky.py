@@ -18,18 +18,31 @@ from xdp import linalg, lubinsky
 from xdp.distance import distance_profile
 from xdp.dpcore import DirichletPolynomial, _phases
 from xdp.errors import DuplicateOrdinates, NSingular, PrecisionExhausted, RemainderNotProven
-from xdp.exact import GUARD_BITS
+from xdp.exact import GUARD_BITS, to_mp
 from xdp.lubinsky import (
     _EM_START,
     kernel,
     kernel_asymptotics_report,
     kernel_matrix,
     min_norm,
-    psi_eval,
     psi_inner,
     psi_inner_max_deviation,
 )
 from xdp.precision import working
+
+
+def psi_eval(n: int, t, bits: int):
+    """psi_n(t) = n^{1/2 - it} - (n-1)^{1/2 - it} (psi_1 = 1) from mpmath's
+    powers at bits: the reference the stream and the min-norm coefficients
+    are checked against."""
+    if n == 1:
+        return mpf(1)
+    with working(bits):
+        t_mp = to_mp(t)
+        if t_mp == 0:
+            return mp.sqrt(n) - mp.sqrt(n - 1)
+        w = mpc(mpf(1) / 2, -t_mp)
+        return mp.power(n, w) - mp.power(n - 1, w)
 
 
 def test_psi_eval_pinned():
@@ -61,10 +74,11 @@ def test_psi_inner_bulk_deviation():
     assert dev > 0  # honest floating computation, not symbolic shortcut
 
 
-@pytest.mark.parametrize("n_max", [1, 2, 17, 60])
+@pytest.mark.parametrize("n_max", [1, 2, 17, 60, 250])
 def test_psi_inner_max_deviation_matches_exact_fractions(n_max):
-    # the row-reusing integer loop against four exact Fraction terms per pair,
-    # on the stream's own fixed-point sqrt(k), rounded once at the end
+    # the one-pass closed form against four exact Fraction terms per pair,
+    # on the stream's own fixed-point sqrt(k), rounded once at the end;
+    # 250 is the order of the benchmark's orthonormality step
     bits = 256
     P = bits + GUARD_BITS
     got = psi_inner_max_deviation(n_max, bits=bits)
@@ -86,8 +100,11 @@ def test_psi_inner_max_deviation_matches_exact_fractions(n_max):
             val = term(n, m) - term(n, m - 1) - term(n - 1, m) + term(n - 1, m - 1)
             want = max(want, abs(val - (n == m)))
             if n == n_max:
-                # psi_inner is the one-pair form of the same terms
+                # psi_inner is the one-pair form of the same terms, in
+                # either order of its indices
                 assert psi_inner(n, m, bits=bits)._mpf_ == rounded(val)
+                if m < n:
+                    assert psi_inner(m, n, bits=bits)._mpf_ == rounded(val)
     assert isinstance(got, mpf)
     assert got._mpf_ == rounded(want)
     if n_max > 1:

@@ -28,7 +28,6 @@ from xdp.zeros import (
     constant_C,
     find_zeros,
     winding_count,
-    zeros_on_line,
 )
 
 P_BASE = DirichletPolynomial.parse("1:1,2:-1")
@@ -460,14 +459,14 @@ def test_batch_matches_each_rectangles_own_count(P, nx, ny, seed, through_zero, 
 
 def test_zeros_on_line():
     zs = find_zeros(P_BASE, Rectangle(-1, 1, mpf("0.5"), 30), tol=mpf("1e-30"), bits=256)
-    ts = zeros_on_line(zs, 0, mpf("1e-10"))
+    ts = [t for t, _ in zeros._on_line(zs.zeros, 0, mpf("1e-10"), 256)]
     assert len(ts) == 3
     with working(256):
         for k, t in enumerate(ts, start=1):
             assert abs(t - lattice_t(k)) < mpf("1e-20")
-    assert zeros_on_line(zs, Fraction(1, 2), mpf("1e-10")) == []
+    assert zeros._on_line(zs.zeros, Fraction(1, 2), mpf("1e-10"), 256) == []
     zc = find_zeros(P_CPLX, Rectangle(0, 1, 0, 2), tol=mpf("1e-30"), bits=256)
-    on = zeros_on_line(zc, Fraction(1, 2), mpf("1e-10"))
+    on = zeros._on_line(zc.zeros, Fraction(1, 2), mpf("1e-10"), 256)
     assert len(on) == 1
 
 
