@@ -1,14 +1,19 @@
 """Approximation distances in L^2(0,1].
 
 The generators are rho_k(x) = kappa_r(1/(k x)), step functions supported on
-(0, 1/k]. Every inner product is a finite sum over the common breakpoint
-partition, and it is summed exactly in Python integers on every profile: a
-step height S_a is a Gaussian rational (``kappa_partial_sums``), so
-S_a = s_a/Q with s_a a Gaussian integer; over D = j k lcm(1..m)
-every breakpoint 1/(j a), 1/(k b) is an integer. Each Gram entry is then one
-rational number. It is rounded once, into the fixed point of ``exact``
-relative to the largest diagonal entry G_11, and never to an mpf at the
-working precision on the way.
+(0, 1/k]. Since kappa_r(y) = sum_{u<=y} c_u with c_u = a_u u^{1/2-r}, each
+rho_j = sum_u c_u 1_(0, 1/(j u)], and <1_(0,1/M], 1_(0,1/N]> = 1/max(M, N)
+gives every inner product in closed form:
+
+    <rho_j, rho_k> = sum_{u,v} c_u conj(c_v) / max(j u, k v),
+    <rho_k, 1> = sum_u c_u / (k u).
+
+The step heights S_a are Gaussian rationals (``kappa_partial_sums``), so
+S_a = s_a/Q with s_a a Gaussian integer, and each u <= m divides
+L = lcm(1..m): every entry is one rational over Q^2 j k L, a sum of s terms
+in Python integers for the s nonzero coefficients. It is rounded once, into
+the fixed point of ``exact`` relative to the largest diagonal entry G_11,
+and never to an mpf at the working precision on the way.
 
 d_{n,r}^2 = min_b || 1 - sum_{k<=n} b_k rho_k ||^2 = 1 - g* G^{-1} g. One
 unpivoted LDL^H of G that carries z = L^{-1} g along gives the whole profile
@@ -21,22 +26,19 @@ precision. The ``projection`` check rounds the same integers to mpf at the
 precision the audit settled on, only when asked for, and solves them with
 mpmath's partially pivoted LU (``mp.lu_solve``): in its own arithmetic and
 with no factorization of ours, it stays the independent check.
-
-Since rho_a and rho_b live on (0, 1/max(a, b)], substituting y = d x gives
-<rho_{da}, rho_{db}> = <rho_a, rho_b>/d and <1, rho_k> = <1, rho_1>/k, so
-only coprime pairs are integrated.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Optional, Sequence
 
 from mpmath import mp, mpf
 
-from .dpcore import DirichletPolynomial, KappaProfile, dp_eval, kappa_partial_sums
+from .dpcore import DirichletPolynomial, dp_eval, kappa_partial_sums
 from .exact import (GUARD_BITS, as_fraction, fixed_mpc, fixed_mpf, fixed_ratio,
                     fraction_to_mpf, to_mp)
 from .linalg import audited_profile
@@ -44,51 +46,7 @@ from .precision import resolve_bits, working
 
 
 # =========================================================================
-# inner products, exact in integers
-# =========================================================================
-
-def _integer_profile(prof: KappaProfile):
-    """(Q, L, s, prods) in Python ints: S_a = (s[a-1][0] + i s[a-1][1]) / Q,
-    L = lcm(1..m) and prods[a-1][b-1] = s_a conj(s_b)."""
-    Q = lcm(*(x.denominator for z in prof.S for x in (z.re, z.im)))
-    s = [(z.re.numerator * (Q // z.re.denominator), z.im.numerator * (Q // z.im.denominator))
-         for z in prof.S]
-    prods = [[(ua * ub + va * vb, va * ub - ua * vb) for ub, vb in s] for ua, va in s]
-    return Q, lcm(*range(1, len(s) + 1)), s, prods
-
-
-def _pair_numerator(prods, L: int, j: int, k: int):
-    """(re, im) with <rho_j, rho_k> = (re + i im) / (Q^2 j k L).
-
-    With prods and L from ``_integer_profile``: over D = j k L the
-    breakpoints 1/(j a) and 1/(k b) are k L/a and j L/b, and on (lo, hi]
-    rho_j is S_a with a = min(k L // hi, m), rho_k is S_b with
-    b = min(j L // hi, m).
-    """
-    m = len(prods)
-    kL, jL = k * L, j * L
-    top = min(kL, jL)
-    pts = sorted({p for a in range(1, m + 1) for p in (kL // a, jL // a) if p <= top}
-                 | {0}, reverse=True)
-    re = im = 0
-    for hi, lo in zip(pts, pts[1:]):
-        pr, pi = prods[min(kL // hi, m) - 1][min(jL // hi, m) - 1]
-        re += pr * (hi - lo)
-        im += pi * (hi - lo)
-    return re, im
-
-
-def _indicator_numerator(s, L: int):
-    """(re, im) with <rho_1, 1> = (re + i im) / (Q L)
-    = sum_{a<m} S_a (1/a - 1/(a+1)) + S_m / m."""
-    m = len(s)
-    w = [L // a - L // (a + 1) for a in range(1, m)] + [L // m]
-    return (sum(u * c for (u, _), c in zip(s, w)),
-            sum(v * c for (_, v), c in zip(s, w)))
-
-
-# =========================================================================
-# Gram data
+# Gram data, exact in integers
 # =========================================================================
 
 def _build_gram(P: DirichletPolynomial, r, n: int, bits: int):
@@ -98,28 +56,58 @@ def _build_gram(P: DirichletPolynomial, r, n: int, bits: int):
     (re, im), each one exact rational rounded once: G relative to 2^scale
     and g relative to 2^(scale/2). The even ``scale`` puts G_11 in
     [1/4, 2); G_11 is the largest diagonal entry, as G_jj = G_11 / j, and
-    its numerator is summed before the rest. Only coprime pairs are summed;
-    <rho_{dj}, rho_{dk}> is the same numerator over d times the denominator,
-    and <1, rho_k> that of <1, rho_1> over k times it.
+    its numerator is summed before the rest.
+
+    With S_a = s_a / Q, Q the lcm of the step heights' denominators, and
+    sigma_u = s_u - s_{u-1} over the support u_1 < ... < u_s, the numerator
+    of <rho_j, rho_k> over Q^2 j k L is
+
+        sum_u sigma_u [k (L/u) conj(s_a) + j T_{a+1}],   a = floor(j u / k),
+
+    with s_a = sum_{v <= a} sigma_v and T_b = sum_{v >= b} conj(sigma_v) L/v,
+    both read off the support; that of <rho_1, 1> over Q L is
+    sum_u sigma_u L/u.
     """
-    Q, L, s, prods = _integer_profile(kappa_partial_sums(P, r, bits=bits))
-    coprime = {(1, 1): _pair_numerator(prods, L, 1, 1)}
-    top = coprime[1, 1][0].bit_length() - (Q * Q * L).bit_length() + 1
+    S = kappa_partial_sums(P, r, bits=bits).S
+    Q = lcm(*(x.denominator for z in S for x in (z.re, z.im)))
+    L = lcm(*range(1, len(S) + 1))
+    # with i points of the support u_1 < ... < u_s at or below a,
+    # s_a = head[i] and T_{a+1} = tail[i]; steps[i-1] = (sigma_{u_i}, L/u_i)
+    support, steps, head = [], [], [(0, 0)]
+    for u, z in enumerate(S, 1):
+        s_u = (z.re.numerator * (Q // z.re.denominator),
+               z.im.numerator * (Q // z.im.denominator))
+        if s_u != head[-1]:
+            support.append(u)
+            steps.append((s_u[0] - head[-1][0], s_u[1] - head[-1][1], L // u))
+            head.append(s_u)
+    tail = [(0, 0)]
+    for sr, si, w in reversed(steps):
+        tail.append((tail[-1][0] + sr * w, tail[-1][1] - si * w))
+    tail.reverse()
+
+    def numerator(j, k):
+        re = im = 0
+        for u, (sr, si, w) in zip(support, steps):
+            i = bisect_right(support, j * u // k)
+            (hr, hi), (tr, ti) = head[i], tail[i]
+            xr, xi = k * w * hr + j * tr, j * ti - k * w * hi
+            re += sr * xr - si * xi
+            im += sr * xi + si * xr
+        return re, im
+
+    top = numerator(1, 1)[0].bit_length() - (Q * Q * L).bit_length() + 1
     scale = top - (top & 1)
     shift = bits + GUARD_BITS - scale
     G = [[None] * n for _ in range(n)]
     for j in range(1, n + 1):
         for k in range(j, n + 1):
-            d = gcd(j, k)
-            a, b = j // d, k // d
-            if (a, b) not in coprime:
-                coprime[a, b] = _pair_numerator(prods, L, a, b)
-            re, im = coprime[a, b]
-            den = Q * Q * a * b * L * d
+            re, im = numerator(j, k)
+            den = Q * Q * j * k * L
             x, y = fixed_ratio(re, den, shift), fixed_ratio(im, den, shift)
             # G[row k][col j] = <rho_j, rho_k>, and its conjugate mirrored
             G[k - 1][j - 1], G[j - 1][k - 1] = (x, y), (x, -y)
-    re, im = _indicator_numerator(s, L)
+    re, im = tail[0][0], -tail[0][1]
     g = [(fixed_ratio(re, Q * L * k, shift + scale // 2),                # <1, rho_k>
           -fixed_ratio(im, Q * L * k, shift + scale // 2)) for k in range(1, n + 1)]
     return G, g, scale

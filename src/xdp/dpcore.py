@@ -381,7 +381,6 @@ class KappaProfile:
     r: Fraction
     S: tuple
     exact: bool
-    precision_bits: Optional[int]
 
     @property
     def m(self) -> int:
@@ -396,9 +395,8 @@ def kappa_partial_sums(P: DirichletPolynomial, r, bits: Optional[int] = None) ->
     """S_j = sum_{k<=j} a_k k^e, e = 1/2 - r, summed exactly as Gaussian
     rationals. A power k^e is the exact Fraction when it is rational, else
     k^e rounded once at bits + 32; ``exact`` says whether every power was
-    rational, and ``precision_bits`` is None then. A shift whose powers
-    could need more than 2^24 bits, |e| ceil(log2 m) > 2^24, is refused
-    with ValueError."""
+    rational. A shift whose powers could need more than 2^24 bits,
+    |e| ceil(log2 m) > 2^24, is refused with ValueError."""
     r_q = as_fraction(r)
     e = Fraction(1, 2) - r_q
     if abs(e) * (P.m - 1).bit_length() > _MAX_POWER_BITS:
@@ -418,8 +416,7 @@ def kappa_partial_sums(P: DirichletPolynomial, r, bits: Optional[int] = None) ->
                     power = as_fraction(mp.power(k, e_mp))
                 run = run + a * power
             S.append(run)
-    return KappaProfile(r=r_q, S=tuple(S), exact=exact,
-                        precision_bits=None if exact else bits)
+    return KappaProfile(r=r_q, S=tuple(S), exact=exact)
 
 
 # =========================================================================

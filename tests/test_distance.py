@@ -5,13 +5,15 @@ for P = 1 - 2^{-s} at r = 0 the single-generator data is
   <rho_1, rho_1> = 2 - sqrt(2),   <rho_1, 1> = 1 - sqrt(2)/2,
   d_1^2 = (2 + sqrt(2))/4,        optimal b_1 = 1/2,  E([1]) = 1.
 Independent oracles: tanh-sinh quadrature of the step products over their
-breakpoint partition, and k * <rho_k, 1> = P(r + 1/2).
+breakpoint partition, and k * <rho_k, 1> = P(r + 1/2). The breakpoint sums
+below, exact in integers, are the reference the closed-form Gram build is
+checked against entry for entry.
 """
 
 import math
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from mpmath import mp, mpc, mpf
@@ -23,16 +25,13 @@ from xdp import distance
 from xdp.dpcore import DirichletPolynomial, dp_eval, kappa_partial_sums
 from xdp.distance import (
     _build_gram,
-    _indicator_numerator,
-    _integer_profile,
-    _pair_numerator,
     _rounded_gram,
     distance_profile,
     distance_squared,
     mellin_identity_residual,
 )
 from xdp.errors import NSingular, PrecisionExhausted
-from xdp.exact import GUARD_BITS, GaussianRational, to_mp
+from xdp.exact import GUARD_BITS, GaussianRational, fixed_ratio, to_mp
 from xdp.linalg import audited_profile, ldl_profile
 from xdp.precision import working
 
@@ -43,6 +42,72 @@ P_M4 = DirichletPolynomial.parse("1:1,2:-2,4:1")
 P_M6 = DirichletPolynomial.parse("1:1,2:1/3,3:-1/5,4:2,5:1/7-1i,6:-1")   # lcm 60
 
 
+# (P, r) pairs on which the closed-form build must equal the breakpoint one
+REFERENCE_CASES = [
+    ("1:1,2:-1", 0), ("1:1,2:-1/3+2/3i,3:-1/3+2/3i", 0), ("1:1,2:1i,3:-1/2", 0),
+    ("1:1,2:1/2+1/2i,3:-1/3i", Fraction(1, 3)), ("1:1,2:-3,4:3,8:-1", Fraction(1, 2)),
+    ("1:1,5:2,7:-1/2i", -1), ("1:1,2:1/3,3:-1/5,4:2,5:1/7-1i,6:-1", Fraction(1, 2)),
+    ("1:1,6:-1/3,9:1i,12:1/5+2/7i", Fraction(1, 4)), ("1:1", 0),
+    ("1:1,2:-2,4:1", Fraction(1, 3)),
+]
+
+
+def _integer_profile(prof):
+    """(Q, L, s, prods) in Python ints: S_a = (s[a-1][0] + i s[a-1][1]) / Q,
+    L = lcm(1..m) and prods[a-1][b-1] = s_a conj(s_b)."""
+    Q = lcm(*(x.denominator for z in prof.S for x in (z.re, z.im)))
+    s = [(z.re.numerator * (Q // z.re.denominator), z.im.numerator * (Q // z.im.denominator))
+         for z in prof.S]
+    prods = [[(ua * ub + va * vb, va * ub - ua * vb) for ub, vb in s] for ua, va in s]
+    return Q, lcm(*range(1, len(s) + 1)), s, prods
+
+
+def _pair_numerator(prods, L, j, k):
+    """(re, im) with <rho_j, rho_k> = (re + i im) / (Q^2 j k L), summed over
+    the merged breakpoints: over D = j k L the breakpoints 1/(j a) and
+    1/(k b) are k L/a and j L/b, and on (lo, hi] rho_j is S_a with
+    a = min(k L // hi, m), rho_k is S_b with b = min(j L // hi, m)."""
+    m = len(prods)
+    kL, jL = k * L, j * L
+    top = min(kL, jL)
+    pts = sorted({p for a in range(1, m + 1) for p in (kL // a, jL // a) if p <= top}
+                 | {0}, reverse=True)
+    re = im = 0
+    for hi, lo in zip(pts, pts[1:]):
+        pr, pi = prods[min(kL // hi, m) - 1][min(jL // hi, m) - 1]
+        re += pr * (hi - lo)
+        im += pi * (hi - lo)
+    return re, im
+
+
+def _indicator_numerator(s, L):
+    """(re, im) with <rho_1, 1> = (re + i im) / (Q L)
+    = sum_{a<m} S_a (1/a - 1/(a+1)) + S_m / m."""
+    m = len(s)
+    w = [L // a - L // (a + 1) for a in range(1, m)] + [L // m]
+    return (sum(u * c for (u, _), c in zip(s, w)),
+            sum(v * c for (_, v), c in zip(s, w)))
+
+
+def reference_gram(P, r, n, bits):
+    """(G, g, scale) as _build_gram lays them out, every entry from the
+    breakpoint sums and rounded once with the same scale."""
+    Q, L, s, prods = _integer_profile(kappa_partial_sums(P, r, bits=bits))
+    top = _pair_numerator(prods, L, 1, 1)[0].bit_length() - (Q * Q * L).bit_length() + 1
+    scale = top - (top & 1)
+    shift = bits + GUARD_BITS - scale
+    G = [[None] * n for _ in range(n)]
+    for j in range(1, n + 1):
+        for k in range(j, n + 1):
+            re, im = _pair_numerator(prods, L, j, k)
+            x, y = (fixed_ratio(v, Q * Q * j * k * L, shift) for v in (re, im))
+            G[k - 1][j - 1], G[j - 1][k - 1] = (x, y), (x, -y)
+    re, im = _indicator_numerator(s, L)
+    g = [(fixed_ratio(re, Q * L * k, shift + scale // 2),
+          -fixed_ratio(im, Q * L * k, shift + scale // 2)) for k in range(1, n + 1)]
+    return G, g, scale
+
+
 def _rounded(re, im, den, bits):
     """(re + i im)/den with each part rounded once, to nearest, at bits."""
     x = mp.make_mpf(from_rational(re, den, bits, round_nearest))
@@ -50,14 +115,14 @@ def _rounded(re, im, den, bits):
 
 
 def rho_inner(P, r, j, k, bits):
-    """<rho_j, rho_k> at the requested precision, from the integer sum."""
+    """<rho_j, rho_k> at the requested precision, from the breakpoint sum."""
     Q, L, _, prods = _integer_profile(kappa_partial_sums(P, r, bits=bits))
     re, im = _pair_numerator(prods, L, j, k)
     return _rounded(re, im, Q * Q * j * k * L, bits)
 
 
 def indicator_inner(P, r, k, bits):
-    """<rho_k, 1> at the requested precision, from the integer sum."""
+    """<rho_k, 1> at the requested precision, from the breakpoint sum."""
     Q, L, s, _ = _integer_profile(kappa_partial_sums(P, r, bits=bits))
     re, im = _indicator_numerator(s, L)
     return _rounded(re, im, Q * L * k, bits)
@@ -182,6 +247,34 @@ def test_build_gram_hermitian_psd():
         prof = ldl_profile(G, g, 192)
     assert prof.dropped == 0 and prof.band is None
     assert min(prof.pivots) > 0
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_build_gram_equals_breakpoint_reference(bits):
+    # the closed form sum_{u,v} c_u conj(c_v) / max(j u, k v) and the merged
+    # breakpoint sums are the same rationals, so every rounded entry, g and
+    # the scale agree exactly; complex, irrational, composite-support and
+    # constant profiles at n = 64
+    for poly, r in REFERENCE_CASES:
+        P = DirichletPolynomial.parse(poly)
+        assert _build_gram(P, r, 64, bits) == reference_gram(P, r, 64, bits), (poly, r)
+
+
+_SPARSE_HIGH_DEGREE = """
+from xdp.distance import distance_profile
+from xdp.dpcore import DirichletPolynomial
+prof = distance_profile(DirichletPolynomial.parse("1:1,10000:-1"), 0, 8, bits=128)
+d2 = [res.d_squared for res in prof]
+assert len(d2) == 8 and all(0 <= v <= 1 for v in d2), d2
+assert all(b <= a for a, b in zip(d2, d2[1:])), d2
+"""
+
+
+def test_sparse_high_degree_profile():
+    # two terms of degree 10^4: the Gram build walks the support, so no
+    # table grows with the degree m
+    done = run_bounded(["-c", _SPARSE_HIGH_DEGREE])
+    assert done.returncode == 0, done.stderr
 
 
 def test_distance_squared_pinned():
