@@ -10,10 +10,12 @@ gives every inner product in closed form:
 
 The step heights S_a are Gaussian rationals (``kappa_partial_sums``), so
 S_a = s_a/Q with s_a a Gaussian integer, and each u <= m divides
-L = lcm(1..m): every entry is one rational over Q^2 j k L, a sum of s terms
-in Python integers for the s nonzero coefficients. It is rounded once, into
-the fixed point of ``exact`` relative to the largest diagonal entry G_11,
-and never to an mpf at the working precision on the way.
+L = lcm(1..m), the product of the largest power of each prime p <= m that
+is at most m (``_lcm_to``): every entry is one rational over Q^2 j k L, a
+sum of s terms in Python integers for the s nonzero coefficients. It is
+rounded once, into the fixed point of ``exact`` relative to the largest
+diagonal entry G_11, and never to an mpf at the working precision on the
+way.
 
 d_{n,r}^2 = min_b || 1 - sum_{k<=n} b_k rho_k ||^2 = 1 - g* G^{-1} g. One
 unpivoted LDL^H of G that carries z = L^{-1} g along gives the whole profile
@@ -33,12 +35,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Optional, Sequence
 
 from mpmath import mp, mpf
 
-from .dpcore import DirichletPolynomial, dp_eval, kappa_partial_sums
+from .dpcore import DirichletPolynomial, _spf_sieve, dp_eval, kappa_partial_sums
 from .exact import (GUARD_BITS, as_fraction, fixed_mpc, fixed_mpf, fixed_ratio,
                     fraction_to_mpf, to_mp)
 from .linalg import audited_profile
@@ -48,6 +50,19 @@ from .precision import resolve_bits, working
 # =========================================================================
 # Gram data, exact in integers
 # =========================================================================
+
+def _lcm_to(m: int) -> int:
+    """lcm(1..m): the product over the primes p <= m (``_spf_sieve``) of the
+    largest power of p that is at most m."""
+    spf = _spf_sieve(m)
+
+    def top(p):
+        q = p
+        while q * p <= m:
+            q *= p
+        return q
+    return prod(top(p) for p in range(2, m + 1) if not spf[p])
+
 
 def _build_gram(P: DirichletPolynomial, r, n: int, bits: int):
     """(G, g, scale): the Gram data at ldl_profile's fixed point for ``bits``.
@@ -70,7 +85,7 @@ def _build_gram(P: DirichletPolynomial, r, n: int, bits: int):
     """
     S = kappa_partial_sums(P, r, bits=bits).S
     Q = lcm(*(x.denominator for z in S for x in (z.re, z.im)))
-    L = lcm(*range(1, len(S) + 1))
+    L = _lcm_to(len(S))
     # with i points of the support u_1 < ... < u_s at or below a,
     # s_a = head[i] and T_{a+1} = tail[i]; steps[i-1] = (sigma_{u_i}, L/u_i)
     support, steps, head = [], [], [(0, 0)]
@@ -211,26 +226,27 @@ def mellin_identity_residual(P: DirichletPolynomial, r, b: Sequence, s,
     The Mellin transform of each step generator telescopes to the shifted
     polynomial, so the residual is pure numeric noise; it is the cheapest
     end-to-end audit of profile, generators, and evaluation agreeing.
+    By Abel summation the transform of rho_k,
+    sum_{a<m} S_a ((ka)^-s - (k(a+1))^-s) + S_m (km)^-s, is
+    sum_u sigma_u (ku)^-s / s with sigma_u = S_u - S_{u-1}, taken exactly
+    and summed over the support only.
     """
     if not b:
         raise ValueError("coefficient vector is empty")
     bits = resolve_bits(bits)
     r_q = as_fraction(r)
-    prof = kappa_partial_sums(P, r, bits=bits)
-    m = P.m
+    S = kappa_partial_sums(P, r, bits=bits).S
+    jumps = [(u, S[u - 1] - S[u - 2] if u > 1 else S[0]) for u, _ in P.items()]
     with working(bits):
         s_mp = to_mp(s)
         if not mp.re(s_mp) > 0:
             raise ValueError(f"Mellin identity needs Re(s) > 0, got {s}")
-        S = [to_mp(v) for v in prof.S]
+        sigma = [(u, to_mp(v)) for u, v in jumps]
         lhs = mpf(0)
         dirichlet = mpf(0)
         for k, bk in enumerate(b, start=1):
             bk = to_mp(bk)
-            piece = S[m - 1] * mp.power(k * m, -s_mp)
-            for a in range(1, m):
-                piece = piece + S[a - 1] * (mp.power(k * a, -s_mp)
-                                            - mp.power(k * (a + 1), -s_mp))
+            piece = mp.fsum(v * mp.power(k * u, -s_mp) for u, v in sigma)
             lhs = lhs + bk * piece / s_mp
             dirichlet = dirichlet + bk * mp.power(k, -s_mp)
         shift = fraction_to_mpf(r_q - Fraction(1, 2))

@@ -15,7 +15,10 @@ class ContourTooClose(XdpError):
 
 
 class QuadratureNotConverged(XdpError):
-    """Contour quadrature hit its subdivision limit without stabilizing."""
+    """A contour's winding or the zero engine's subdivision ran out of room:
+    the argument tracking needs more segments than its cap, a cell's cuts
+    would not split its count additively in six draws, or every padded
+    strip of the spectral constant failed."""
 
 
 class NonConvergent(XdpError):

@@ -1,19 +1,66 @@
 """Zero location by the argument principle, and the spectral constant.
 
-A rectangle's winding number is integrated in numpy doubles with composite
-12-point Gauss-Legendre panels on each edge, whose count doubles until the
-count pins to the same integer on consecutive levels (``_stabilized``). One
-function, ``_windings``, winds a list of rectangles, each to its own count
-or error, and ``winding_count`` is its one-rectangle case, which raises the
-error. Rectangles go in blocks of _BLOCK (``_np_windings``): one
-contact-sample evaluation for the block, then per level one evaluation of
-P'/P at the nodes of every rectangle not yet settled, each with its own
-panels, contact test, resolution test and stabilization (``_np_pair``
-gives (P, P') in doubles, here and in the double Newton). A rectangle on
-which some term of P would overflow, underflow or go subnormal in doubles
-(``_Poly.numpy_safe``) is wound as Q(s) = 2^-E P(s + c), c the integer
-nearest its real centre, translated by -c (``_Poly.shifted``): an exact
-identity, so the count is P's.
+A rectangle's winding number is proven by argument tracking on Taylor
+bounds (Y. Ying and I. N. Katz, Numer. Math. 53 (1988); T. Johnson and
+W. Tucker, J. Comput. Appl. Math. 228 (2009)). Each edge is walked in
+segments [z0, z1], taken as discs about z0 of radius
+R = h + 2^-50 (1 + |z0| + h), h = |z1 - z0|. With the Taylor coefficients
+p_j = sum_k a_k k^-z0 (-log k)^j / j! a segment is accepted when
+
+    (sum_{j=1..J} |p_j| R^j + tail_J + rnd) (1 + mu) < (7/8) |p_0|,
+
+tail_J = sum_k |a_k| k^-Re z0 (R log k)^{J+1} k^R / (J+1)!, J = 4.
+
+Proof. On the disc, P(z) - P(z0) = sum_{j>=1} p_j (z - z0)^j, and
+sum_{j>J} (R log k)^j / j! <= (R log k)^{J+1} k^R / (J+1)! (as in
+``_certify``), so |P(z) - p~_0| stays below the left side, p~_0 the
+computed p_0, when rnd bounds the rounding of every p~_j. Then P(z) lies
+in the disc about p~_0 of radius (7/8) |p~_0| for every z of the disc: P has
+no zero there, and its argument moves by less than asin(7/8) < 1.1 about
+that of p~_0. Consecutive accepted starts z_i, z_{i+1} both lie in the disc
+of z_i, and z_{i+1} in its own, so the argument of P moves from z_i to
+z_{i+1} by exactly the principal Arg(p~_0(z_{i+1}) / p~_0(z_i)), a value
+below 2.2 in size that doubles cannot wrap. The winding is the sum of
+these around the contour over 2 pi: an integer by construction, up to
+double rounding of at most 2^-40 per segment in the sum.
+
+Disc padding. The vertices are doubles, and the caller's rectangle has
+Fraction edges. Each vertex lies within 2^-51 (|z| + 1) of the exact edge,
+at a point in the same order along it, so the padded discs cover both the
+double polygon and the exact rectangle between consecutive vertices, with
+no zero of P in the strip between them: the proof covers the rectangle the
+caller gave.
+
+Rounding. In doubles each start is scaled so that its largest bound
+A_k >= |a_k k^-z0| is 1, so no term overflows and underflow is far below
+the bound; rnd = c sum_k A_k k^R with c = 2^-48 (1 + n + J + |z0| log m
++ 2 max_k |log |a_k||), n terms, which bounds the rounding of the exponent
+arguments, the exponentials, the coefficients and the sums to first order,
+and mu = c + 2^-48 R log m covers that of the test itself. A coefficient
+below the smallest normal double is not held: it counts as its bound, all
+in rnd. Where the double rnd alone reaches (7/8) |p_0|, the start goes to
+fixed point at once (``_Poly.fixed_sums``, whose s_j are the p_j in
+integers), with _certify's rounding analysis: rnd = 2^(2-prec) (eta + 2J
++ 6n + 4) sum_k A_k k^R, eta = |Re z0| log m + 3 log2 m + 3, A_k from the
+integer |b_k|, and z0 rounded to 2^-prec, far inside the padding. Near a
+multiple zero |P| falls below double rounding long before it falls below
+fixed point's.
+
+Refusal floor. A segment is bisected while it fails; a segment shorter
+than 2^-44 (1 + |z0|) that still fails is taken again in fixed point, and
+then refused: ContourTooClose, a zero (numerically) on the contour. A
+contour that needs more than _MAX_SEGMENTS segments raises
+QuadratureNotConverged.
+
+One function, ``_windings``, winds a list of rectangles, each to its own
+count or error, and ``winding_count`` is its one-rectangle case, which
+raises the error. All rectangles on the same coefficients go through one
+``_np_windings`` call, every pending segment of every rectangle in one
+numpy round; a rectangle on which some term of P would overflow, underflow
+or go subnormal in doubles (``_Poly.numpy_safe``) is wound on
+Q(s) = 2^-E P(s + c), c the integer nearest its real centre, translated by
+-c (``_Poly.shifted``): Q is P times a positive constant, so the count is
+P's. ``_np_pair`` gives (P, P') in doubles for the double Newton.
 
 One engine, ``_zeros_in``, locates zeros for both callers: ``find_zeros``
 runs it on its rectangle and ``constant_C`` on its whole strip. A cell is
@@ -62,7 +109,6 @@ from .exact import (GUARD_BITS, as_fraction, fixed_mpc, fixed_ratio, fraction_to
                     to_fixed, to_mp)
 from .precision import resolve_bits, working
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(12)
 _CHUNK = 1 << 16
 _COARSE = Fraction(1, 4)          # polish cells once no edge exceeds this
 _CLUSTER_FLOOR = Fraction(1, 10 ** 5)
@@ -73,11 +119,14 @@ _NEWTON_STEPS = 200
 _SAFE_LOG = 600.0                 # terms between e^-600 and e^600 are normal doubles
 _UNDERFLOW = 1100 * math.log(2)   # terms below 2^-1100 of the largest round to 0
 _SHIFT_BITS = 1 << 22             # largest k^|c| a shift forms exactly
-_CACHED_PANELS = 256              # largest node table kept in _NODE_TABLES
-_NODE_TABLES: dict = {}           # panels -> _unit_nodes table
-_CONTACT = 128                    # contact samples per rectangle edge
-_BLOCK = _CHUNK // (4 * _CONTACT)     # rectangles wound together in doubles
-_RESOLVE = 1 / 16                 # nearest zero / panel length a level resolves
+_J = 4                            # Taylor terms of the segment test
+_STEP = 0.7                       # first segment length times log m
+_ACCEPT = 7 / 8                   # the test's bound may reach this share of |p_0|
+_PAD = 2.0 ** -50                 # disc radius beyond h, per unit of 1 + |z0| + h
+_FLOOR = 2.0 ** -44               # shortest segment, per unit of 1 + |z0|
+_ROUND = 2.0 ** -48               # unit of the double rounding bounds
+_MAX_SEGMENTS = 1 << 20           # per contour
+_NORMAL = sys.float_info.min      # smallest normal double, 2^-1022
 _DOUBLE_MAX = Fraction(sys.float_info.max)   # contours are laid out in doubles
 
 
@@ -115,8 +164,9 @@ class Rectangle:
         return self.im_hi - self.im_lo
 
     def corners_complex(self):
-        x0, x1 = float(self.re_lo), float(self.re_hi)
-        y0, y1 = float(self.im_lo), float(self.im_hi)
+        # n / d rounds once, as float(Fraction) does, without its dispatch
+        x0, x1, y0, y1 = (q.numerator / q.denominator
+                          for q in (self.re_lo, self.re_hi, self.im_lo, self.im_hi))
         return [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
 
     def __str__(self):
@@ -171,9 +221,10 @@ class _Poly:
     """P in the forms the zero engine evaluates, built once per call.
 
     numpy: the coefficients ``a`` (complex128, or None when some are not
-    normal doubles), ``logk``, ``log_abs`` = log |a_k| and ``log_asum`` = log sum
-    |a_k|, taken from exact logarithms, and ``shifts``, the arrays
-    ``shifted`` has built, by c. Fixed point at 2^-prec, prec = bits +
+    normal doubles) with ``logs``, their ``_coeff_logs``, ``logk``,
+    ``log_abs`` = log |a_k| and ``log_asum`` = log sum |a_k|, taken from
+    exact logarithms, and ``shifts``, what ``shifted`` has built, by c.
+    Fixed point at 2^-prec, prec = bits +
     GUARD_BITS: ``fixed`` holds (i, L_k, a_k as ``_fixed_coeff``) per term,
     i the position of k in ``chain``, the support's factor chain (0 for
     k = 1), and L_k = round(2^prec log k), with ``neg_logs`` the -L_k in
@@ -182,7 +233,8 @@ class _Poly:
     read, widened as ordinates need.
     """
 
-    __slots__ = ("P", "bits", "a", "logk", "log_abs", "log_asum", "shifts", "prec", "fixed",
+    __slots__ = ("P", "bits", "a", "logs", "logk", "log_abs", "log_asum", "shifts", "prec",
+                 "fixed",
                  "neg_logs", "chain", "chain_logs", "log_max", "phase_logs")
 
     def __init__(self, P: DirichletPolynomial, bits: int):
@@ -191,9 +243,10 @@ class _Poly:
         self.logk = np.log(np.array([k for k, _ in items], dtype=np.float64))
         self.log_abs = [_log_abs(c) for _, c in items]
         self.log_asum = _log_sum(self.log_abs)
-        self.a = None
+        self.a = self.logs = None
         if self.numpy_safe(0.0):
             self.a = np.array([complex(c) for _, c in items], dtype=np.complex128)
+            self.logs = _coeff_logs(self.a)
         self.shifts = {}
         self.prec = prec = bits + GUARD_BITS
         self.chain = _factor_chain([k for k, _ in items], P.m)
@@ -204,22 +257,16 @@ class _Poly:
         self.chain_logs = {k: _fixed_log(k, prec) for k, i, _ in self.chain if not i}
         self.phase_logs = {}
 
-    def numpy_safe(self, sigma_max: float, log_asum: Optional[float] = None) -> bool:
-        """Whether doubles hold every term a_k k^-s with |Re s| <= sigma_max.
-
-        Of P: every nonzero term, its coefficient included, stays a normal
-        double, between e^-_SAFE_LOG and e^_SAFE_LOG, so none underflows or
-        goes subnormal. Of the shifted polynomial whose log sum |a_k| is
-        log_asum: no term overflows. Its largest coefficient is within a
-        factor 2^(1/2) of 1, so the largest term at every point is above
-        about e^-_SAFE_LOG, and a term that underflows is below e^-100 of it."""
+    def numpy_safe(self, sigma_max: float) -> bool:
+        """Whether doubles hold every term a_k k^-s with |Re s| <= sigma_max:
+        every nonzero term, its coefficient included, stays a normal double,
+        between e^-_SAFE_LOG and e^_SAFE_LOG, so none underflows or goes
+        subnormal."""
         reach = sigma_max * math.log(self.P.m)
-        if log_asum is not None:
-            return reach + log_asum < _SAFE_LOG
         return reach + self.log_asum < _SAFE_LOG and min(self.log_abs) - reach > -_SAFE_LOG
 
     def shifted(self, c: int):
-        """(coefficients, log sum of their sizes) of Q(s) = 2^-E P(s + c),
+        """(coefficients, their ``_coeff_logs``) of Q(s) = 2^-E P(s + c),
         kept per c: b_k = a_k k^-c 2^-E as ``_scaled`` rounds it, 2^E the
         power of two nearest the largest |a_k k^-c| by the exact logarithms.
         A term below 2^-1100 of that one rounds to 0 unformed. Raises
@@ -233,8 +280,8 @@ class _Poly:
                 raise ContourTooClose(f"Re s = {float(c):.6g} is too far from the axis")
             E = round(top / math.log(2))
             b = [_scaled(*t, c, E) if t else 0 for t in keep]
-            self.shifts[c] = (np.array(b, dtype=np.complex128),
-                              _log_sum(logs) - E * math.log(2))
+            b = np.array(b, dtype=np.complex128)
+            self.shifts[c] = (b, _coeff_logs(b))
         return self.shifts[c]
 
     def fixed_terms(self, X: int, Y: int):
@@ -287,7 +334,7 @@ class _Poly:
 
 
 # =========================================================================
-# contour integration
+# argument tracking
 # =========================================================================
 
 def _np_pair(a, logk, s):
@@ -312,123 +359,204 @@ def _np_pair(a, logk, s):
     return p, d
 
 
-def _layout(rects):
-    """Corners (counter-clockwise from re_lo + i im_lo), edge vectors and
-    lengths of the rectangles in doubles, one row each, and each edge's base
-    panel count: about one panel per 1.5 of length."""
+def _coeff_logs(a):
+    """(log |a_k|, arg a_k, unheld) of a complex128 coefficient array. A
+    coefficient below the smallest normal double (subnormal, or 0 where
+    ``shifted`` dropped a term below 2^-1100 of the largest) is unheld: it
+    enters the segment test at its bound 2^-1021, as rounding only."""
+    mag = np.abs(a)
+    unheld = mag < _NORMAL
+    return np.log(np.where(unheld, 2 * _NORMAL, mag)), np.angle(a), unheld
+
+
+class _Starts:
+    """Taylor data of P at a batch of segment starts z0, one row each, every
+    row in its own positive unit: p[:, j] = p_j and ``size`` = |p_j|,
+    A[:, k] a bound on |a_k k^-z0| to within the factor 1 + mu and U its
+    unheld part (None when no coefficient is unheld), ``coef`` the rounding
+    of the p_j per unit of sum_k A_k k^h, ``mu`` the relative rounding of
+    the test itself, and whether the row was taken in fixed point; ``logk``
+    are P's log k, and V[k, j] = (-log k)^j / j!."""
+
+    __slots__ = ("logk", "p", "size", "A", "U", "coef", "mu", "fixed")
+
+    def __init__(self, logs, logk, V, z):
+        """Rows in doubles, each scaled so that its largest A_k is 1."""
+        la, phase, unheld = logs
+        self.logk = logk
+        L = la - np.multiply.outer(z.real, logk)
+        L -= L.max(axis=1)[:, None]
+        self.A = np.exp(L)
+        b = np.exp(L + 1j * (phase - np.multiply.outer(z.imag, logk)))
+        self.U = None
+        if unheld.any():
+            b[:, unheld] = 0
+            self.U = self.A * unheld
+        self.p = (b[:, :, None] * V).sum(axis=1)
+        self.size = np.abs(self.p)
+        spread = 2 * float(np.abs(la).max())
+        self.coef = _ROUND * (1 + len(la) + _J + np.abs(z) * logk[-1] + spread)
+        self.mu = self.coef.copy()
+        self.fixed = np.zeros(len(z), dtype=bool)
+
+    def refix(self, i: int, f: _Poly, x: Fraction, y: float):
+        """Row i again from ``_Poly.fixed_sums`` at (x + iy), x exact, rounded
+        to 2^-prec: p_j = s_j / (j! 2^((j+1) prec)) and A_k from |b_k|, in
+        the unit 2^(e + prec) of the block exponent e."""
+        P, n = f.prec, len(f.fixed)
+        b, s = f.fixed_sums(to_fixed(x, P), to_fixed(y, P), _J)
+        self.p[i] = [complex(sr / (math.factorial(j) << (j + 1) * P),
+                             si / (math.factorial(j) << (j + 1) * P))
+                     for j, (sr, si) in enumerate(s)]
+        self.size[i] = np.abs(self.p[i])
+        self.A[i] = [(math.isqrt(br * br + bi * bi) + 2) / (1 << P) for br, bi in b]
+        if self.U is not None:
+            self.U[i] = 0.0
+        eta = abs(float(x)) * math.log(f.P.m) + 3 * math.log2(f.P.m) + 3
+        self.coef[i] = 2.0 ** (2 - P) * (eta + 2 * _J + 6 * n + 4)
+        self.mu[i] = _ROUND * (1 + n + _J)
+        self.fixed[i] = True
+
+    def _rounding(self, rows, grow):
+        """rnd: coef sum_k A_k k^h plus every unheld A_k k^h, and those sums."""
+        W = self.A[rows] * grow
+        rnd = self.coef[rows] * W.sum(axis=1)
+        if self.U is not None:
+            rnd += (self.U[rows] * grow).sum(axis=1)
+        return rnd, W
+
+    def sure(self):
+        """Rows whose double rounding alone leaves room to accept a segment:
+        the rest go to fixed point at once."""
+        rnd, _ = self._rounding(slice(None), 1.0)
+        with np.errstate(invalid="ignore"):
+            return (np.isfinite(self.p).all(axis=1)
+                    & (rnd * (1 + self.mu) < _ACCEPT * self.size[:, 0]))
+
+    def accepts(self, rows, R):
+        """Whether sum_{j=1..J} |p_j| R^j + tail_J + rnd, times 1 + mu, is
+        below _ACCEPT |p_0| for the given rows and disc radii R."""
+        u = np.multiply.outer(R, self.logk)
+        size = self.size[rows]
+        with np.errstate(over="ignore", invalid="ignore"):
+            rnd, W = self._rounding(rows, np.exp(u))
+            taylor = size[:, _J]
+            for j in range(_J - 1, 0, -1):
+                taylor = taylor * R + size[:, j]
+            tail = (W * u ** (_J + 1)).sum(axis=1) / math.factorial(_J + 1)
+            mu = self.mu[rows] + _ROUND * R * self.logk[-1]
+            return (taylor * R + tail + rnd) * (1 + mu) < _ACCEPT * size[:, 0]
+
+
+def _points(start, end, t):
+    """The vertices start + t (end - start), end itself at t = 1: the same
+    double for the same t, whichever segment asks."""
+    return np.where(t == 1.0, end, start + t * (end - start))
+
+
+def _prefix(st: _Starts, rows, z0, start, end, ta, tb):
+    """Bisect each segment [ta, tb] until its first half [ta, t] passes on
+    the row's own Taylor data: (t per row, NaN where the half fell below the
+    floor first; and the second halves left behind, as (row, lo, hi), of the
+    rows that passed). Those halves tile [t, tb]."""
+    t = tb.copy()
+    out = np.full(len(rows), np.nan)
+    live = np.arange(len(rows))
+    floor = _FLOOR * (1 + np.abs(z0))
+    halves = []
+    while live.size:
+        h = np.abs(_points(start[live], end[live], t[live]) - z0[live])
+        R = h + _PAD * (1 + np.abs(z0[live]) + h)
+        ok = st.accepts(rows[live], R)
+        out[live[ok]] = t[live[ok]]
+        live = live[~ok & (h >= floor[live])]
+        hi = t[live]
+        t[live] = (ta[live] + hi) / 2
+        halves.append((live, t[live], hi))
+    i, lo, hi = (np.concatenate(x) for x in zip(*halves))
+    keep = ~np.isnan(out[i])
+    return out, (i[keep], lo[keep], hi[keep])
+
+
+def _np_windings(f: _Poly, a, logs, c: Optional[int], rects) -> list:
+    """Winding numbers of rectangles on one coefficient array (P's own, or
+    the shift by c), each one's verdict: its count, or the ContourTooClose
+    or QuadratureNotConverged it gets in place of one.
+
+    Each edge starts as ceil(length log m / _STEP) equal segments, all
+    pending. A round takes the Taylor data at the start of every pending
+    segment of every rectangle (``_Starts``, in doubles; ``_Starts.refix``
+    in fixed point for a start whose double rounding alone bars acceptance,
+    or whose segment reached the floor in doubles), bisects each segment
+    until its first half passes (``_prefix``), and leaves the second halves
+    pending for the next round. The count is the sum of the principal
+    Arg(p_0(z_{i+1}) / p_0(z_i)) around the accepted starts, over 2 pi.
+    """
+    logk = f.logk
+    V = np.array([[(-lk) ** j / math.factorial(j) for j in range(_J + 1)]
+                  for lk in logk.tolist()])
     corners = np.array([r.corners_complex() for r in rects], dtype=np.complex128)
-    edges = np.roll(corners, -1, axis=1) - corners
-    lengths = np.abs(edges)
-    base = [tuple(max(1, math.ceil(L / 1.5)) for L in row) for row in lengths.tolist()]
-    return corners, edges, lengths, base
-
-
-def _unit_nodes(panels: int):
-    """Composite 12-point Gauss-Legendre nodes on [0, 1], weights summing to 1.
-
-    Tables up to _CACHED_PANELS panels are kept: small contours are wound
-    thousands of times, and for them building the table costs more than
-    using it. Larger ones cost little next to the evaluation they feed.
-    """
-    table = _NODE_TABLES.get(panels)
-    if table is None:
-        taus = ((_GL_X + 1.0) / 2.0 + np.arange(panels)[:, None]).ravel() / panels
-        table = (taus, np.tile(_GL_W, panels) / (2.0 * panels))
-        for arr in table:
-            arr.flags.writeable = False
-        if panels <= _CACHED_PANELS:
-            _NODE_TABLES[panels] = table
-    return table
-
-
-def _stabilized(prev, w, resolved):
-    """One level of the rule that drives a contour's windings to a stable
-    integer: (the count, or None while it is not settled, and the value the
-    next level compares with).
-
-    Two consecutive levels must round to the same integer, and the second
-    must resolve every zero it passes: a contour closer to a zero than its
-    nodes can see counts that zero about half, which for a double zero is a
-    whole number the levels agree on. At a node, |P/P'| estimates the
-    distance to the nearest zero over its multiplicity; a level resolves
-    when no node comes within _RESOLVE of a panel length by that estimate.
-    """
-    if not np.isfinite(w):
-        raise ContourTooClose("contour node hit a zero exactly")
-    r = int(round(w.real))
-    ok = abs(w.real - r) <= 0.25 and abs(w.imag) <= 0.25
-    if ok and resolved and prev == r:
-        if r < 0:
-            raise QuadratureNotConverged(f"negative winding {r}")
-        return r, r
-    return None, (r if ok else None)
-
-
-def _np_windings(a, logk, rects) -> list:
-    """Winding numbers of a block of rectangles in doubles, each one's
-    verdict: its count, or the ContourTooClose or QuadratureNotConverged it
-    gets in place of one.
-
-    One ``_np_pair`` call gives |P| at _CONTACT equispaced samples per edge:
-    a rectangle whose samples dip below 1e-12 of its largest is too close.
-    Then each level divides P' by P from one ``_np_pair`` call at the nodes
-    of every rectangle not yet settled, for up to 13 levels; a rectangle
-    with a node where P is 0.0 exactly is too close. A rectangle keeps its
-    own base << level panels per edge, resolution test and stabilization;
-    rectangles with the same base panels are laid out as one array.
-    """
-    corners, edges, lengths, base = _layout(rects)
-    tau = np.arange(_CONTACT) / _CONTACT
-    sv, _ = _np_pair(a, logk, (corners[..., None] + tau * edges[..., None]).ravel())
-    sv = np.abs(sv).reshape(len(rects), -1)
-    amax = sv.max(axis=1)
-    touch = (amax == 0) | (sv.min(axis=1) < amax * 1e-12)
-    counts = [ContourTooClose("polynomial nearly vanishes on the contour") if t else None
-              for t in touch.tolist()]
-    prev = [None] * len(rects)
-    active = [i for i, count in enumerate(counts) if count is None]
-    for level in range(13):
-        if not active:
-            break
-        groups = {}
-        for i in active:
-            groups.setdefault(base[i], []).append(i)
-        laid = []
-        for key, rows in groups.items():
-            panels = [b << level for b in key]
-            if max(panels) * 12 > 4_000_000:
-                for i in rows:
-                    counts[i] = QuadratureNotConverged("contour refinement exploded")
-                continue
-            nodes = [_unit_nodes(p) for p in panels]
-            c, e = corners[rows], edges[rows]
-            z = np.concatenate([c[:, j, None] + t * e[:, j, None]
-                                for j, (t, _) in enumerate(nodes)], axis=1)
-            wdz = np.concatenate([wt * e[:, j, None] for j, (_, wt) in enumerate(nodes)],
-                                 axis=1)
-            near = np.repeat(_RESOLVE * lengths[rows] / panels,
-                             [t.size for t, _ in nodes], axis=1)
-            laid.append((rows, z, wdz, near))
-        if laid:
-            p, ratio = _np_pair(a, logk, np.concatenate([z.ravel() for _, z, _, _ in laid]))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio /= p
-        lo = 0
-        for rows, z, wdz, near in laid:
-            r = ratio[lo:lo + z.size].reshape(z.shape)
-            lo += z.size
-            with np.errstate(invalid="ignore"):
-                ws = np.einsum("ij,ij->i", r, wdz) / (2j * np.pi)
-                resolved = (np.abs(r) * near).max(axis=1) <= 1
-            for i, w, res in zip(rows, ws.tolist(), resolved.tolist()):
-                try:
-                    counts[i], prev[i] = _stabilized(prev[i], w, res)
-                except (ContourTooClose, QuadratureNotConverged) as exc:
-                    counts[i] = exc
-        active = [i for i in active if counts[i] is None]
-    for i in active:
-        counts[i] = QuadratureNotConverged("winding did not stabilize on an integer")
-    return counts
+    start = corners.ravel()
+    end = np.roll(corners, -1, axis=1).ravel()
+    with np.errstate(over="ignore", invalid="ignore"):
+        per_edge = np.maximum(np.ceil(np.abs(end - start) * (logk[-1] / _STEP)), 1)
+    verdicts = [None] * len(rects)
+    for i, total in enumerate(per_edge.reshape(-1, 4).sum(axis=1).tolist()):
+        if not total <= _MAX_SEGMENTS:
+            verdicts[i] = QuadratureNotConverged(
+                f"the contour needs more than {_MAX_SEGMENTS} segments")
+    per_edge = np.where(np.repeat([v is None for v in verdicts], 4), per_edge, 0).astype(np.int64)
+    eid = np.repeat(np.arange(per_edge.size), per_edge)
+    i = np.arange(eid.size) - np.repeat(np.cumsum(per_edge) - per_edge, per_edge)
+    ta, tb = i / per_edge[eid], (i + 1) / per_edge[eid]
+    done_eid, done_t, done_dir = [], [], []
+    used = np.zeros(len(rects), dtype=np.int64)
+    chunk = max(1, _CHUNK // len(a))
+    while eid.size:
+        rest = []
+        for lo in range(0, eid.size, chunk):
+            e, t0, t1 = eid[lo:lo + chunk], ta[lo:lo + chunk], tb[lo:lo + chunk]
+            s0, s1 = start[e], end[e]
+            z0 = _points(s0, s1, t0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                st = _Starts(logs, logk, V, z0)
+            for j in np.flatnonzero(~st.sure()).tolist():
+                st.refix(j, f, Fraction(z0[j].real) + (c or 0), z0[j].imag)
+            t, (j, lo_, hi_) = _prefix(st, np.arange(e.size), z0, s0, s1, t0, t1)
+            rest.append((e[j], lo_, hi_))
+            again = np.flatnonzero(np.isnan(t) & ~st.fixed)
+            for j in again.tolist():
+                st.refix(j, f, Fraction(z0[j].real) + (c or 0), z0[j].imag)
+            if again.size:
+                t[again], (j, lo_, hi_) = _prefix(st, again, z0[again], s0[again], s1[again],
+                                                  t0[again], t1[again])
+                rest.append((e[again[j]], lo_, hi_))
+            for r in np.unique(e[np.isnan(t)] // 4).tolist():
+                verdicts[r] = verdicts[r] or ContourTooClose(
+                    "polynomial nearly vanishes on the contour")
+            ok = ~np.isnan(t)
+            done_eid.append(e[ok])
+            done_t.append(t0[ok])
+            done_dir.append(st.p[ok, 0] / st.size[ok, 0])
+            np.add.at(used, e[ok] // 4, 1)
+        for r in np.flatnonzero(used > _MAX_SEGMENTS).tolist():
+            verdicts[r] = verdicts[r] or QuadratureNotConverged(
+                f"the contour needs more than {_MAX_SEGMENTS} segments")
+        live = np.array([v is None for v in verdicts])
+        eid, ta, tb = (np.concatenate(x) for x in zip(*rest))
+        keep = live[eid // 4]
+        eid, ta, tb = eid[keep], ta[keep], tb[keep]
+    if not done_eid:
+        return verdicts
+    e, t, d = (np.concatenate(x) for x in (done_eid, done_t, done_dir))
+    order = np.lexsort((t, e))
+    r, d = e[order] // 4, d[order]
+    first = np.flatnonzero(np.r_[True, r[1:] != r[:-1]])
+    nxt = np.arange(r.size) + 1
+    nxt[np.r_[first[1:], r.size] - 1] = first
+    turn = np.bincount(r, weights=np.angle(d[nxt] * d.conj()), minlength=len(rects))
+    return [v if v is not None else int(round(w / (2 * math.pi)))
+            for v, w in zip(verdicts, turn.tolist())]
 
 
 def _reach(rect: Rectangle) -> float:
@@ -443,10 +571,18 @@ def _windings(f: _Poly, rects) -> list:
     A rectangle whose terms are normal doubles as it stands is wound on P's
     own coefficients. Any other is wound as the same problem for
     Q(s) = 2^-E P(s + c), c the integer nearest its real centre
-    (``_Poly.shifted``), and translated by -c: an exact identity, so the
-    count is P's, unless c is too far from the axis or the terms still leave
-    double range. Rectangles on the same coefficients are wound together in
-    blocks of _BLOCK (``_np_windings``).
+    (``_Poly.shifted``), and translated by -c: Q is P times a positive
+    constant, so the count is P's, unless c is too far from the axis.
+    Rectangles on the same coefficients are wound together
+    (``_np_windings``), and every row of that batch is computed on its own,
+    so each rectangle gets the verdict it would get alone.
+
+    Each count is proven (module docstring): every segment's disc, of
+    radius h + 2^-50 (1 + |z0| + h), passes sum_{j=1..J} |p_j| R^j + tail_J +
+    rnd < (7/8) |p_0| with rnd a stated bound on the double (or fixed-point)
+    rounding of the p_j, and the discs cover the exact Fraction rectangle as
+    well as the double polygon. A segment below 2^-44 (1 + |z0|) that fails
+    in fixed point too refuses the rectangle.
     """
     if f.P.m == 1:
         return [0] * len(rects)
@@ -456,32 +592,36 @@ def _windings(f: _Poly, rects) -> list:
         groups.setdefault(c, []).append(i)
     counts = [None] * len(rects)
     for c, rows in groups.items():
-        a, moved = f.a, [rects[i] for i in rows]
-        if c is not None:
+        moved = [rects[i] for i in rows]
+        if c is None:
+            a, logs = f.a, f.logs
+        else:
             try:
-                a, log_asum = f.shifted(c)
+                a, logs = f.shifted(c)
             except ContourTooClose as exc:
                 for i in rows:
                     counts[i] = exc
                 continue
             moved = [_child(r.re_lo - c, r.re_hi - c, r.im_lo, r.im_hi) for r in moved]
-            for i, r in zip(rows, moved):
-                if not f.numpy_safe(_reach(r), log_asum):
-                    counts[i] = ContourTooClose("terms leave double range on the contour")
-        todo = [(i, r) for i, r in zip(rows, moved) if counts[i] is None]
-        for lo in range(0, len(todo), _BLOCK):
-            block = todo[lo:lo + _BLOCK]
-            for (i, _), count in zip(block, _np_windings(a, f.logk, [r for _, r in block])):
-                counts[i] = count
+        for i, count in zip(rows, _np_windings(f, a, logs, c, moved)):
+            counts[i] = count
     return counts
 
 
 def winding_count(P, rect, bits: Optional[int] = None) -> int:
-    """Number of zeros (with multiplicity) inside the rectangle, wound in
-    doubles as ``_windings`` winds it, so the same at every precision.
+    """Number of zeros (with multiplicity) inside the rectangle, proven by
+    argument tracking as ``_windings`` does it (see the module docstring).
 
     P is a DirichletPolynomial, or the _Poly that the zero engine prepared
     once for all of its windings; its precision then replaces ``bits``.
+    Only the fixed-point fallback reads the precision, and the count is
+    exact either way: the sum of principal arguments over segments whose
+    padded discs keep P within (7/8) |p_0| of its value p_0 at the start,
+    by a Taylor bound with its tail and rounding. Raises ContourTooClose
+    when a segment below the floor 2^-44 (1 + |z0|) cannot be accepted even
+    in fixed point (a zero numerically on the contour), and
+    QuadratureNotConverged when the contour needs more than _MAX_SEGMENTS
+    segments.
     """
     f = P if isinstance(P, _Poly) else _Poly(P, resolve_bits(bits))
     count, = _windings(f, [_as_rect(rect)])

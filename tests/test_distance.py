@@ -277,6 +277,30 @@ def test_sparse_high_degree_profile():
     assert done.returncode == 0, done.stderr
 
 
+def test_lcm_from_prime_powers_equals_math_lcm():
+    assert [distance._lcm_to(m) for m in range(1, 501)] == [
+        lcm(*range(1, m + 1)) for m in range(1, 501)]
+
+
+_SPARSE_MELLIN = """
+from mpmath import mp, mpf
+from xdp.distance import mellin_identity_residual
+from xdp.dpcore import DirichletPolynomial
+s = mp.mpc(0.5, 1)
+for m in (10 ** 4, 10 ** 5):
+    P = DirichletPolynomial.parse(f"1:1,{m}:-1")
+    res = mellin_identity_residual(P, 0, [1] * 8, s, bits=128)
+    assert res < mpf(2) ** -100, (m, res)
+"""
+
+
+def test_sparse_high_degree_mellin_identity():
+    # Abel summation leaves one power per support point and generator, not
+    # two per step of the profile: degree 10^5 takes about as long as 10^4
+    done = run_bounded(["-c", _SPARSE_MELLIN])
+    assert done.returncode == 0, done.stderr
+
+
 def test_distance_squared_pinned():
     for method in ("projection", "det-ratio"):
         res = distance_squared(P_BASE, 0, 1, method=method, bits=256)
