@@ -31,9 +31,9 @@ double polygon and the exact rectangle between consecutive vertices, with
 no zero of P in the strip between them: the proof covers the rectangle the
 caller gave.
 
-Rounding. In doubles each start is scaled so that its largest bound
-A_k >= |a_k k^-z0| is 1, so no term overflows and underflow is far below
-the bound; rnd = c sum_k A_k k^R with c = 2^-48 (1 + n + J + |z0| log m
+Rounding. In doubles each start is scaled so that the largest A_k, the
+bound on |a_k k^-z0| (to within the factor 1 + mu), is 1, so no term
+overflows and underflow is far below the bound; rnd = c sum_k A_k k^R with c = 2^-48 (1 + n + J + |z0| log m
 + 2 max_k |log |a_k||), n terms, which bounds the rounding of the exponent
 arguments, the exponentials, the coefficients and the sums to first order,
 and mu = c + 2^-48 R log m covers that of the test itself. A coefficient
@@ -418,7 +418,8 @@ class _Starts:
         self.fixed[i] = True
 
     def _rounding(self, rows, grow):
-        """rnd: coef sum_k A_k k^h plus every unheld A_k k^h, and those sums."""
+        """(rnd, W) for the given rows, grow = k^h: W_k = A_k k^h, and rnd =
+        coef sum_k W_k plus every unheld A_k k^h."""
         W = self.A[rows] * grow
         rnd = self.coef[rows] * W.sum(axis=1)
         if self.U is not None:
@@ -531,7 +532,7 @@ def _np_windings(f: _Poly, a, logs, c: Optional[int], rects) -> list:
                 t[again], (j, lo_, hi_) = _prefix(st, again, z0[again], s0[again], s1[again],
                                                   t0[again], t1[again])
                 rest.append((e[again[j]], lo_, hi_))
-            for r in np.unique(e[np.isnan(t)] // 4).tolist():
+            for r in set((e[np.isnan(t)] // 4).tolist()):
                 verdicts[r] = verdicts[r] or ContourTooClose(
                     "polynomial nearly vanishes on the contour")
             ok = ~np.isnan(t)
