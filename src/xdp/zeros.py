@@ -547,9 +547,9 @@ def _np_windings(f: _Poly, a, logs, c: Optional[int], rects) -> list:
         eid, ta, tb = (np.concatenate(x) for x in zip(*rest))
         keep = live[eid // 4]
         eid, ta, tb = eid[keep], ta[keep], tb[keep]
-    if not done_eid:
+    e, t, d = (np.concatenate(x or [np.zeros(0)]) for x in (done_eid, done_t, done_dir))
+    if not e.size:
         return verdicts
-    e, t, d = (np.concatenate(x) for x in (done_eid, done_t, done_dir))
     order = np.lexsort((t, e))
     r, d = e[order] // 4, d[order]
     first = np.flatnonzero(np.r_[True, r[1:] != r[:-1]])

@@ -94,6 +94,14 @@ def test_contour_through_zero_raises():
         winding_count(P_BASE, Rectangle(-1, 1, -1, float(2 * 3.141592653589793 / 0.6931471805599453)))
 
 
+def test_contour_about_a_zero_within_the_floor_raises():
+    # every start of this contour is within 2e-20 of the zero at 0, so no
+    # segment passes even in fixed point and the batch accepts none at all
+    tiny = Fraction(1, 10 ** 20)
+    with pytest.raises(ContourTooClose):
+        winding_count(P_BASE, Rectangle(-tiny, tiny, -tiny, tiny))
+
+
 @pytest.mark.parametrize("k, lo, hi, want", [
     (1, Fraction(-1, 10), Fraction(-1, 10 ** 5), 0),
     (68, Fraction(-1, 10), Fraction(1, 10 ** 5), 3),
