@@ -435,7 +435,7 @@ def test_windings_give_each_rectangle_its_own_verdict():
     # hit: a corner on the zero of P_BASE at 0, where P is 0.0 in doubles;
     # touch: the zero at 0 inside its right edge; far: no shift reaches it;
     # huge: more segments than a contour may take; wide: terms up to 2^900,
-    # wound on the shift c = 0 in the same batch as clean
+    # wound on the shift c = 0
     hit = Rectangle(0, 1, 0, 1)
     touch = Rectangle(-1, 0, -1, 1)
     far = Rectangle(-10 ** 7 - 2, -10 ** 7, 0, 1)
@@ -846,9 +846,10 @@ def test_far_left_census_is_its_translate():
 
 @pytest.mark.parametrize("bits", [256, 2048])
 def test_contour_across_double_range_winds_zero(bits):
-    # at Re s = +-900 the terms of 1 - 2^-s span 2^1800, more than one double
-    # exponent holds about the centre c = 0; each segment start is scaled to
-    # its own largest term, so the zero-free rectangle winds 0 at any precision
+    # at Re s = +-900 the term 2^-s reaches 2^900 and 2^-900, beyond the
+    # e^+-600 that numpy_safe allows about the centre c = 0; each segment start
+    # is scaled to its own largest term, so the zero-free rectangle winds 0 at
+    # any precision
     assert winding_count(P_BASE, Rectangle(-900, 900, 1, 5), bits=bits) == 0
 
 
